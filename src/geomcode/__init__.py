@@ -36,7 +36,6 @@ from .sim import (
     noise_sigma,
     random_regular_h,
     simulate_point,
-    sum_product_decode,
     wilson_interval,
 )
 from .srpg import (

@@ -27,13 +27,12 @@ from .constructions import (
 )
 from .fields import field_from_string
 from .projective import ProjectivePoint
-from .gf2 import brouwer_predict, dimension_and_rate, gram2, rank2
+from .gf2 import BinaryMatrix, brouwer_predict, dimension_and_rate, rank2
 from .metrics import six_cycles, tanner_bounds, tanner_girth
 from .sim import BerResult, ChannelConfig, LdpcCode, ber_sweep, simulate_point
 from .srpg import (
     AxiomViolation,
     DegenerateStructure,
-    adjacency_matrix,
     check_gpg_axioms,
     check_strongly_regular,
     feasibility_check,
@@ -74,13 +73,19 @@ def _build_structure(family: str, field_spec: str, modulus: str | None) -> Incid
 
 
 def parse_ebno_grid(text: str) -> tuple[float, ...]:
-    """Grid string "start:step:stop", inclusive of stop within half a step."""
+    """Grid string "start:step:stop", inclusive of stop within half a step.
+
+    Rejects non-finite values and grids with no point.
+    """
     parts = text.split(":")
-    if len(parts) == 1:
-        return (float(parts[0]),)
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValueError(f"bad Eb/N0 grid {text!r}; expected start:step:stop")
-    start, step, stop = (float(p) for p in parts)
+    values = [float(p) for p in parts]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"bad Eb/N0 grid {text!r}; values must be finite")
+    if len(values) == 1:
+        return (values[0],)
+    start, step, stop = values
     if step <= 0:
         raise ValueError("Eb/N0 grid step must be positive")
     vals = []
@@ -91,6 +96,8 @@ def parse_ebno_grid(text: str) -> tuple[float, ...]:
             break
         vals.append(round(x, 9))
         i += 1
+    if not vals:
+        raise ValueError(f"Eb/N0 grid {text!r} is empty: stop lies below start")
     return tuple(vals)
 
 
@@ -147,7 +154,7 @@ def build_analysis_report(ic: IncidenceStructure) -> dict:
                 if not feas.all_ok:
                     failures.append("feasibility conditions failed")
 
-                report["rank2_MMT"] = rank2(gram2(ic.matrix))
+                report["rank2_MMT"] = rank2(BinaryMatrix.from_numpy(ic.gram & 1))
                 pred = brouwer_predict(spec)
                 report["rank_prediction"] = {
                     "kind": pred.kind, "value": pred.value, "case": pred.case_tag,
@@ -156,7 +163,7 @@ def build_analysis_report(ic: IncidenceStructure) -> dict:
                     failures.append(
                         f"rank prediction {pred.value} != eliminated rank {report['rank2_MMT']}")
 
-                if is_connected(adjacency_matrix(ic)):
+                if is_connected(ic.adjacency):
                     bounds = tanner_bounds(params.n, params.s + 1, params.t + 1,
                                            spec.theta0, spec.theta1)
                     report["distance_bounds"] = {

@@ -13,7 +13,8 @@ hyperbolic quadrics [[0,B],[B^T,C]] through the fixed line, with B
 invertible and C symmetric, taken up to scalar.  A line (N I2) lies in a
 block iff B^T N^T + N B + C = 0; per block the incident lines are exactly
 N = (W - C/2) B^{-1} with W ranging over the q alternating matrices, which
-is how the matrix is filled in.
+is how the matrix is filled in.  The conic matrix is filled the same way,
+one solved point per x on each block.
 
 All orderings are lexicographic on the label code tuples, so the emitted
 matrices are bit-for-bit reproducible.
@@ -22,11 +23,14 @@ matrices are bit-for-bit reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .fields import Field
-from .gf2 import BinaryMatrix
-from .projective import ProjectivePoint, Quadric, quadric_contains
+from .gf2 import BinaryMatrix, gram_counts
+from .projective import ProjectivePoint, Quadric
 
 
 class ConicLabel(NamedTuple):
@@ -59,12 +63,28 @@ class IncidenceStructure:
     def n(self) -> int:
         return len(self.blocks)
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Integer M M^T (v x v), formed once per structure."""
+        return gram_counts(self.matrix)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """0/1 point graph: the off-diagonal clamp of M M^T."""
+        a = (self.gram > 0).astype(np.int8)
+        np.fill_diagonal(a, 0)
+        return a
+
     def __repr__(self) -> str:
         return f"IncidenceStructure({self.family}, {self.v}x{self.n})"
 
 
 def conic_quadric(field: Field, a: int, b: int) -> Quadric:
-    """The conic through e1,e2,e3 with parameters (a,b), a,b nonzero."""
+    """The conic through e1,e2,e3 with parameters (a,b), a,b nonzero.
+
+    build_conic_structure solves this conic in closed form; the quadric is
+    the independent check the tests compare against.
+    """
     if a == 0 or b == 0:
         raise ValueError("conic parameters must be nonzero")
     one = field.one
@@ -72,17 +92,24 @@ def conic_quadric(field: Field, a: int, b: int) -> Quadric:
 
 
 def build_conic_structure(field: Field) -> IncidenceStructure:
-    """Incidence of type-I points with the conics through e1,e2,e3."""
-    one = field.one
-    nonzero = field.elements(nonzero_only=True)
-    points = [ProjectivePoint(field, (one, x, y)) for x in nonzero for y in nonzero]
+    """Incidence of type-I points with the conics through e1,e2,e3.
+
+    (1,x,y) lies on conic (a,b) iff ax + by + xy = 0, so each block holds
+    one point y = -ax/(b+x) for every nonzero x other than -b.  Nonzero
+    element codes are 1..q-1, so (1,x,y) is row (x-1)(q-1) + (y-1).
+    """
+    f = field
+    one = f.one
+    nonzero = f.elements(nonzero_only=True)
+    points = [ProjectivePoint(f, (one, x, y)) for x in nonzero for y in nonzero]
     blocks = [ConicLabel(a, b) for a in nonzero for b in nonzero]
-    m = BinaryMatrix.zeros(len(points), len(blocks))
+    dense = np.zeros((len(points), len(blocks)), dtype=np.uint8)
     for j, (a, b) in enumerate(blocks):
-        conic = conic_quadric(field, a, b)
-        for i, pt in enumerate(points):
-            if quadric_contains(conic, pt):
-                m.set(i, j)
+        for x in nonzero:
+            if x != f.neg(b):
+                y = f.neg(f.mul(f.mul(a, x), f.inv(f.add(b, x))))
+                dense[(x - 1) * (f.q - 1) + (y - 1), j] = 1
+    m = BinaryMatrix.from_numpy(dense)
     degenerate = max(m.column_weights()) <= 1
     return IncidenceStructure("conic", field, points, blocks, m, degenerate=degenerate)
 

@@ -1,5 +1,6 @@
-"""Bit-packed GF(2) matrices, elimination rank, and closed-form rank
-prediction for Gram matrices of strongly regular point graphs."""
+"""Bit-packed GF(2) matrices, their integer Gram matrix M M^T,
+elimination rank, and closed-form rank prediction for Gram matrices of
+strongly regular point graphs."""
 
 from __future__ import annotations
 
@@ -13,7 +14,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class BinaryMatrix:
-    """Dense GF(2) matrix; each row is a Python int bitset (bit j = column j)."""
+    """GF(2) matrix stored as one Python int bitset per row (bit j = column j).
+
+    Every other view is derived from two conversions: :meth:`nonzero`, the
+    index arrays of the ones, and :meth:`from_numpy`, a dense 0/1 array.
+    """
 
     __slots__ = ("rows", "cols")
 
@@ -33,22 +38,20 @@ class BinaryMatrix:
 
     @classmethod
     def from_bits(cls, bit_rows: Iterable[Iterable[int]]) -> "BinaryMatrix":
-        rows = []
-        cols = None
-        for bits in bit_rows:
-            bits = list(bits)
-            if cols is None:
-                cols = len(bits)
-            elif len(bits) != cols:
-                raise ValueError("ragged rows")
-            acc = 0
-            for j, b in enumerate(bits):
-                if b:
-                    acc |= 1 << j
-            rows.append(acc)
-        if cols is None:
+        rows = [list(bits) for bits in bit_rows]
+        if not rows:
             raise ValueError("empty matrix")
-        return cls(rows, cols)
+        if len({len(bits) for bits in rows}) > 1:
+            raise ValueError("ragged rows")
+        return cls.from_numpy(np.array(rows) != 0)
+
+    @classmethod
+    def from_numpy(cls, dense: np.ndarray) -> "BinaryMatrix":
+        """Bitset matrix of a 2-D array; nonzero entries are ones."""
+        if dense.ndim != 2:
+            raise ValueError("expected a 2-D array")
+        packed = np.packbits(dense != 0, axis=1, bitorder="little")
+        return cls([int.from_bytes(row.tobytes(), "little") for row in packed], dense.shape[1])
 
     @property
     def nrows(self) -> int:
@@ -60,42 +63,33 @@ class BinaryMatrix:
     def set(self, i: int, j: int) -> None:
         self.rows[i] |= 1 << j
 
-    def row_weight(self, i: int) -> int:
-        return self.rows[i].bit_count()
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the ones, in row-major order.
+
+        Only the nonzero bytes of the packed rows are unpacked, so the
+        temporaries scale with the number of ones, not with rows x cols.
+        """
+        nbytes = (self.cols + 7) // 8
+        packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in self.rows),
+                               dtype=np.uint8)
+        nz = np.flatnonzero(packed)
+        bits = np.flatnonzero(np.unpackbits(packed[nz], bitorder="little"))
+        rows, byte = np.divmod(nz[bits >> 3], nbytes)
+        return rows, byte * 8 + (bits & 7)
 
     def row_weights(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
 
     def column_weights(self) -> list[int]:
-        w = [0] * self.cols
-        for r in self.rows:
-            while r:
-                low = r & -r
-                w[low.bit_length() - 1] += 1
-                r ^= low
-        return w
+        return np.bincount(self.nonzero()[1], minlength=self.cols).tolist()
 
     def transpose(self) -> "BinaryMatrix":
-        cols = [0] * self.cols
-        for i, r in enumerate(self.rows):
-            bit = 1 << i
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= bit
-                r ^= low
-        return BinaryMatrix(cols, self.nrows)
+        return BinaryMatrix.from_numpy(self.to_numpy().T)
 
     def to_numpy(self) -> np.ndarray:
         out = np.zeros((self.nrows, self.cols), dtype=np.uint8)
-        for i, r in enumerate(self.rows):
-            while r:
-                low = r & -r
-                out[i, low.bit_length() - 1] = 1
-                r ^= low
+        out[self.nonzero()] = 1
         return out
-
-    def copy(self) -> "BinaryMatrix":
-        return BinaryMatrix(list(self.rows), self.cols)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -125,33 +119,32 @@ def rank2(m: BinaryMatrix) -> int:
     return rank
 
 
+def gram_counts(m: BinaryMatrix) -> np.ndarray:
+    """M M^T over the integers, as a v x v numpy array.
+
+    Entry (i, j) counts the columns holding both i and j: one bincount over
+    the row pairs i < j inside each column, mirrored, with the row weights
+    on the diagonal.  Column weights may differ.
+    """
+    v = m.nrows
+    rows, cols = m.nonzero()
+    order = np.argsort(cols, kind="stable")
+    pts = rows[order]  # the rows of column 0, then of column 1, ...; ascending in each
+    col_end = np.cumsum(np.bincount(cols, minlength=m.cols))[cols[order]]
+    # pair entry e with e+1, ..., col_end[e]-1, the later entries of its column
+    later = col_end - np.arange(len(pts)) - 1
+    first = np.repeat(np.arange(len(pts)), later)
+    rank = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    second = first + 1 + rank
+    out = np.bincount(pts[first] * v + pts[second], minlength=v * v).reshape(v, v)
+    out += out.T
+    out[np.diag_indices(v)] = m.row_weights()
+    return out
+
+
 def gram2(m: BinaryMatrix) -> BinaryMatrix:
     """M M^T reduced mod 2 (v x v for a v-row matrix)."""
-    v = m.nrows
-    out = [0] * v
-    for i in range(v):
-        ri = m.rows[i]
-        acc = (ri.bit_count() & 1) << i
-        for j in range(i):
-            if (ri & m.rows[j]).bit_count() & 1:
-                acc |= 1 << j
-                out[j] |= 1 << i
-        out[i] |= acc
-    return BinaryMatrix(out, v)
-
-
-def gram_counts(m: BinaryMatrix) -> np.ndarray:
-    """M M^T over the integers, as a v x v numpy array."""
-    v = m.nrows
-    out = np.zeros((v, v), dtype=np.int64)
-    for i in range(v):
-        ri = m.rows[i]
-        out[i, i] = ri.bit_count()
-        for j in range(i):
-            c = (ri & m.rows[j]).bit_count()
-            out[i, j] = c
-            out[j, i] = c
-    return out
+    return BinaryMatrix.from_numpy(gram_counts(m) & 1)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from fractions import Fraction
 import numpy as np
 
 from .constructions import IncidenceStructure
-from .gf2 import BinaryMatrix
-from .srpg import SrpgParams, adjacency_matrix
+from .gf2 import BinaryMatrix, gram_counts
+from .srpg import SrpgParams
 
 
 @dataclass(frozen=True)
@@ -46,38 +46,25 @@ def tanner_bounds(n: int, w_col: int, w_row: int, a1: int, a2: int) -> DistanceB
     return DistanceBounds(bit, parity, effective, vacuous=bit <= 1 and parity <= 1)
 
 
-def _has_four_cycle(h: BinaryMatrix) -> bool:
-    rows = h.rows
-    for i in range(len(rows)):
-        ri = rows[i]
-        for j in range(i):
-            if (ri & rows[j]).bit_count() >= 2:
-                return True
-    return False
-
-
 def tanner_girth(h: BinaryMatrix) -> float:
     """Length of the shortest Tanner-graph cycle (math.inf for a forest).
 
     Runs a breadth-first search from every variable node; since every
-    cycle alternates between the two sides, this sweep is exact.  A
-    pairwise-row scan decides up front whether 4-cycles exist, which fixes
-    the earliest possible exit (4 or 6) for the sweep.
+    cycle alternates between the two sides, this sweep is exact.  A 4-cycle
+    exists iff two rows share two columns, i.e. iff an off-diagonal entry
+    of H H^T is at least 2; that fixes the earliest possible exit (4 or 6)
+    for the sweep.
     """
     n, m = h.cols, h.nrows
-    ht = h.transpose()
     # node ids: variables 0..n-1, checks n..n+m-1
     adj: list[list[int]] = [[] for _ in range(n + m)]
-    for j in range(n):
-        col = ht.rows[j]
-        while col:
-            low = col & -col
-            i = low.bit_length() - 1
-            adj[j].append(n + i)
-            adj[n + i].append(j)
-            col ^= low
+    for i, j in zip(*(x.tolist() for x in h.nonzero())):
+        adj[j].append(n + i)
+        adj[n + i].append(j)
 
-    floor = 4 if _has_four_cycle(h) else 6
+    gram = gram_counts(h)
+    np.fill_diagonal(gram, 0)
+    floor = 4 if gram.max() >= 2 else 6
     best = math.inf
     dist = [-1] * (n + m)
     parent = [-1] * (n + m)
@@ -125,28 +112,19 @@ def six_cycles(ic: IncidenceStructure, params: SrpgParams,
         raise ValueError(f"formula value {formula_num}/6 is not an integer")
     formula = formula_num // 6
 
-    a = adjacency_matrix(ic)
-    v = ic.v
-    adj_bits = [0] * v
-    for i in range(v):
-        acc = 0
-        for j in np.flatnonzero(a[i]):
-            acc |= 1 << int(j)
-        adj_bits[i] = acc
-
-    ht = ic.matrix.transpose()  # one bitset of points per block
+    adj_bits = BinaryMatrix.from_numpy(ic.adjacency).rows
+    rows, cols = ic.matrix.nonzero()
+    by_block = np.split(rows[np.argsort(cols, kind="stable")],
+                        np.cumsum(np.bincount(cols, minlength=ic.n))[:-1])
     total = 0
-    for col in ht.rows:
-        pts = []
-        c = col
-        while c:
-            low = c & -c
-            pts.append(low.bit_length() - 1)
-            c ^= low
+    for pts in by_block:
+        pts = pts.tolist()
+        # the other len(pts) - 2 points of B are common neighbours of every pair in B
+        inside = len(pts) - 2
         for x in range(len(pts)):
             bx = adj_bits[pts[x]]
             for y in range(x):
-                total += (bx & adj_bits[pts[y]] & ~col).bit_count()
+                total += (bx & adj_bits[pts[y]]).bit_count() - inside
     if total % 3 != 0:
         raise ValueError(f"pair-completion total {total} is not divisible by 3")
     return CycleReport(

@@ -24,8 +24,6 @@ LLR_CLAMP = 30.0
 @dataclass
 class LdpcCode:
     h: BinaryMatrix
-    var_neighbors: list[list[int]]    # per column: rows with a 1
-    check_neighbors: list[list[int]]  # per row: columns with a 1
     dimension: int
     w_col: int | None = None          # set when the code is regular
     w_row: int | None = None
@@ -45,29 +43,10 @@ class LdpcCode:
 
     @classmethod
     def from_parity(cls, h: BinaryMatrix) -> "LdpcCode":
-        check_neighbors = []
-        for r in h.rows:
-            cols = []
-            while r:
-                low = r & -r
-                cols.append(low.bit_length() - 1)
-                r ^= low
-            check_neighbors.append(cols)
-        ht = h.transpose()
-        var_neighbors = []
-        for c in ht.rows:
-            rows = []
-            while c:
-                low = c & -c
-                rows.append(low.bit_length() - 1)
-                c ^= low
-            var_neighbors.append(rows)
-        col_w = {len(x) for x in var_neighbors}
-        row_w = {len(x) for x in check_neighbors}
+        col_w = set(h.column_weights())
+        row_w = set(h.row_weights())
         return cls(
             h=h,
-            var_neighbors=var_neighbors,
-            check_neighbors=check_neighbors,
             dimension=h.cols - rank2(h),
             w_col=col_w.pop() if len(col_w) == 1 else None,
             w_row=row_w.pop() if len(row_w) == 1 else None,
@@ -80,25 +59,17 @@ class SumProductDecoder:
     def __init__(self, code: LdpcCode):
         self.code = code
         n, m = code.n, code.m
-        edge_var = []
-        edge_check = []
-        for i, cols in enumerate(code.check_neighbors):
-            for j in cols:
-                edge_check.append(i)
-                edge_var.append(j)
-        e = len(edge_var)
-        self.edge_var = np.array(edge_var, dtype=np.int64)
-        self.edge_check = np.array(edge_check, dtype=np.int64)
+        # edges in row-major order: the order of the floating-point sums below
+        self.edge_check, self.edge_var = code.h.nonzero()
+        e = len(self.edge_var)
         self.n, self.m, self.n_edges = n, m, e
 
-        degrees = [len(c) for c in code.check_neighbors]
-        md = max(degrees) if degrees else 0
+        degrees = np.bincount(self.edge_check, minlength=m)
+        md = int(degrees.max())
         # per-check edge index table, padded with a slot that always holds 1.0
         table = np.full((m, md), e, dtype=np.int64)
-        pos = 0
-        for i, d in enumerate(degrees):
-            table[i, :d] = np.arange(pos, pos + d)
-            pos += d
+        first_edge = np.cumsum(degrees) - degrees
+        table[self.edge_check, np.arange(e) - first_edge[self.edge_check]] = np.arange(e)
         self.check_edges = table
 
     def decode(self, llrs: np.ndarray, max_iter: int) -> tuple[np.ndarray, int, bool]:
@@ -136,12 +107,6 @@ class SumProductDecoder:
                 return hard, it, True
             m_vc = np.clip(posterior[ev] - m_cv, -LLR_CLAMP, LLR_CLAMP)
         return hard, max_iter, False
-
-
-def sum_product_decode(code: LdpcCode, channel_llrs: np.ndarray,
-                       max_iter: int) -> tuple[np.ndarray, int, bool]:
-    """One-shot decode; builds a decoder for the call."""
-    return SumProductDecoder(code).decode(channel_llrs, max_iter)
 
 
 def noise_sigma(ebn0_db: float, rate: float) -> float:
@@ -199,11 +164,10 @@ def random_regular_h(m: int, n: int, w_col: int, w_row: int, seed: int,
             groups.append(g)
             clean = False
 
-    h = BinaryMatrix.zeros(m, n)
+    dense = np.zeros((m, n), dtype=np.uint8)
     for band, g in enumerate(groups):
-        for j in range(n):
-            h.set(band * rpb + int(g[j]), j)
-    code = LdpcCode.from_parity(h)
+        dense[band * rpb + g, np.arange(n)] = 1
+    code = LdpcCode.from_parity(BinaryMatrix.from_numpy(dense))
     code.four_cycle_free = clean
     return code
 

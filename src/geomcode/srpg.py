@@ -3,8 +3,10 @@ for point-block incidence structures.
 
 The point graph joins two points iff they share a block.  For a structure
 satisfying the pairwise axiom the integer Gram matrix M M^T equals
-A + (t+1)I, which is how the adjacency matrix is derived here (and
-cross-checked in the tests against the direct definition).
+A + (t+1)I.  Each structure forms M M^T once (``IncidenceStructure.gram``)
+and clamps its off-diagonal part to the adjacency matrix
+(``IncidenceStructure.adjacency``); the tests cross-check that against the
+direct definition.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import IncidenceStructure
-from .gf2 import gram_counts
 
 
 class AxiomViolation(ValueError):
@@ -90,20 +91,6 @@ class AlphaProfile:
     mu: int
 
 
-def structure_mmt(ic: IncidenceStructure) -> np.ndarray:
-    """Integer M M^T of the structure (v x v)."""
-    return gram_counts(ic.matrix)
-
-
-def adjacency_matrix(ic: IncidenceStructure, mmt: np.ndarray | None = None) -> np.ndarray:
-    """0/1 point-graph adjacency: off-diagonal clamp of M M^T."""
-    if mmt is None:
-        mmt = structure_mmt(ic)
-    a = (mmt > 0).astype(np.int8)
-    np.fill_diagonal(a, 0)
-    return a
-
-
 def _alpha_count_matrix(a: np.ndarray, m_dense: np.ndarray, chunk: int = 4096) -> np.ndarray:
     """counts[p, b] = number of points of block b adjacent to point p."""
     v, n = m_dense.shape
@@ -126,8 +113,7 @@ def check_gpg_axioms(ic: IncidenceStructure) -> SrpgParams:
     m = ic.matrix
     v, n = m.nrows, m.cols
 
-    mmt = structure_mmt(ic)
-    off = mmt.copy()
+    off = ic.gram.copy()
     np.fill_diagonal(off, 0)
     if off.max(initial=0) > 1:
         i, j = np.argwhere(off > 1)[0]
@@ -146,23 +132,21 @@ def check_gpg_axioms(ic: IncidenceStructure) -> SrpgParams:
         raise AxiomViolation("iii", (i,), f"point degrees differ: {row_w[0]} vs {row_w[i]}")
     t = row_w[0] - 1
 
-    a = adjacency_matrix(ic, mmt)
+    a = ic.adjacency
     m_dense = m.to_numpy()
     counts = _alpha_count_matrix(a, m_dense)
     alphas = tuple(sorted(int(x) for x in np.unique(counts[m_dense == 0])))
     return SrpgParams(s=s, t=t, alphas=alphas, v=v, n=n)
 
 
-def check_strongly_regular(ic: IncidenceStructure,
-                           a: np.ndarray | None = None) -> tuple[int, int, int, int]:
+def check_strongly_regular(ic: IncidenceStructure) -> tuple[int, int, int, int]:
     """Verify A^2 = kI + lambda A + mu (J - I - A) entrywise.
 
     Returns (v, k, lambda, mu); raises :class:`DegenerateStructure` for
     edgeless or complete graphs and :class:`AxiomViolation`-style
     ValueError with a witness pair when lambda or mu is not constant.
     """
-    if a is None:
-        a = adjacency_matrix(ic)
+    a = ic.adjacency
     v = a.shape[0]
     degrees = a.sum(axis=1)
     k = int(degrees[0])
@@ -289,7 +273,7 @@ def alpha_profiles(ic: IncidenceStructure, params: SrpgParams) -> AlphaProfile:
     if params.lambda_ is None or params.mu is None:
         raise ValueError("profile census needs verified lambda and mu")
     m_dense = ic.matrix.to_numpy()
-    a = adjacency_matrix(ic)
+    a = ic.adjacency
     counts = _alpha_count_matrix(a, m_dense)
     alphas = params.alphas
     alpha_index = {al: i for i, al in enumerate(alphas)}

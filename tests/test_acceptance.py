@@ -14,7 +14,7 @@ from geomcode.fields import make_field
 from geomcode.gf2 import brouwer_predict, dimension_and_rate, gram2, rank2
 from geomcode.metrics import six_cycles, tanner_bounds, tanner_girth
 from geomcode.sim import ChannelConfig, LdpcCode, SumProductDecoder, random_regular_h, simulate_point
-from geomcode.srpg import adjacency_matrix, check_gpg_axioms, check_strongly_regular, spectrum
+from geomcode.srpg import check_gpg_axioms, check_strongly_regular, spectrum
 
 CONIC_FIELDS = {5: (5, 1), 7: (7, 1), 9: (3, 2)}
 
@@ -66,7 +66,7 @@ def test_criterion_02_conic_srg_identity():
         v, kk, lam, mu = check_strongly_regular(ic)
         expected = ((q - 1) ** 2, (q - 2) * (q - 3), (q - 4) ** 2 + 1, (q - 3) * (q - 4))
         # independent entrywise check of A^2 = kI + lambda A + mu (J - I - A)
-        a = adjacency_matrix(ic).astype(np.int64)
+        a = ic.adjacency.astype(np.int64)
         lhs = a @ a
         j = np.ones((v, v), dtype=np.int64)
         eye = np.eye(v, dtype=np.int64)
@@ -164,7 +164,7 @@ def test_criterion_08_spectrum_identities_and_annihilation(conic5, hyp3):
         assert k + spec.f1 * spec.u1 + spec.f2 * spec.u2 == 0
         assert spec.theta0 == (s + 1) * (t + 1)
         assert spec.theta1 == spec.u1 + t + 1 and spec.theta2 == spec.u2 + t + 1
-        a = adjacency_matrix(ic).astype(np.int64)
+        a = ic.adjacency.astype(np.int64)
         eye = np.eye(v, dtype=np.int64)
         zero = (a - spec.u1 * eye) @ (a - spec.u2 * eye) @ (a - k * eye)
         assert not zero.any(), f"{ic.family}: annihilation fails"

@@ -70,6 +70,32 @@ def test_reader_rejects_wrong_weight(tmp_path):
         read_alist(path)
 
 
+def test_reader_rejects_repeated_index(tmp_path):
+    # column 0 lists row 1 twice, so its declared weight 2 would parse as 1
+    path = tmp_path / "dup.alist"
+    path.write_text("3 2\n2 2\n2 2 1\n2 2\n1 1\n1 2\n2\n1 2\n2 3\n")
+    with pytest.raises(ValueError, match="column 0 lists an index more than once"):
+        read_alist(path)
+    path.write_text("3 2\n2 2\n1 2 1\n2 2\n1\n1 2\n2\n1 1\n2 3\n")
+    with pytest.raises(ValueError, match="row 0 lists an index more than once"):
+        read_alist(path)
+
+
+def test_reader_rejects_wrong_maximum_weights(tmp_path):
+    path = tmp_path / "max.alist"
+    path.write_text("3 2\n9 9\n1 2 1\n2 2\n1\n1 2\n2\n1 2\n2 3\n")
+    with pytest.raises(ValueError, match="line 2"):
+        read_alist(path)
+
+
+def test_reader_rejects_wrong_row_weight(tmp_path):
+    # line 4 declares row 0 with weight 5, the row line lists 2 entries
+    path = tmp_path / "roww.alist"
+    path.write_text("3 2\n2 5\n1 2 1\n5 2\n1\n1 2\n2\n1 2\n2 3\n")
+    with pytest.raises(ValueError, match="row 0 lists 2 indices, declared 5"):
+        read_alist(path)
+
+
 def test_reader_rejects_truncated(tmp_path):
     path = tmp_path / "bad3.alist"
     path.write_text("3 2\n2 2\n")

@@ -22,6 +22,25 @@ def test_ebno_grid_parsing():
         parse_ebno_grid("1:-1:5")
 
 
+def test_ebno_grid_rejects_empty_and_nonfinite():
+    with pytest.raises(ValueError, match="empty"):
+        parse_ebno_grid("5:1:3")
+    for text in ("nan", "inf", "1:nan:3", "-inf:1:3", "1:1:nan"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_ebno_grid(text)
+
+
+def test_simulate_rejects_bad_ebno_grid(tmp_path, capsys):
+    h = tmp_path / "h3.alist"
+    assert run(["construct", "--family", "hyperbolic", "--field", "3", "--out", h]) == 0
+    for grid in ("5:1:3", "nan"):
+        out = tmp_path / "ber.csv"
+        assert run(["simulate", "--in", h, "--ebno", grid, "--max-frames", "1",
+                    "--threads", "1", "--out", out]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_construct_writes_alist_and_manifest(tmp_path, hyp3):
     out = tmp_path / "H.alist"
     assert run(["construct", "--family", "hyperbolic", "--field", "3", "--out", out]) == 0

@@ -54,12 +54,15 @@ def test_conic_structure_invariants(p, k):
             assert (rows[i] & rows[j]).bit_count() <= 1
 
 
-def test_conic_incidence_matches_quadric_evaluation(conic5):
-    f = conic5.field
-    for j, (a, b) in enumerate(conic5.blocks):
-        conic = conic_quadric(f, a, b)
-        for i, pt in enumerate(conic5.points):
-            assert conic5.matrix.get(i, j) == int(quadric_contains(conic, pt))
+def test_conic_incidence_matches_quadric_evaluation():
+    # build_conic_structure solves each conic in closed form; evaluate every quadric instead
+    for p, k in ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2)):
+        f = make_field(p, k)
+        ic = build_conic_structure(f)
+        for j, (a, b) in enumerate(ic.blocks):
+            conic = conic_quadric(f, a, b)
+            for i, pt in enumerate(ic.points):
+                assert ic.matrix.get(i, j) == int(quadric_contains(conic, pt)), (f.q, i, j)
 
 
 @pytest.mark.parametrize("qname", ["conic5", "conic7"])

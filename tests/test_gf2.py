@@ -1,8 +1,14 @@
 import random
+import tempfile
+from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geomcode.alist import read_alist, write_alist
 from geomcode.gf2 import (
     BinaryMatrix,
     RankPrediction,
@@ -155,3 +161,47 @@ def test_dimension_and_rate():
     wide = BinaryMatrix.from_bits([[1, 0, 1, 1], [0, 1, 1, 0]])
     dim, rate = dimension_and_rate(wide)
     assert dim == 2 and rate == 0.5
+
+
+# -- property tests: every derived view against a dense numpy oracle --------
+
+@st.composite
+def dense_matrices(draw):
+    """0/1 arrays of random shape and density, so empty rows and columns
+    and irregular weights all occur; widths cross byte boundaries."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 70)))
+    values = draw(st.sampled_from([(0,), (0, 0, 0, 0, 1), (0, 1), (1,)]))
+    return draw(hnp.arrays(np.uint8, shape, elements=st.sampled_from(values)))
+
+
+def _bitsets(d):
+    """Row bitsets built one bit at a time, independently of the library."""
+    return BinaryMatrix([sum(1 << int(j) for j in np.flatnonzero(row)) for row in d], d.shape[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_matrices())
+def test_property_views_match_dense(d):
+    m = _bitsets(d)
+    assert BinaryMatrix.from_numpy(d) == m
+    rows, cols = m.nonzero()
+    expected = np.nonzero(d)
+    assert np.array_equal(rows, expected[0]) and np.array_equal(cols, expected[1])
+    assert np.array_equal(m.to_numpy(), d)
+    assert m.column_weights() == d.sum(axis=0).tolist()
+    assert m.row_weights() == d.sum(axis=1).tolist()
+    assert m.transpose() == _bitsets(d.T)
+    di = d.astype(np.int64)
+    assert np.array_equal(gram_counts(m), di @ di.T)
+    assert np.array_equal(gram2(m).to_numpy(), (di @ di.T) % 2)
+    assert rank2(m) == dense_rank_mod2(d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_matrices())
+def test_property_alist_round_trip(d):
+    m = _bitsets(d)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.alist"
+        write_alist(m, path)
+        assert read_alist(path) == m

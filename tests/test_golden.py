@@ -1,0 +1,65 @@
+"""Byte-identity of the CLI's deterministic outputs.
+
+Each output is pinned by its SHA-256.  Manifests are not pinned because
+they record the paths the command was given.  A digest changes only when
+an output format or a computed value changes, and such a change is
+recorded in CHANGES.md with its reason.
+"""
+
+import hashlib
+
+import pytest
+
+from geomcode.cli import main
+
+RANDOM_CODE = ["random-code", "--rows", "81", "--cols", "648", "--wcol", "3", "--wrow", "24",
+               "--seed", "7", "--out", "r.alist"]
+SIMULATE = ["simulate", "--in", "h3.alist", "--ebno", "2:1:4", "--max-iters", "50",
+            "--min-frame-errors", "10", "--max-frames", "50", "--seed", "1", "--threads", "1",
+            "--out", "ber.csv"]
+
+# (argv, expected exit status, output file, SHA-256 of the output)
+GOLDEN = [
+    (["construct", "--family", "hyperbolic", "--field", "3", "--out", "h3.alist"], 0, "h3.alist",
+     "ecc22a6c6a389ebfb3e8ba84e3ad8d794c77181735db8e147cf7b2e014cf02ce"),
+    (["analyze", "--family", "hyperbolic", "--field", "3", "--out", "h3.json"], 0, "h3.json",
+     "e1de6b217d5b61bba83b87eb6b7705d7b1cc306d2bfdfa8320ec29b8146b90cf"),
+    (["construct", "--family", "conic", "--field", "5", "--out", "c5.alist"], 0, "c5.alist",
+     "99389ed3db44353fad510c44b52e98d4413afdce2a0577a116e389c5aa95862a"),
+    (["analyze", "--family", "conic", "--field", "5", "--out", "c5.json"], 0, "c5.json",
+     "f323e594e65f8652819c906a4087f3a0f6367a11a14393cee232e38a738a1430"),
+    (["construct", "--family", "conic", "--field", "7", "--out", "c7.alist"], 0, "c7.alist",
+     "f7e0f7d6633c7d4c41a341118cda364074086aeda75c14a6a98f49077117861b"),
+    (["analyze", "--family", "conic", "--field", "7", "--out", "c7.json"], 0, "c7.json",
+     "20d4f8b02b4fd1baaab1c7ca67577e7920b3ef0499c4c71264e94a29fc2b9d92"),
+    (["construct", "--family", "conic", "--field", "3^2", "--out", "c9.alist"], 0, "c9.alist",
+     "bd87ddfd4b792130c8f29deca8ca93688ace99a052f62ab6ab42acf74833c420"),
+    (["analyze", "--family", "conic", "--field", "3^2", "--out", "c9.json"], 0, "c9.json",
+     "1130bb87dd28cddcfd315168f147c5e6929664b64fea07fe0125bfc9c4162a68"),
+    (RANDOM_CODE, 0, "r.alist",
+     "44a7a1d420804d4417348299892e1d2e5bcafa8a818dae93887a9414f36d14d5"),
+    # axiom (i) fails on the random code (witness (0, 27)), so analyze exits 1
+    (["analyze", "--in", "r.alist", "--out", "r.json"], 1, "r.json",
+     "2658a7c1d2554cc5fb215c9cd891ff3e874ff687e2e005f26891afec7c7fcd46"),
+    (SIMULATE, 0, "ber.csv",
+     "3028389544f1e32d59b820194ed42d6a69d9042bf7103283d10c613003be50d7"),
+]
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """Run every golden command in order in one directory; later commands
+    read the files earlier ones wrote."""
+    work = tmp_path_factory.mktemp("golden")
+    results = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(work)
+        for argv, _, out, _ in GOLDEN:
+            status = main(argv)
+            results[out] = (status, hashlib.sha256((work / out).read_bytes()).hexdigest())
+    return results
+
+
+@pytest.mark.parametrize("argv,status,out,digest", GOLDEN, ids=[g[2] for g in GOLDEN])
+def test_golden_output(outputs, argv, status, out, digest):
+    assert outputs[out] == (status, digest)

@@ -12,7 +12,6 @@ from geomcode.sim import (
     noise_sigma,
     random_regular_h,
     simulate_point,
-    sum_product_decode,
     wilson_interval,
 )
 
@@ -71,11 +70,6 @@ def test_syndrome_ok_is_exact(geo_code, geo_decoder):
                 word |= 1 << int(j)
             assert all((row & word).bit_count() % 2 == 0 for row in geo_code.h.rows)
     assert converged > 0
-
-
-def test_one_shot_decode_helper(geo_code):
-    hard, iters, ok = sum_product_decode(geo_code, np.full(648, 9.0), 10)
-    assert ok and iters == 1
 
 
 def test_awgn_noiseless_limit():

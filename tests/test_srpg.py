@@ -5,19 +5,17 @@ import pytest
 
 from geomcode.constructions import IncidenceStructure, build_conic_structure
 from geomcode.fields import make_field
-from geomcode.gf2 import BinaryMatrix
+from geomcode.gf2 import BinaryMatrix, gram_counts
 from geomcode.srpg import (
     AxiomViolation,
     DegenerateStructure,
     SrpgParams,
-    adjacency_matrix,
     alpha_profiles,
     check_gpg_axioms,
     check_strongly_regular,
     feasibility_check,
     is_connected,
     spectrum,
-    structure_mmt,
 )
 
 
@@ -71,7 +69,7 @@ def test_srg_parameters(conic5, conic7, hyp3):
 
 def test_srg_spot_check_common_neighbors(conic7):
     # direct neighbor-set intersections on random pairs
-    a = adjacency_matrix(conic7)
+    a = conic7.adjacency
     v, k, lam, mu = check_strongly_regular(conic7)
     rng = random.Random(8)
     neighbors = [set(np.flatnonzero(a[i])) for i in range(v)]
@@ -114,14 +112,14 @@ def test_adjacency_matches_direct_definition(conic5, hyp3):
         m = ic.matrix.to_numpy().astype(np.int64)
         direct = (m @ m.T > 0).astype(np.int8)
         np.fill_diagonal(direct, 0)
-        assert np.array_equal(adjacency_matrix(ic), direct)
+        assert np.array_equal(ic.adjacency, direct)
 
 
 def test_gram_identity(conic5, hyp3):
     # M M^T = A + (t+1) I as integer matrices
     for ic, t in ((conic5, 2), (hyp3, 23)):
-        mmt = structure_mmt(ic)
-        a = adjacency_matrix(ic)
+        mmt = gram_counts(ic.matrix)
+        a = ic.adjacency
         assert np.array_equal(mmt, a.astype(np.int64) + (t + 1) * np.eye(ic.v, dtype=np.int64))
 
 
@@ -148,7 +146,7 @@ def test_spectrum_matches_float_eigensolver(conic5, hyp3):
     for ic, (s, t) in ((conic5, (2, 2)), (hyp3, (2, 23))):
         v, k, lam, mu = check_strongly_regular(ic)
         spec = spectrum(v, k, lam, mu, s, t)
-        eig = np.linalg.eigvalsh(adjacency_matrix(ic).astype(np.float64))
+        eig = np.linalg.eigvalsh(ic.adjacency.astype(np.float64))
         rounded = np.rint(eig).astype(int)
         assert np.allclose(eig, rounded, atol=1e-8)
         values, counts = np.unique(rounded, return_counts=True)
