@@ -7,12 +7,11 @@ from .constructions import (
     ConicLabel,
     HyperbolicLabel,
     IncidenceStructure,
-    block_label_dedup,
     build_conic_structure,
     build_hyperbolic_structure,
 )
-from .fields import Field, FieldElement, field_from_string, make_field
-from .gf2 import BinaryMatrix, RankPrediction, brouwer_predict, dimension_and_rate, gram2, rank2
+from .fields import Field, field_from_string, make_field
+from .gf2 import BinaryMatrix, RankPrediction, brouwer_predict, gram2, rank2
 from .metrics import CycleReport, DistanceBounds, six_cycles, tanner_bounds, tanner_girth
 from .projective import (
     LineMatrix,

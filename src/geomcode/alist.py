@@ -81,10 +81,8 @@ def read_alist(path: str | Path) -> BinaryMatrix:
                  for j in range(n)]
     row_lists = [_index_list(path, "row", i, tokens_by_line[4 + n + i], row_w[i], n)
                  for i in range(m)]
-    dense = np.zeros((m, n), dtype=np.uint8)
-    dense[np.fromiter(chain.from_iterable(col_lists), dtype=np.int64) - 1,
-          np.repeat(np.arange(n), col_w)] = 1
-    h = BinaryMatrix.from_numpy(dense)
+    h = BinaryMatrix.from_nonzero(np.fromiter(chain.from_iterable(col_lists), dtype=np.int64) - 1,
+                                  np.repeat(np.arange(n), col_w), (m, n))
     _, cols = h.nonzero()
     for i, (got, listed) in enumerate(zip(np.split(cols + 1, np.cumsum(h.row_weights())[:-1]),
                                           row_lists)):

@@ -27,7 +27,7 @@ from .constructions import (
 )
 from .fields import field_from_string
 from .projective import ProjectivePoint
-from .gf2 import BinaryMatrix, brouwer_predict, dimension_and_rate, rank2
+from .gf2 import BinaryMatrix, brouwer_predict, rank2
 from .metrics import six_cycles, tanner_bounds, tanner_girth
 from .sim import BerResult, ChannelConfig, LdpcCode, ber_sweep, simulate_point
 from .srpg import (
@@ -124,10 +124,10 @@ def build_analysis_report(ic: IncidenceStructure) -> dict:
         params = None
 
     report["rank2_M"] = rank2(ic.matrix)
-    dim, rate = dimension_and_rate(ic.matrix)
-    report["dimension"], report["rate"] = dim, rate
+    dim = ic.n - report["rank2_M"]
+    report["dimension"], report["rate"] = dim, dim / ic.n
     report["simulable"] = dim >= 1
-    g = tanner_girth(ic.matrix)
+    g = tanner_girth(ic)
     report["girth"] = None if math.isinf(g) else int(g)
 
     if params is not None:

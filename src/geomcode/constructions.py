@@ -1,20 +1,23 @@
-"""The two incidence structures built from quadrics.
+"""The two incidence structures built from quadrics.  Each matrix is
+filled in closed form: one formula, evaluated over whole arrays of field
+codes, gives the index arrays of its ones.
 
 Construction 1 ("conic"): points are the (q-1)^2 points (1,x,y) of PG(2,q)
 with x,y nonzero; blocks are the conics through the three fundamental
 points e1,e2,e3, parametrized by nonzero pairs (a,b) via the symmetric
-matrix [[0,a,b],[a,0,1],[b,1,0]].  Incidence is point-on-conic.  Both row
-and column weights equal q-2, so at q=3 the point graph is edgeless and
-the structure is tagged degenerate.
+matrix [[0,a,b],[a,0,1],[b,1,0]].  (1,x,y) lies on conic (a,b) iff
+ax + by + xy = 0, so block (a,b) holds the point y = -ax/(b+x) for each
+nonzero x other than -b.  Both row and column weights equal q-2, so at
+q=3 the point graph is edgeless and the structure is tagged degenerate.
 
 Construction 2 ("hyperbolic"): points are the q^4 lines (N I2) of PG(3,q)
 skew to the fixed line (I2 0), indexed by the 2x2 matrix N; blocks are the
 hyperbolic quadrics [[0,B],[B^T,C]] through the fixed line, with B
-invertible and C symmetric, taken up to scalar.  A line (N I2) lies in a
-block iff B^T N^T + N B + C = 0; per block the incident lines are exactly
-N = (W - C/2) B^{-1} with W ranging over the q alternating matrices, which
-is how the matrix is filled in.  The conic matrix is filled the same way,
-one solved point per x on each block.
+invertible and C symmetric, taken up to scalar: the first nonzero entry of
+B is 1, the rule by which `Quadric` normalizes.  A line (N I2) lies in a
+block iff B^T N^T + N B + C = 0, i.e. iff C = -(NB + (NB)^T).  So each
+point lies on exactly one block per canonical B, and its row of the
+matrix is that C for each of the q(q^2-1) canonical B.
 
 All orderings are lexicographic on the label code tuples, so the emitted
 matrices are bit-for-bit reproducible.
@@ -22,9 +25,10 @@ matrices are bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,32 +98,22 @@ def conic_quadric(field: Field, a: int, b: int) -> Quadric:
 def build_conic_structure(field: Field) -> IncidenceStructure:
     """Incidence of type-I points with the conics through e1,e2,e3.
 
-    (1,x,y) lies on conic (a,b) iff ax + by + xy = 0, so each block holds
-    one point y = -ax/(b+x) for every nonzero x other than -b.  Nonzero
-    element codes are 1..q-1, so (1,x,y) is row (x-1)(q-1) + (y-1).
+    Nonzero element codes are 1..q-1, so (1,x,y) is row (x-1)(q-1) + (y-1)
+    and conic (a,b) is column (a-1)(q-1) + (b-1).
     """
     f = field
-    one = f.one
+    q1 = f.q - 1
     nonzero = f.elements(nonzero_only=True)
-    points = [ProjectivePoint(f, (one, x, y)) for x in nonzero for y in nonzero]
+    points = [ProjectivePoint(f, (f.one, x, y)) for x in nonzero for y in nonzero]
     blocks = [ConicLabel(a, b) for a in nonzero for b in nonzero]
-    dense = np.zeros((len(points), len(blocks)), dtype=np.uint8)
-    for j, (a, b) in enumerate(blocks):
-        for x in nonzero:
-            if x != f.neg(b):
-                y = f.neg(f.mul(f.mul(a, x), f.inv(f.add(b, x))))
-                dense[(x - 1) * (f.q - 1) + (y - 1), j] = 1
-    m = BinaryMatrix.from_numpy(dense)
+    a, b, x = np.indices((q1, q1, q1)) + 1
+    s = f.add_table[b, x]
+    on = s != 0
+    y = f.neg_table[f.mul_table[f.mul_table[a, x], f.inv_table[s]]]
+    m = BinaryMatrix.from_nonzero((x[on] - 1) * q1 + y[on] - 1, (a[on] - 1) * q1 + b[on] - 1,
+                                  (len(points), len(blocks)))
     degenerate = max(m.column_weights()) <= 1
     return IncidenceStructure("conic", field, points, blocks, m, degenerate=degenerate)
-
-
-def _det2(f: Field, b: tuple[int, int, int, int]) -> int:
-    return f.sub(f.mul(b[0], b[3]), f.mul(b[1], b[2]))
-
-
-def _scale4(f: Field, s: int, m: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    return (f.mul(s, m[0]), f.mul(s, m[1]), f.mul(s, m[2]), f.mul(s, m[3]))
 
 
 def _mul2(f: Field, a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
@@ -131,53 +125,17 @@ def _mul2(f: Field, a: tuple[int, int, int, int], b: tuple[int, int, int, int]) 
     )
 
 
-def _inv2(f: Field, b: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    di = f.inv(_det2(f, b))
-    return (f.mul(di, b[3]), f.mul(di, f.neg(b[1])), f.mul(di, f.neg(b[2])), f.mul(di, b[0]))
-
-
-def canonical_hyperbolic_label(field: Field, b: tuple[int, int, int, int],
-                               c: tuple[int, int, int, int]) -> HyperbolicLabel:
-    """Representative of the scalar class of (B,C): first nonzero of B is 1."""
-    lead = next(x for x in b if x != 0)
-    if lead != field.one:
-        s = field.inv(lead)
-        b, c = _scale4(field, s, b), _scale4(field, s, c)
-    return HyperbolicLabel(b, c)
-
-
-def block_label_dedup(field: Field,
-                      raw: Iterable[tuple[tuple[int, int, int, int], tuple[int, int, int, int]]]
-                      ) -> list[HyperbolicLabel]:
-    """One representative per scalar class, sorted lexicographically."""
-    seen = set()
-    for b, c in raw:
-        if _det2(field, b) == 0:
-            raise ValueError(f"B = {b} is singular")
-        if c[1] != c[2]:
-            raise ValueError(f"C = {c} is not symmetric")
-        seen.add(canonical_hyperbolic_label(field, b, c))
-    return sorted(seen)
-
-
 def enumerate_hyperbolic_labels(field: Field) -> list[HyperbolicLabel]:
-    """All q^4(q^2-1) scalar classes of blocks (B invertible, C symmetric)."""
-    q = field.q
-    gl2 = []
-    for b00 in range(q):
-        for b01 in range(q):
-            for b10 in range(q):
-                for b11 in range(q):
-                    b = (b00, b01, b10, b11)
-                    if _det2(field, b) != 0:
-                        gl2.append(b)
-    raw = []
-    for b in gl2:
-        for c00 in range(q):
-            for c01 in range(q):
-                for c11 in range(q):
-                    raw.append((b, (c00, c01, c01, c11)))
-    return block_label_dedup(field, raw)
+    """All q^4(q^2-1) scalar classes of blocks (B invertible, C symmetric),
+    sorted: each B in lex order whose first nonzero entry is 1, times each
+    (c00, c01, c11) in lex order."""
+    f, q = field, field.q
+    b = np.indices((q, q, q, q)).reshape(4, -1)
+    lead = b[(b != 0).argmax(axis=0), np.arange(b.shape[1])]  # first nonzero entry, 0 for B = 0
+    det = f.add_table[f.mul_table[b[0], b[3]], f.neg_table[f.mul_table[b[1], b[2]]]]
+    canonical = map(tuple, b[:, (lead == f.one) & (det != 0)].T.tolist())
+    cs = [(c00, c01, c01, c11) for c00, c01, c11 in itertools.product(range(q), repeat=3)]
+    return list(map(HyperbolicLabel._make, itertools.product(canonical, cs)))
 
 
 def hyperbolic_quadric(field: Field, label: HyperbolicLabel) -> Quadric:
@@ -204,26 +162,24 @@ def hyperbolic_incidence_holds(field: Field, n: tuple[int, int, int, int],
 
 
 def build_hyperbolic_structure(field: Field) -> IncidenceStructure:
-    """Incidence of the lines skew to (I2 0) with the blocks through it."""
+    """Incidence of the lines skew to (I2 0) with the blocks through it.
+
+    Line N lies on the block (B, -(NB + (NB)^T)) of every canonical B: with
+    B of rank r among the canonical B, that is column r q^3 + (c00 q + c01) q
+    + c11, so each row is one lookup per canonical B.
+    """
     f = field
     q = f.q
-    points = [
-        (n00, n01, n10, n11)
-        for n00 in range(q) for n01 in range(q)
-        for n10 in range(q) for n11 in range(q)
-    ]
+    add, mul, neg = f.add_table, f.mul_table, f.neg_table
+    points = list(itertools.product(range(q), repeat=4))
     blocks = enumerate_hyperbolic_labels(f)
-    m = BinaryMatrix.zeros(len(points), len(blocks))
-
-    # Incident lines of block (B,C) solve (NB)^T + NB = -C, so NB is
-    # -C/2 plus an alternating matrix; q solutions per block.
-    neg_half = f.neg(f.inv(f.add(f.one, f.one)))
-    for j, (b, c) in enumerate(blocks):
-        binv = _inv2(f, b)
-        s0 = _scale4(f, neg_half, c)
-        for w in range(q):
-            s = (s0[0], f.add(s0[1], w), f.sub(s0[2], w), s0[3])
-            n = _mul2(f, s, binv)
-            idx = ((n[0] * q + n[1]) * q + n[2]) * q + n[3]
-            m.set(idx, j)
+    b = np.array([label.B for label in blocks[::q ** 3]]).T[:, None, :]
+    n = np.array(points).T[:, :, None]
+    # (NB)_rc = N_r0 B_0c + N_r1 B_1c, for every point and every canonical B
+    nb00, nb01, nb10, nb11 = (add[mul[n[r], b[c]], mul[n[r + 1], b[c + 2]]]
+                              for r in (0, 2) for c in (0, 1))
+    c00, c01, c11 = neg[add[nb00, nb00]], neg[add[nb01, nb10]], neg[add[nb11, nb11]]
+    cols = np.arange(b.shape[2]) * q ** 3 + (c00 * q + c01) * q + c11
+    rows = np.repeat(np.arange(len(points)), b.shape[2])
+    m = BinaryMatrix.from_nonzero(rows, cols.ravel(), (len(points), len(blocks)))
     return IncidenceStructure("hyperbolic", f, points, blocks, m)

@@ -5,16 +5,17 @@ coefficient vector (c0, c1, ..., c_{k-1}) -- constant term first -- is
 ``sum(c_i * p**(k-1-i))``, so ascending codes enumerate the field in
 lexicographic order of coefficient vectors.  All arithmetic goes through
 tables built once per field; the tables are tiny (q <= a few hundred for
-every construction this package targets).
-
-A thin :class:`FieldElement` wrapper with operator overloading is provided
-for convenience; the geometry modules work with raw codes and the
-:class:`Field` methods directly.
+every construction this package targets).  The :class:`Field` methods
+work on single codes; the same tables as numpy arrays (``add_table``,
+``mul_table``, ``neg_table``, ``inv_table``) evaluate a formula over whole
+arrays of codes at once.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+import numpy as np
 
 # Irreducible moduli (coefficient lists, constant term first, monic) for the
 # extension fields small enough to be exercised by the constructions.
@@ -183,6 +184,9 @@ class Field:
         for a in range(1, q):
             row = self._mul[a]
             self._inv[a] = row.index(self.one)
+        # inv_table[0] is 0, a placeholder: callers mask the zero divisor
+        self.add_table, self.mul_table, self.neg_table, self.inv_table = (
+            np.array(t, dtype=np.intp) for t in (self._add, self._mul, self._neg, self._inv))
 
     # -- arithmetic on codes ----------------------------------------------
 
@@ -209,11 +213,6 @@ class Field:
 
     # -- misc ----------------------------------------------------------------
 
-    def __call__(self, value: int | Iterable[int]) -> "FieldElement":
-        if isinstance(value, int):
-            return FieldElement(self, value % self.p if self.k == 1 else value)
-        return FieldElement(self, self.element(value))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Field)
@@ -227,64 +226,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"
-
-
-class FieldElement:
-    """Immutable element wrapper with operator overloading."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: Field, code: int):
-        if not 0 <= code < field.q:
-            raise ValueError(f"code {code} out of range for {field}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "code", code)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FieldElement is immutable")
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs(self.code)
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or other.field != self.field:
-            raise ValueError(f"field mismatch: {self.field} vs {getattr(other, 'field', other)}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.code, other.code))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.code, other.code))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.code, other.code))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.code, self.field.inv(other.code)))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and other.field == self.field
-            and other.code == self.code
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.code))
-
-    def __repr__(self) -> str:
-        return f"{self.field}:{self.code}"
 
 
 def make_field(p: int, k: int = 1, modulus: Sequence[int] | None = None) -> Field:

@@ -16,8 +16,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class BinaryMatrix:
     """GF(2) matrix stored as one Python int bitset per row (bit j = column j).
 
-    Every other view is derived from two conversions: :meth:`nonzero`, the
-    index arrays of the ones, and :meth:`from_numpy`, a dense 0/1 array.
+    Every other view is derived from the index arrays of the ones:
+    :meth:`nonzero` gives them and :meth:`from_nonzero` packs them back;
+    :meth:`from_numpy` packs a dense 0/1 array.
     """
 
     __slots__ = ("rows", "cols")
@@ -33,10 +34,6 @@ class BinaryMatrix:
         self.cols = cols
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "BinaryMatrix":
-        return cls([0] * nrows, ncols)
-
-    @classmethod
     def from_bits(cls, bit_rows: Iterable[Iterable[int]]) -> "BinaryMatrix":
         rows = [list(bits) for bits in bit_rows]
         if not rows:
@@ -50,8 +47,22 @@ class BinaryMatrix:
         """Bitset matrix of a 2-D array; nonzero entries are ones."""
         if dense.ndim != 2:
             raise ValueError("expected a 2-D array")
-        packed = np.packbits(dense != 0, axis=1, bitorder="little")
-        return cls([int.from_bytes(row.tobytes(), "little") for row in packed], dense.shape[1])
+        return cls._from_packed(np.packbits(dense != 0, axis=1, bitorder="little"),
+                                dense.shape[1])
+
+    @classmethod
+    def from_nonzero(cls, rows: np.ndarray, cols: np.ndarray,
+                     shape: tuple[int, int]) -> "BinaryMatrix":
+        """The inverse of :meth:`nonzero`: ones at (rows[k], cols[k]), in any
+        order, packed straight into row bytes (no dense rows x cols array)."""
+        nrows, ncols = shape
+        packed = np.zeros((nrows, (ncols + 7) // 8), dtype=np.uint8)
+        np.bitwise_or.at(packed, (rows, cols >> 3), (1 << (cols & 7)).astype(np.uint8))
+        return cls._from_packed(packed, ncols)
+
+    @classmethod
+    def _from_packed(cls, packed: np.ndarray, ncols: int) -> "BinaryMatrix":
+        return cls([int.from_bytes(row.tobytes(), "little") for row in packed], ncols)
 
     @property
     def nrows(self) -> int:
@@ -59,9 +70,6 @@ class BinaryMatrix:
 
     def get(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
-
-    def set(self, i: int, j: int) -> None:
-        self.rows[i] |= 1 << j
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column indices of the ones, in row-major order.
@@ -84,7 +92,8 @@ class BinaryMatrix:
         return np.bincount(self.nonzero()[1], minlength=self.cols).tolist()
 
     def transpose(self) -> "BinaryMatrix":
-        return BinaryMatrix.from_numpy(self.to_numpy().T)
+        rows, cols = self.nonzero()
+        return BinaryMatrix.from_nonzero(cols, rows, (self.cols, self.nrows))
 
     def to_numpy(self) -> np.ndarray:
         out = np.zeros((self.nrows, self.cols), dtype=np.uint8)
@@ -175,9 +184,3 @@ def brouwer_predict(spectrum: "SrgSpectrum") -> RankPrediction:
     if mu % 2 == 0:
         return RankPrediction("exact", f_odd, f"{tag}-even-theta0-even-mu-even")
     return RankPrediction("exact", f_odd + 1, f"{tag}-even-theta0-even-mu-odd")
-
-
-def dimension_and_rate(h: BinaryMatrix) -> tuple[int, float]:
-    """Code dimension n - rank_2(H) and rate for parity-check matrix H."""
-    dim = h.cols - rank2(h)
-    return dim, dim / h.cols

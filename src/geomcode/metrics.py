@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constructions import IncidenceStructure
-from .gf2 import BinaryMatrix, gram_counts
+from .gf2 import BinaryMatrix
 from .srpg import SrpgParams
 
 
@@ -46,15 +46,17 @@ def tanner_bounds(n: int, w_col: int, w_row: int, a1: int, a2: int) -> DistanceB
     return DistanceBounds(bit, parity, effective, vacuous=bit <= 1 and parity <= 1)
 
 
-def tanner_girth(h: BinaryMatrix) -> float:
-    """Length of the shortest Tanner-graph cycle (math.inf for a forest).
+def tanner_girth(ic: IncidenceStructure) -> float:
+    """Length of the shortest cycle in the Tanner graph of ic.matrix
+    (math.inf for a forest).
 
     Runs a breadth-first search from every variable node; since every
     cycle alternates between the two sides, this sweep is exact.  A 4-cycle
     exists iff two rows share two columns, i.e. iff an off-diagonal entry
-    of H H^T is at least 2; that fixes the earliest possible exit (4 or 6)
-    for the sweep.
+    of the cached H H^T (ic.gram) is at least 2; that fixes the earliest
+    possible exit (4 or 6) for the sweep.
     """
+    h = ic.matrix
     n, m = h.cols, h.nrows
     # node ids: variables 0..n-1, checks n..n+m-1
     adj: list[list[int]] = [[] for _ in range(n + m)]
@@ -62,9 +64,8 @@ def tanner_girth(h: BinaryMatrix) -> float:
         adj[j].append(n + i)
         adj[n + i].append(j)
 
-    gram = gram_counts(h)
-    np.fill_diagonal(gram, 0)
-    floor = 4 if gram.max() >= 2 else 6
+    twos = ic.gram >= 2
+    floor = 4 if np.count_nonzero(twos) > np.count_nonzero(twos.diagonal()) else 6
     best = math.inf
     dist = [-1] * (n + m)
     parent = [-1] * (n + m)
@@ -128,7 +129,7 @@ def six_cycles(ic: IncidenceStructure, params: SrpgParams,
     if total % 3 != 0:
         raise ValueError(f"pair-completion total {total} is not divisible by 3")
     return CycleReport(
-        girth=tanner_girth(ic.matrix) if girth is None else girth,
+        girth=tanner_girth(ic) if girth is None else girth,
         six_cycle_formula=formula,
         six_cycle_enumerated=total // 3,
     )

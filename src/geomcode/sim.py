@@ -164,10 +164,9 @@ def random_regular_h(m: int, n: int, w_col: int, w_row: int, seed: int,
             groups.append(g)
             clean = False
 
-    dense = np.zeros((m, n), dtype=np.uint8)
-    for band, g in enumerate(groups):
-        dense[band * rpb + g, np.arange(n)] = 1
-    code = LdpcCode.from_parity(BinaryMatrix.from_numpy(dense))
+    rows = np.concatenate([band * rpb + g for band, g in enumerate(groups)])
+    code = LdpcCode.from_parity(BinaryMatrix.from_nonzero(rows, np.tile(np.arange(n), w_col),
+                                                          (m, n)))
     code.four_cycle_free = clean
     return code
 

@@ -6,17 +6,17 @@ import pytest
 from geomcode.constructions import (
     ConicLabel,
     HyperbolicLabel,
-    block_label_dedup,
     build_conic_structure,
     build_hyperbolic_structure,
-    canonical_hyperbolic_label,
     conic_quadric,
     enumerate_hyperbolic_labels,
     hyperbolic_incidence_holds,
     hyperbolic_quadric,
 )
 from geomcode.fields import make_field
-from geomcode.projective import LineMatrix, ProjectivePoint, collinear, line_in_quadric, mat_mul, quadric_contains, rref
+from geomcode.projective import (
+    LineMatrix, ProjectivePoint, Quadric, collinear, line_in_quadric, mat_mul, quadric_contains, rref,
+)
 
 
 def test_conic_q5_shape_and_weights(conic5):
@@ -105,21 +105,25 @@ def test_block_label_counts():
     assert len(labels5) == 15000  # 480 * 125 / 4
 
 
+def _label(quadric):
+    """The block label of a normalized hyperbolic quadric [[0,B],[B^T,C]]."""
+    e = quadric.entries
+    return HyperbolicLabel((e[0][2], e[0][3], e[1][2], e[1][3]),
+                           (e[2][2], e[2][3], e[3][2], e[3][3]))
+
+
 def test_scalar_class_dedup():
-    f = make_field(5)
-    b, c = (1, 2, 3, 4), (1, 0, 0, 2)
-    b2 = tuple(f.mul(2, x) for x in b)
-    c2 = tuple(f.mul(2, x) for x in c)
-    assert canonical_hyperbolic_label(f, b, c) == canonical_hyperbolic_label(f, b2, c2)
-    assert block_label_dedup(f, [(b, c), (b2, c2)]) == [canonical_hyperbolic_label(f, b, c)]
-
-
-def test_dedup_rejects_bad_labels():
-    f = make_field(3)
-    with pytest.raises(ValueError, match="singular"):
-        block_label_dedup(f, [((1, 1, 1, 1), (0, 0, 0, 0))])
-    with pytest.raises(ValueError, match="symmetric"):
-        block_label_dedup(f, [((1, 0, 0, 1), (0, 1, 2, 0))])
+    # the blocks are every quadric [[0,B],[B^T,C]] with B invertible and C
+    # symmetric, one per scalar class as Quadric normalizes it, sorted
+    for q in (3, 5):
+        f = make_field(q)
+        classes = set()
+        for b in itertools.product(range(q), repeat=4):
+            if f.sub(f.mul(b[0], b[3]), f.mul(b[1], b[2])) != 0:
+                for c00, c01, c11 in itertools.product(range(q), repeat=3):
+                    label = HyperbolicLabel(b, (c00, c01, c01, c11))
+                    classes.add(_label(hyperbolic_quadric(f, label)))
+        assert build_hyperbolic_structure(f).blocks == sorted(classes)
 
 
 def test_hyperbolic_incidence_matches_criterion_exhaustively(hyp3):
@@ -128,6 +132,14 @@ def test_hyperbolic_incidence_matches_criterion_exhaustively(hyp3):
     for j, label in enumerate(hyp3.blocks):
         for i, n in enumerate(hyp3.points):
             assert hyp3.matrix.get(i, j) == int(hyperbolic_incidence_holds(f, n, label))
+
+
+def test_hyperbolic_incidence_matches_criterion_q5_sampled():
+    ic = build_hyperbolic_structure(make_field(5))
+    rng = random.Random(5)
+    for j in rng.sample(range(ic.n), 40):
+        for i, n in enumerate(ic.points):
+            assert ic.matrix.get(i, j) == int(hyperbolic_incidence_holds(ic.field, n, ic.blocks[j]))
 
 
 def test_hyperbolic_incidence_matches_pointwise_containment(hyp3):
@@ -212,9 +224,7 @@ def test_isomorphism_action_preserves_incidence(hyp3):
             h = [list(r) for r in hyperbolic_quadric(f, lbl).entries]
             h2 = mat_mul(f, mat_mul(f, big_inv, h), big_inv_t)
             assert all(h2[i][jj] == 0 for i in range(2) for jj in range(2))
-            b2 = (h2[0][2], h2[0][3], h2[1][2], h2[1][3])
-            c2 = (h2[2][2], h2[2][3], h2[3][2], h2[3][3])
-            block_map[j] = block_index[canonical_hyperbolic_label(f, b2, c2)]
+            block_map[j] = block_index[_label(Quadric(f, h2))]
         assert sorted(block_map.values()) == list(range(hyp3.n))
 
         for i in range(hyp3.v):

@@ -13,7 +13,6 @@ from geomcode.gf2 import (
     BinaryMatrix,
     RankPrediction,
     brouwer_predict,
-    dimension_and_rate,
     gram2,
     gram_counts,
     rank2,
@@ -156,11 +155,12 @@ def test_brouwer_cases():
 
 
 def test_dimension_and_rate():
+    # dimension n - rank_2(H), as the analysis report and LdpcCode derive it
     eye = BinaryMatrix.from_bits([[1 if i == j else 0 for j in range(5)] for i in range(5)])
-    assert dimension_and_rate(eye) == (0, 0.0)
+    assert eye.cols - rank2(eye) == 0
     wide = BinaryMatrix.from_bits([[1, 0, 1, 1], [0, 1, 1, 0]])
-    dim, rate = dimension_and_rate(wide)
-    assert dim == 2 and rate == 0.5
+    dim = wide.cols - rank2(wide)
+    assert dim == 2 and dim / wide.cols == 0.5
 
 
 # -- property tests: every derived view against a dense numpy oracle --------
@@ -187,6 +187,8 @@ def test_property_views_match_dense(d):
     rows, cols = m.nonzero()
     expected = np.nonzero(d)
     assert np.array_equal(rows, expected[0]) and np.array_equal(cols, expected[1])
+    order = np.random.default_rng(len(rows)).permutation(len(rows))
+    assert BinaryMatrix.from_nonzero(rows[order], cols[order], d.shape) == m
     assert np.array_equal(m.to_numpy(), d)
     assert m.column_weights() == d.sum(axis=0).tolist()
     assert m.row_weights() == d.sum(axis=1).tolist()

@@ -43,6 +43,13 @@ GOLDEN = [
      "2658a7c1d2554cc5fb215c9cd891ff3e874ff687e2e005f26891afec7c7fcd46"),
     (SIMULATE, 0, "ber.csv",
      "3028389544f1e32d59b820194ed42d6a69d9042bf7103283d10c613003be50d7"),
+    # point and block labels, in matrix row and column order
+    (["construct", "--family", "hyperbolic", "--field", "3", "--out", "h3l.alist",
+      "--labels", "h3.labels.json"], 0, "h3.labels.json",
+     "49633c3a885803b55a6513464f5dbb740f9653472d31bfcf496cd1b0ce38c597"),
+    (["construct", "--family", "conic", "--field", "3^2", "--out", "c9l.alist",
+      "--labels", "c9.labels.json"], 0, "c9.labels.json",
+     "aae93cc69c874a0dcd1733bee9db120f504d1c311a6c1274fab85b7e63c3240d"),
 ]
 
 

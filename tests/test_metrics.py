@@ -4,9 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from geomcode.constructions import IncidenceStructure
 from geomcode.gf2 import BinaryMatrix, gram_counts
 from geomcode.metrics import six_cycles, tanner_bounds, tanner_girth
 from geomcode.srpg import check_gpg_axioms, check_strongly_regular
+
+
+def _girth(h: BinaryMatrix) -> float:
+    """Girth of a bare parity-check matrix, wrapped as a structure."""
+    return tanner_girth(IncidenceStructure("file", None, list(range(h.nrows)),
+                                           list(range(h.cols)), h))
 
 
 def test_bounds_hyperbolic_q3():
@@ -42,17 +49,26 @@ def test_bounds_degenerate_error():
 
 def test_girth_forest():
     eye = BinaryMatrix.from_bits([[1, 0], [0, 1]])
-    assert tanner_girth(eye) == math.inf
+    assert _girth(eye) == math.inf
 
 
 def test_girth_four_cycle():
     h = BinaryMatrix.from_bits([[1, 1], [1, 1]])
-    assert tanner_girth(h) == 4
+    assert _girth(h) == 4
+    # variable 0 lies only on a 6-cycle; the sweep must go on to the 4-cycle
+    h = BinaryMatrix.from_bits([
+        [1, 1, 0, 0, 0],
+        [0, 1, 1, 0, 0],
+        [1, 0, 1, 0, 0],
+        [0, 0, 0, 1, 1],
+        [0, 0, 0, 1, 1],
+    ])
+    assert _girth(h) == 4
 
 
 def test_girth_six_cycle():
     h = BinaryMatrix.from_bits([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-    assert tanner_girth(h) == 6
+    assert _girth(h) == 6
 
 
 def test_girth_eight_cycle():
@@ -62,12 +78,12 @@ def test_girth_eight_cycle():
         [0, 0, 1, 1],
         [1, 0, 0, 1],
     ])
-    assert tanner_girth(h) == 8
+    assert _girth(h) == 8
 
 
 def test_girth_constructions(conic5, hyp3):
-    assert tanner_girth(conic5.matrix) == 6
-    assert tanner_girth(hyp3.matrix) == 6
+    assert tanner_girth(conic5) == 6
+    assert tanner_girth(hyp3) == 6
 
 
 def test_no_four_cycles_in_verified_structures(conic5, conic7, hyp3):
