@@ -48,7 +48,6 @@ from .srpg import (
     check_gpg_axioms,
     check_strongly_regular,
     feasibility_check,
-    is_connected,
     spectrum,
 )
 

@@ -57,7 +57,6 @@ class IncidenceStructure:
     blocks: list
     matrix: BinaryMatrix
     degenerate: bool = False
-    params: object | None = None  # SrpgParams once verified
 
     @property
     def v(self) -> int:
@@ -78,6 +77,12 @@ class IncidenceStructure:
         a = (self.gram > 0).astype(np.int8)
         np.fill_diagonal(a, 0)
         return a
+
+    @cached_property
+    def adjacency_square(self) -> np.ndarray:
+        """A^2 in float32 (v x v): common-neighbour counts, exact below 2^24."""
+        a = self.adjacency.astype(np.float32)
+        return a @ a
 
     def __repr__(self) -> str:
         return f"IncidenceStructure({self.family}, {self.v}x{self.n})"

@@ -128,14 +128,11 @@ def rank2(m: BinaryMatrix) -> int:
     return rank
 
 
-def gram_counts(m: BinaryMatrix) -> np.ndarray:
-    """M M^T over the integers, as a v x v numpy array.
+def column_pairs(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices (i, j), i < j, of every two ones in one column.
 
-    Entry (i, j) counts the columns holding both i and j: one bincount over
-    the row pairs i < j inside each column, mirrored, with the row weights
-    on the diagonal.  Column weights may differ.
+    The pairs come column by column, each column's in lexicographic order.
     """
-    v = m.nrows
     rows, cols = m.nonzero()
     order = np.argsort(cols, kind="stable")
     pts = rows[order]  # the rows of column 0, then of column 1, ...; ascending in each
@@ -144,8 +141,19 @@ def gram_counts(m: BinaryMatrix) -> np.ndarray:
     later = col_end - np.arange(len(pts)) - 1
     first = np.repeat(np.arange(len(pts)), later)
     rank = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    second = first + 1 + rank
-    out = np.bincount(pts[first] * v + pts[second], minlength=v * v).reshape(v, v)
+    return pts[first], pts[first + 1 + rank]
+
+
+def gram_counts(m: BinaryMatrix) -> np.ndarray:
+    """M M^T over the integers, as a v x v numpy array.
+
+    Entry (i, j) counts the columns holding both i and j: one bincount over
+    the :func:`column_pairs`, mirrored, with the row weights on the
+    diagonal.  Column weights may differ.
+    """
+    v = m.nrows
+    i, j = column_pairs(m)
+    out = np.bincount(i * v + j, minlength=v * v).reshape(v, v)
     out += out.T
     out[np.diag_indices(v)] = m.row_weights()
     return out

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constructions import IncidenceStructure
-from .gf2 import BinaryMatrix
+from .gf2 import column_pairs
 from .srpg import SrpgParams
 
 
@@ -25,7 +25,6 @@ class DistanceBounds:
 
 @dataclass(frozen=True)
 class CycleReport:
-    girth: float            # even integer, or math.inf for a forest
     six_cycle_formula: int
     six_cycle_enumerated: int
 
@@ -95,15 +94,15 @@ def tanner_girth(ic: IncidenceStructure) -> float:
     return best
 
 
-def six_cycles(ic: IncidenceStructure, params: SrpgParams,
-               girth: float | None = None) -> CycleReport:
+def six_cycles(ic: IncidenceStructure, params: SrpgParams) -> CycleReport:
     """6-cycle count: n*s*(s+1)*(lambda-s+1)/6 against direct enumeration.
 
     The enumeration walks every block B and every point pair {P1,P2} in
     it, counts the common neighbours of the pair outside B (each closes a
     unique hexagon through two further blocks), and divides the grand
-    total by 3 because a hexagon contains three point pairs.  Pass a
-    precomputed girth to skip the BFS sweep.
+    total by 3 because a hexagon contains three point pairs.  The common
+    neighbours are one gather from the cached A^2 (ic.adjacency_square)
+    over the pairs of every block, less the |B| - 2 other points of B.
     """
     if params.lambda_ is None:
         raise ValueError("six-cycle census needs a verified lambda")
@@ -113,23 +112,11 @@ def six_cycles(ic: IncidenceStructure, params: SrpgParams,
         raise ValueError(f"formula value {formula_num}/6 is not an integer")
     formula = formula_num // 6
 
-    adj_bits = BinaryMatrix.from_numpy(ic.adjacency).rows
-    rows, cols = ic.matrix.nonzero()
-    by_block = np.split(rows[np.argsort(cols, kind="stable")],
-                        np.cumsum(np.bincount(cols, minlength=ic.n))[:-1])
-    total = 0
-    for pts in by_block:
-        pts = pts.tolist()
-        # the other len(pts) - 2 points of B are common neighbours of every pair in B
-        inside = len(pts) - 2
-        for x in range(len(pts)):
-            bx = adj_bits[pts[x]]
-            for y in range(x):
-                total += (bx & adj_bits[pts[y]]).bit_count() - inside
+    p, q = column_pairs(ic.matrix)
+    w = np.array(ic.matrix.column_weights(), dtype=np.int64)
+    inside = int((w * (w - 1) // 2 * (w - 2)).sum())
+    # float64 sums of integers stay exact below 2^53
+    total = int(ic.adjacency_square[p, q].sum(dtype=np.float64)) - inside
     if total % 3 != 0:
         raise ValueError(f"pair-completion total {total} is not divisible by 3")
-    return CycleReport(
-        girth=tanner_girth(ic) if girth is None else girth,
-        six_cycle_formula=formula,
-        six_cycle_enumerated=total // 3,
-    )
+    return CycleReport(six_cycle_formula=formula, six_cycle_enumerated=total // 3)

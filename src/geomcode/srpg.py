@@ -3,10 +3,18 @@ for point-block incidence structures.
 
 The point graph joins two points iff they share a block.  For a structure
 satisfying the pairwise axiom the integer Gram matrix M M^T equals
-A + (t+1)I.  Each structure forms M M^T once (``IncidenceStructure.gram``)
-and clamps its off-diagonal part to the adjacency matrix
-(``IncidenceStructure.adjacency``); the tests cross-check that against the
-direct definition.
+A + (t+1)I.  Each structure forms M M^T once (``IncidenceStructure.gram``),
+clamps its off-diagonal part to the adjacency matrix
+(``IncidenceStructure.adjacency``) and squares that once
+(``IncidenceStructure.adjacency_square``, shared by the strong-regularity
+check and the 6-cycle census); the tests cross-check these against the
+direct definitions.
+
+Every count that relates points to blocks comes from one streamed block
+census: for each chunk of blocks, the dense float32 columns M[:, chunk]
+and counts = A M[:, chunk], the number of each block's points joined to
+each point, with the points on the block marked -1.  Its histogram gives
+the alpha set, and its products with M give the pair profiles.
 """
 
 from __future__ import annotations
@@ -91,15 +99,27 @@ class AlphaProfile:
     mu: int
 
 
-def _alpha_count_matrix(a: np.ndarray, m_dense: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """counts[p, b] = number of points of block b adjacent to point p."""
-    v, n = m_dense.shape
-    a_f = a.astype(np.float64)
-    out = np.empty((v, n), dtype=np.int64)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        out[:, lo:hi] = np.rint(a_f @ m_dense[:, lo:hi].astype(np.float64)).astype(np.int64)
-    return out
+_CENSUS_CHUNK = 1024  # blocks per census chunk
+
+
+def _block_census(ic: IncidenceStructure):
+    """Yield (M[:, chunk], counts) for consecutive chunks of blocks, both
+    dense float32 v x len(chunk): counts[p, b] is the number of points of
+    block b joined to point p, or -1 if p lies on b.  float32 is exact, as
+    every entry is at most the block size."""
+    rows, cols = ic.matrix.nonzero()
+    order = np.argsort(cols, kind="stable")
+    rows, cols = rows[order], cols[order]
+    a = ic.adjacency.astype(np.float32)
+    for lo in range(0, ic.n, _CENSUS_CHUNK):
+        hi = min(lo + _CENSUS_CHUNK, ic.n)
+        lo_e, hi_e = np.searchsorted(cols, (lo, hi))
+        on = rows[lo_e:hi_e], cols[lo_e:hi_e] - lo
+        m = np.zeros((ic.v, hi - lo), dtype=np.float32)
+        m[on] = 1
+        counts = a @ m
+        counts[on] = -1
+        yield m, counts
 
 
 def check_gpg_axioms(ic: IncidenceStructure) -> SrpgParams:
@@ -113,12 +133,12 @@ def check_gpg_axioms(ic: IncidenceStructure) -> SrpgParams:
     m = ic.matrix
     v, n = m.nrows, m.cols
 
-    off = ic.gram.copy()
-    np.fill_diagonal(off, 0)
-    if off.max(initial=0) > 1:
-        i, j = np.argwhere(off > 1)[0]
+    shared = ic.gram > 1
+    np.fill_diagonal(shared, False)
+    if shared.any():
+        i, j = np.unravel_index(np.argmax(shared), shared.shape)
         raise AxiomViolation("i", (int(i), int(j)),
-                             f"points share {int(off[i, j])} blocks")
+                             f"points share {int(ic.gram[i, j])} blocks")
 
     col_w = m.column_weights()
     if min(col_w) != max(col_w):
@@ -132,10 +152,11 @@ def check_gpg_axioms(ic: IncidenceStructure) -> SrpgParams:
         raise AxiomViolation("iii", (i,), f"point degrees differ: {row_w[0]} vs {row_w[i]}")
     t = row_w[0] - 1
 
-    a = ic.adjacency
-    m_dense = m.to_numpy()
-    counts = _alpha_count_matrix(a, m_dense)
-    alphas = tuple(sorted(int(x) for x in np.unique(counts[m_dense == 0])))
+    # bin k + 1 counts the (point, block) pairs with k of the block's
+    # points joined to the point; bin 0 the points on the block
+    hist = sum(np.bincount((counts + 1).astype(np.intp).ravel(), minlength=s + 3)
+               for _, counts in _block_census(ic))
+    alphas = tuple(np.flatnonzero(hist[1:]).tolist())
     return SrpgParams(s=s, t=t, alphas=alphas, v=v, n=n)
 
 
@@ -158,44 +179,27 @@ def check_strongly_regular(ic: IncidenceStructure) -> tuple[int, int, int, int]:
     if k == v - 1:
         raise DegenerateStructure("point graph is complete")
 
-    a_f = a.astype(np.float64)
-    a2 = np.rint(a_f @ a_f).astype(np.int64)
-
+    a2 = ic.adjacency_square
     adj_mask = a == 1
     nonadj_mask = ~adj_mask
     np.fill_diagonal(nonadj_mask, False)
-
-    lam_vals = a2[adj_mask]
-    lam = int(lam_vals[0])
-    if not (lam_vals == lam).all():
-        pairs = np.argwhere(adj_mask)
-        bad = pairs[np.argwhere(lam_vals != lam)[0][0]]
-        raise ValueError(f"lambda not constant: pair {tuple(int(x) for x in bad)} "
-                         f"has {int(a2[bad[0], bad[1]])}, expected {lam}")
-    mu_vals = a2[nonadj_mask]
-    mu = int(mu_vals[0])
-    if not (mu_vals == mu).all():
-        pairs = np.argwhere(nonadj_mask)
-        bad = pairs[np.argwhere(mu_vals != mu)[0][0]]
-        raise ValueError(f"mu not constant: pair {tuple(int(x) for x in bad)} "
-                         f"has {int(a2[bad[0], bad[1]])}, expected {mu}")
+    lam = _constant_on(a2, adj_mask, "lambda")
+    mu = _constant_on(a2, nonadj_mask, "mu")
     if not (np.diagonal(a2) == k).all():
         raise ValueError("diagonal of A^2 does not equal the degree")
     return v, k, lam, mu
 
 
-def is_connected(a: np.ndarray) -> bool:
-    """Breadth-first reachability of the whole point graph from vertex 0."""
-    v = a.shape[0]
-    seen = np.zeros(v, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(v, dtype=bool)
-    frontier[0] = True
-    while frontier.any():
-        reach = (a[frontier].sum(axis=0) > 0) & ~seen
-        seen |= reach
-        frontier = reach
-    return bool(seen.all())
+def _constant_on(a2: np.ndarray, mask: np.ndarray, name: str) -> int:
+    """The value of a2 on the pairs of mask; raises with the first pair, in
+    row-major order, that differs from the first pair's value."""
+    value = int(a2.flat[np.argmax(mask)])
+    bad = (a2 != value) & mask
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"{name} not constant: pair {(int(i), int(j))} "
+                         f"has {int(a2[i, j])}, expected {value}")
+    return value
 
 
 def spectrum(v: int, k: int, lambda_: int, mu: int, s: int, t: int) -> SrgSpectrum:
@@ -268,58 +272,58 @@ def alpha_profiles(ic: IncidenceStructure, params: SrpgParams) -> AlphaProfile:
     satisfy sum(p_i) = t and sum((alpha_i - 1) p_i) + s - 1 = lambda, a
     non-adjacent one sum(l_i) = t + 1 and sum(alpha_i l_i) = mu; a failure
     here raises with the witnessing pair.  Constancy of the profile
-    vectors across pairs is reported, not required.
+    vectors across pairs is reported, not required.  The profiles of all
+    pairs at once are products of the block census with M.
     """
     if params.lambda_ is None or params.mu is None:
         raise ValueError("profile census needs verified lambda and mu")
-    m_dense = ic.matrix.to_numpy()
-    a = ic.adjacency
-    counts = _alpha_count_matrix(a, m_dense)
     alphas = params.alphas
-    alpha_index = {al: i for i, al in enumerate(alphas)}
     s, t, lam, mu = params.s, params.t, params.lambda_, params.mu
-    v = ic.v
-    cols_on = [np.flatnonzero(m_dense[p]) for p in range(v)]
+    # prof[i, P, Q]: blocks on P avoiding Q with alphas[i] points joined to Q
+    prof = np.zeros((len(alphas), ic.v, ic.v), dtype=np.float32)
+    for m, counts in _block_census(ic):
+        for i, al in enumerate(alphas):
+            prof[i] += m @ (counts == al).T.astype(np.float32)
 
-    p_vec: tuple[int, ...] | None = None
-    l_vec: tuple[int, ...] | None = None
-    p_first = l_first = None
-    p_witness = l_witness = None
-    for p in range(v):
-        blocks_p = cols_on[p]
-        for qq in range(v):
-            if p == qq:
-                continue
-            avoid_q = blocks_p[m_dense[qq, blocks_p] == 0]
-            hist = [0] * len(alphas)
-            for bj in avoid_q:
-                hist[alpha_index[int(counts[qq, bj])]] += 1
-            vec = tuple(hist)
-            if a[p, qq]:
-                if sum(vec) != t:
-                    raise ValueError(f"pair {(p, qq)}: {sum(vec)} blocks on P avoid Q, expected t = {t}")
-                rec = sum((al - 1) * x for al, x in zip(alphas, vec)) + (s - 1)
-                if rec != lam:
-                    raise ValueError(f"pair {(p, qq)}: profile {vec} reconstructs lambda = {rec}, "
-                                     f"expected {lam}")
-                if p_vec is None:
-                    p_vec, p_first = vec, (p, qq)
-                elif vec != p_vec and p_witness is None:
-                    p_witness = (p_first, (p, qq), vec)
-            else:
-                if sum(vec) != t + 1:
-                    raise ValueError(f"pair {(p, qq)}: {sum(vec)} blocks on P avoid Q, "
-                                     f"expected t+1 = {t + 1}")
-                rec = sum(al * x for al, x in zip(alphas, vec))
-                if rec != mu:
-                    raise ValueError(f"pair {(p, qq)}: profile {vec} reconstructs mu = {rec}, "
-                                     f"expected {mu}")
-                if l_vec is None:
-                    l_vec, l_first = vec, (p, qq)
-                elif vec != l_vec and l_witness is None:
-                    l_witness = (l_first, (p, qq), vec)
-    if p_vec is None or l_vec is None:
+    adj = ic.adjacency == 1
+    size = prof.sum(axis=0)
+    weighted = np.tensordot(np.array(alphas, dtype=np.float32), prof, axes=1)
+    bad = np.where(adj, (size != t) | (weighted - size + (s - 1) != lam),
+                   (size != t + 1) | (weighted != mu))
+    np.fill_diagonal(bad, False)
+
+    def pair(flat: int) -> tuple[tuple[int, int], tuple[int, ...]]:
+        p, q = np.unravel_index(flat, adj.shape)
+        return (int(p), int(q)), tuple(int(x) for x in prof[:, p, q])
+
+    if bad.any():
+        (p, q), vec = pair(np.argmax(bad))
+        if adj[p, q]:
+            size_name, size_want = "t", t
+            name, rec, want = "lambda", sum((al - 1) * x for al, x in zip(alphas, vec)) + s - 1, lam
+        else:
+            size_name, size_want = "t+1", t + 1
+            name, rec, want = "mu", sum(al * x for al, x in zip(alphas, vec)), mu
+        if sum(vec) != size_want:
+            raise ValueError(f"pair {(p, q)}: {sum(vec)} blocks on P avoid Q, "
+                             f"expected {size_name} = {size_want}")
+        raise ValueError(f"pair {(p, q)}: profile {vec} reconstructs {name} = {rec}, "
+                         f"expected {want}")
+
+    nonadj = ~adj
+    np.fill_diagonal(nonadj, False)
+    if not adj.any() or not nonadj.any():
         raise DegenerateStructure("point graph lacks adjacent or non-adjacent pairs")
+
+    def census(mask: np.ndarray) -> tuple[tuple[int, ...], tuple | None]:
+        """The profile of the first pair of mask, and the witness
+        (first pair, first pair with another profile, its profile)."""
+        first, vec = pair(np.argmax(mask))
+        differs = mask & (prof != np.array(vec, dtype=np.float32)[:, None, None]).any(axis=0)
+        return vec, (first, *pair(np.argmax(differs))) if differs.any() else None
+
+    p_vec, p_witness = census(adj)
+    l_vec, l_witness = census(nonadj)
     return AlphaProfile(
         alphas=alphas, p_counts=p_vec, l_counts=l_vec,
         p_constant=p_witness is None, l_constant=l_witness is None,

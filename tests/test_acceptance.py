@@ -1,12 +1,19 @@
 """Acceptance suite: one test per numbered criterion, each printing a
 PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`)."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import geomcode
 
 from geomcode.cli import main as cli_main
 from geomcode.constructions import build_conic_structure, build_hyperbolic_structure
@@ -306,3 +313,54 @@ def test_criterion_14_determinism(tmp_path):
                         for name in ("h.alist", "c.json", "b.csv")})
     assert outputs[0] == outputs[1]
     _report("14", True, "alist, JSON and CSV outputs byte-identical across two runs")
+
+
+# Runs `analyze` in a fresh interpreter, so that ru_maxrss is this analysis's
+# own peak; prints the wall time, the peak RSS in MB and the report.
+_ANALYZE_SCRIPT = """
+import json, resource, sys, time
+from geomcode.cli import main
+t0 = time.perf_counter()
+status = main(["analyze", "--family", sys.argv[1], "--field", sys.argv[2], "--out", sys.argv[3]])
+elapsed = time.perf_counter() - t0
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"status": status, "elapsed": elapsed, "rss_mb": rss_mb}))
+"""
+
+
+def _analyze_in_subprocess(tmp_path, family, field):
+    out = tmp_path / "report.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(geomcode.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _ANALYZE_SCRIPT, family, field, str(out)],
+                          env=env, capture_output=True, text=True, check=True)
+    run = json.loads(proc.stdout.splitlines()[-1])
+    assert run["status"] == 0
+    return run, json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_criterion_15a_hyperbolic_q7_analysis(tmp_path):
+    run, rep = _analyze_in_subprocess(tmp_path, "hyperbolic", "7")
+    assert rep["checks_passed"] and rep["failures"] == []
+    assert (rep["v"], rep["srg"]) == (2401, {"k": 2016, "lambda": 1687, "mu": 1722})
+    assert rep["alphas"] == [5, 6, 7]
+    assert rep["rank2_MMT"] == rep["rank_prediction"]["value"] == 2016
+    assert rep["rank_prediction"]["kind"] == "exact"
+    assert rep["girth"] == 6
+    assert rep["six_cycles"] == {"formula": 1356929952, "enumerated": 1356929952}
+    assert run["elapsed"] < 60.0 and run["rss_mb"] < 1024
+    _report("15a", True, f"hyperbolic q=7: srg(2401, 2016, 1687, 1722), alphas (5, 6, 7), "
+                         f"rank2(MM^T) = 2016 exact, girth 6, 1356929952 6-cycles; "
+                         f"{run['elapsed']:.1f}s, peak RSS {run['rss_mb']:.0f} MB")
+
+
+def test_criterion_15b_conic_q49_analysis(tmp_path):
+    run, rep = _analyze_in_subprocess(tmp_path, "conic", "7^2")
+    assert rep["checks_passed"] and rep["failures"] == []
+    assert (rep["v"], rep["srg"]) == (2304, {"k": 2162, "lambda": 2026, "mu": 2070})
+    assert rep["rank2_MMT"] == rep["rank_prediction"]["value"] == 2304
+    assert rep["rank_prediction"]["case"] == "all-theta-odd"
+    assert rep["six_cycles"] == {"formula": 1644642048, "enumerated": 1644642048}
+    assert run["elapsed"] < 20.0 and run["rss_mb"] < 600
+    _report("15b", True, f"conic q=49: srg(2304, 2162, 2026, 2070), rank2(MM^T) = 2304 "
+                         f"(all-theta-odd), 1644642048 6-cycles; "
+                         f"{run['elapsed']:.1f}s, peak RSS {run['rss_mb']:.0f} MB")

@@ -36,6 +36,11 @@ GOLDEN = [
      "bd87ddfd4b792130c8f29deca8ca93688ace99a052f62ab6ab42acf74833c420"),
     (["analyze", "--family", "conic", "--field", "3^2", "--out", "c9.json"], 0, "c9.json",
      "1130bb87dd28cddcfd315168f147c5e6929664b64fea07fe0125bfc9c4162a68"),
+    # the benchmark's analyses: hyperbolic q=5 (paper-q5) and conic 5^2 (conic-ext)
+    (["analyze", "--family", "hyperbolic", "--field", "5", "--out", "h5.json"], 0, "h5.json",
+     "6e43f49a8d24df0dab466d214de64cd696d375b1a5f7268c8a99f8c146fdf76f"),
+    (["analyze", "--family", "conic", "--field", "5^2", "--out", "c25.json"], 0, "c25.json",
+     "5812d7edf7111e45a3a59647cd7350be5c40f03b105e413682a33c81e1ca1f4f"),
     (RANDOM_CODE, 0, "r.alist",
      "44a7a1d420804d4417348299892e1d2e5bcafa8a818dae93887a9414f36d14d5"),
     # axiom (i) fails on the random code (witness (0, 27)), so analyze exits 1

@@ -1,12 +1,18 @@
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
-from geomcode.constructions import IncidenceStructure, build_conic_structure
+from geomcode.constructions import (
+    IncidenceStructure,
+    build_conic_structure,
+    build_hyperbolic_structure,
+)
 from geomcode.fields import make_field
 from geomcode.gf2 import BinaryMatrix, gram_counts
 from geomcode.srpg import (
+    AlphaProfile,
     AxiomViolation,
     DegenerateStructure,
     SrpgParams,
@@ -14,7 +20,6 @@ from geomcode.srpg import (
     check_gpg_axioms,
     check_strongly_regular,
     feasibility_check,
-    is_connected,
     spectrum,
 )
 
@@ -98,12 +103,23 @@ def test_degenerate_complete():
         check_strongly_regular(ic)
 
 
+def _graph(edges, v):
+    """Structure whose blocks are the edges: its point graph is the graph."""
+    return _structure([[1 if i in e else 0 for e in edges] for i in range(v)])
+
+
 def test_non_srg_witness():
     # 6-cycle point graph: mu is not constant (opposite vs distance-2 pairs)
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
-    rows = [[1 if i in e else 0 for e in edges] for i in range(6)]
-    ic = _structure(rows)
-    with pytest.raises(ValueError, match="mu not constant"):
+    ic = _graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)], 6)
+    with pytest.raises(ValueError, match=r"^mu not constant: pair \(0, 3\) has 0, expected 1$"):
+        check_strongly_regular(ic)
+
+
+def test_non_srg_lambda_witness():
+    # triangular prism: triangle edges have one common neighbour, rungs none
+    ic = _graph([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)], 6)
+    with pytest.raises(ValueError,
+                       match=r"^lambda not constant: pair \(0, 3\) has 0, expected 1$"):
         check_strongly_regular(ic)
 
 
@@ -180,13 +196,6 @@ def test_feasibility_fabricated_failure():
     assert "multiplicities-integral" in failed
 
 
-def test_is_connected():
-    assert is_connected(np.array([[0, 1], [1, 0]], dtype=np.int8))
-    two_edges = np.zeros((4, 4), dtype=np.int8)
-    two_edges[0, 1] = two_edges[1, 0] = two_edges[2, 3] = two_edges[3, 2] = 1
-    assert not is_connected(two_edges)
-
-
 def test_alpha_profiles_hyperbolic_q3(hyp3):
     params = check_gpg_axioms(hyp3)
     v, k, lam, mu = check_strongly_regular(hyp3)
@@ -216,3 +225,75 @@ def test_alpha_profiles_need_lambda_mu(conic5):
     params = check_gpg_axioms(conic5)
     with pytest.raises(ValueError, match="lambda and mu"):
         alpha_profiles(conic5, params)
+
+
+def _verified_params(ic):
+    params = check_gpg_axioms(ic)
+    _, _, params.lambda_, params.mu = check_strongly_regular(ic)
+    return params
+
+
+# the full census, witnesses included, as the per-pair loop over all v^2
+# ordered pairs computed it
+PROFILES = [
+    ("hyperbolic", (5, 1), AlphaProfile(
+        alphas=(3, 4, 5), p_counts=(45, 24, 50), l_counts=(100, 20, 0),
+        p_constant=True, l_constant=True, p_witness=None, l_witness=None,
+        lambda_=365, mu=380)),
+    ("conic", (7, 1), AlphaProfile(
+        alphas=(2, 3, 4), p_counts=(2, 1, 1), l_counts=(4, 0, 1),
+        p_constant=False, l_constant=False,
+        p_witness=((0, 8), (0, 9), (1, 3, 0)), l_witness=((0, 1), (0, 2), (3, 2, 0)),
+        lambda_=10, mu=12)),
+    ("conic", (3, 2), AlphaProfile(
+        alphas=(4, 5, 6), p_counts=(3, 3, 0), l_counts=(6, 0, 1),
+        p_constant=False, l_constant=False,
+        p_witness=((0, 10), (0, 19), (4, 1, 1)), l_witness=((0, 1), (0, 2), (5, 2, 0)),
+        lambda_=26, mu=30)),
+    ("conic", (11, 1), AlphaProfile(
+        alphas=(6, 7, 8), p_counts=(6, 1, 1), l_counts=(8, 0, 1),
+        p_constant=False, l_constant=False,
+        p_witness=((0, 12), (0, 13), (5, 3, 0)), l_witness=((0, 1), (0, 2), (7, 2, 0)),
+        lambda_=50, mu=56)),
+    ("conic", (13, 1), AlphaProfile(
+        alphas=(8, 9, 10), p_counts=(8, 1, 1), l_counts=(10, 0, 1),
+        p_constant=False, l_constant=False,
+        p_witness=((0, 14), (0, 15), (7, 3, 0)), l_witness=((0, 1), (0, 2), (9, 2, 0)),
+        lambda_=82, mu=90)),
+]
+
+
+@pytest.mark.parametrize("family,field,expected", PROFILES,
+                         ids=[f"{f}-{p}^{k}" for f, (p, k), _ in PROFILES])
+def test_alpha_profiles_pinned(family, field, expected):
+    build = build_conic_structure if family == "conic" else build_hyperbolic_structure
+    ic = build(make_field(*field))
+    assert alpha_profiles(ic, _verified_params(ic)) == expected
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"lambda_": 3}, "pair (0, 6): profile (0, 1, 1) reconstructs lambda = 2, expected 3"),
+    ({"mu": 3}, "pair (0, 1): profile (2, 0, 1) reconstructs mu = 2, expected 3"),
+    ({"t": 3}, "pair (0, 1): 3 blocks on P avoid Q, expected t+1 = 4"),
+    ({"s": 3}, "pair (0, 6): profile (0, 1, 1) reconstructs lambda = 3, expected 2"),
+])
+def test_alpha_profiles_identity_failure(conic5, change, message):
+    # wrong parameters: the first failing pair in row-major order is the witness
+    params = dataclasses.replace(_verified_params(conic5), **change)
+    with pytest.raises(ValueError) as exc:
+        alpha_profiles(conic5, params)
+    assert str(exc.value) == message
+
+
+def test_alpha_profiles_adjacent_size_failure():
+    # 3x3 grid, blocks are its rows and columns: srg(9, 4, 1, 2), s = 2, t = 1;
+    # the first pair (0, 1) is adjacent
+    lines = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8)]
+    ic = _structure([[int(i in line) for line in lines] for i in range(9)])
+    params = _verified_params(ic)
+    assert alpha_profiles(ic, params) == AlphaProfile(
+        alphas=(1,), p_counts=(1,), l_counts=(2,), p_constant=True, l_constant=True,
+        p_witness=None, l_witness=None, lambda_=1, mu=2)
+    with pytest.raises(ValueError) as exc:
+        alpha_profiles(ic, dataclasses.replace(params, t=2))
+    assert str(exc.value) == "pair (0, 1): 1 blocks on P avoid Q, expected t = 2"
