@@ -7,6 +7,14 @@ check nodes, message magnitudes clamped at +-30, and exits early on a zero
 syndrome.  Every Monte Carlo frame draws its noise from an RNG stream
 keyed by (seed, point index, frame index), so results do not depend on
 execution order.
+
+Two contracts hold for the decoder's slab layout (see `SumProductDecoder`).
+Exactness: every floating-point operation and its order are those of the
+row-major tanh-rule decoder (per-check cumulative products left to right
+and right to left, per-variable sums in row-major edge order), so every
+hard decision, iteration count and BER CSV is unchanged by the layout.
+One decode per frame: `simulate_point` calls `decode` once per frame, in
+frame order.
 """
 
 from __future__ import annotations
@@ -54,59 +62,95 @@ class LdpcCode:
 
 
 class SumProductDecoder:
-    """Flooding-schedule log-domain belief propagation on a fixed code."""
+    """Flooding-schedule log-domain belief propagation on a fixed code.
+
+    Messages live in a check-slot-major slab of shape (max_dc, m): the k-th
+    edge of check c (edges in row-major order) is cell k*m + c, so column c
+    holds check c's edges in row order, and its leave-one-out tanh products
+    are the running products down the column from the top and from the
+    bottom.  Cells past a check's degree are pads: they read variable n, an
+    extra posterior entry held at 0, and their tanh is set to 1.0.  The
+    buffers are allocated once and reused by every `decode`, so a decoder
+    is not shared between threads; the hard decisions it returns are always
+    a fresh array.
+    """
 
     def __init__(self, code: LdpcCode):
         self.code = code
         n, m = code.n, code.m
         # edges in row-major order: the order of the floating-point sums below
-        self.edge_check, self.edge_var = code.h.nonzero()
-        e = len(self.edge_var)
-        self.n, self.m, self.n_edges = n, m, e
+        edge_check, self.edge_var = code.h.nonzero()
+        self.n = n
 
-        degrees = np.bincount(self.edge_check, minlength=m)
-        md = int(degrees.max())
-        # per-check edge index table, padded with a slot that always holds 1.0
-        table = np.full((m, md), e, dtype=np.int64)
-        first_edge = np.cumsum(degrees) - degrees
-        table[self.edge_check, np.arange(e) - first_edge[self.edge_check]] = np.arange(e)
-        self.check_edges = table
+        degrees = np.bincount(edge_check, minlength=m)
+        md = max(int(degrees.max(initial=0)), 1)
+        slot = np.arange(len(edge_check)) - (np.cumsum(degrees) - degrees)[edge_check]
+        self.cell = slot * m + edge_check                     # slab cell of each edge
+        var_of = np.full(md * m, n, dtype=np.intp)
+        var_of[self.cell] = self.edge_var
+        self.var_of = var_of.reshape(md, m)
+        self.pad = np.flatnonzero(var_of == n)
+
+        self._vc = np.empty((md, m))        # variable-to-check messages, then their tanh
+        self._cv = np.empty((md, m))        # forward products, then check-to-variable messages
+        self._bwd = np.empty((md, m))       # backward products
+        self._bits = np.empty((md, m), dtype=bool)
+        self._edge_cv = np.empty(len(self.cell))
+        self._post = np.zeros(n + 1)        # posteriors; entry n stays 0 for the pads
+        self._neg = np.zeros(n + 1, dtype=bool)
 
     def decode(self, llrs: np.ndarray, max_iter: int) -> tuple[np.ndarray, int, bool]:
         """Returns (hard decisions, iterations used, syndrome-zero flag)."""
         llrs = np.asarray(llrs, dtype=np.float64)
         if llrs.shape != (self.n,):
             raise ValueError(f"expected {self.n} LLRs, got {llrs.shape}")
-        ev, ec = self.edge_var, self.edge_check
-        m_vc = np.clip(llrs[ev], -LLR_CLAMP, LLR_CLAMP)
-        padded = np.empty(self.n_edges + 1)
-        hard = (llrs < 0).astype(np.uint8)
-        for it in range(1, max_iter + 1):
-            padded[:-1] = np.tanh(0.5 * m_vc)
-            padded[-1] = 1.0
-            t = padded[self.check_edges]                      # (m, max_dc)
-            fwd = np.ones_like(t)
-            fwd[:, 1:] = np.cumprod(t, axis=1)[:, :-1]
-            bwd = np.ones_like(t)
-            bwd[:, :-1] = np.cumprod(t[:, ::-1], axis=1)[:, ::-1][:, 1:]
-            loo = np.clip(fwd * bwd, -1.0 + 1e-15, 1.0 - 1e-15)
-            # scatter the leave-one-out results back to flat edge order;
-            # padding slots all land in the sacrificial last cell
-            scattered = np.empty(self.n_edges + 1)
-            scattered[self.check_edges.ravel()] = (2.0 * np.arctanh(loo)).ravel()
-            m_cv = np.clip(scattered[:-1], -LLR_CLAMP, LLR_CLAMP)
+        if np.isnan(llrs).any():
+            raise ValueError("LLRs contain NaN")
+        n, ev, cell, var_of, pad = self.n, self.edge_var, self.cell, self.var_of, self.pad
+        vc, cv, bwd, bits = self._vc, self._cv, self._bwd, self._bits
+        cv_flat, vc_flat, edge_cv = cv.reshape(-1), vc.reshape(-1), self._edge_cv
+        post, neg = self._post, self._neg
+        posterior, hard = post[:n], neg[:n]
 
-            totals = np.bincount(ev, weights=m_cv, minlength=self.n)
-            posterior = llrs + totals
-            hard = (posterior < 0).astype(np.uint8)
-            syndrome = np.bincount(ec, weights=hard[ev].astype(np.float64),
-                                   minlength=self.m).astype(np.int64) & 1
+        posterior[:] = llrs
+        np.less(llrs, 0.0, out=hard)
+        # every index is in range; mode="clip" spares take a checked copy of out
+        post.take(var_of, out=vc, mode="clip")
+        _clamp(vc, LLR_CLAMP)
+        for it in range(1, max_iter + 1):
+            # check update: leave-one-out tanh products down each slab column
+            np.multiply(vc, 0.5, out=vc)
+            np.tanh(vc, out=vc)
+            vc_flat[pad] = 1.0                                # the product's identity
+            cv[0] = 1.0
+            np.multiply.accumulate(vc[:-1], axis=0, out=cv[1:])
+            bwd[-1] = 1.0
+            np.multiply.accumulate(vc[:0:-1], axis=0, out=bwd[:-1][::-1])
+            np.multiply(cv, bwd, out=cv)
+            _clamp(cv, 1.0 - 1e-15)
+            np.arctanh(cv, out=cv)
+            np.multiply(cv, 2.0, out=cv)
+            _clamp(cv, LLR_CLAMP)
+
+            # variable update: sums in row-major edge order, then decisions
+            cv_flat.take(cell, out=edge_cv, mode="clip")
+            np.add(llrs, np.bincount(ev, weights=edge_cv, minlength=n), out=posterior)
+            np.less(posterior, 0.0, out=hard)
+            neg.take(var_of, out=bits, mode="clip")           # each column XORs to its syndrome bit
             # a zero posterior is a coin toss, not a decision: never declare
             # convergence off the back of one
-            if not syndrome.any() and (posterior != 0.0).all():
-                return hard, it, True
-            m_vc = np.clip(posterior[ev] - m_cv, -LLR_CLAMP, LLR_CLAMP)
-        return hard, max_iter, False
+            if not np.bitwise_xor.reduce(bits, axis=0).any() and np.count_nonzero(posterior) == n:
+                return hard.astype(np.uint8), it, True
+            post.take(var_of, out=vc, mode="clip")
+            np.subtract(vc, cv, out=vc)
+            _clamp(vc, LLR_CLAMP)
+        return hard.astype(np.uint8), max_iter, False
+
+
+def _clamp(x: np.ndarray, bound: float) -> None:
+    """np.clip(x, -bound, bound, out=x) without its wrapper's overhead; x holds no NaN."""
+    np.maximum(x, -bound, out=x)
+    np.minimum(x, bound, out=x)
 
 
 def noise_sigma(ebn0_db: float, rate: float) -> float:

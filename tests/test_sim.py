@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geomcode.gf2 import BinaryMatrix
 from geomcode.sim import (
     ChannelConfig,
     LdpcCode,
@@ -54,6 +55,26 @@ def test_decode_erasure_does_not_converge(geo_decoder):
 def test_decode_wrong_length(geo_decoder):
     with pytest.raises(ValueError):
         geo_decoder.decode(np.zeros(100), 5)
+
+
+def test_decode_rejects_nan(geo_decoder):
+    llrs = np.full(648, 5.0)
+    llrs[17] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        geo_decoder.decode(llrs, 20)
+    with pytest.raises(ValueError, match="NaN"):
+        geo_decoder.decode(np.full(648, np.nan), 20)
+
+
+def test_decode_accepts_infinite_llrs(geo_decoder):
+    # an infinite LLR is a certain channel decision; the clamp bounds it
+    llrs = np.full(648, np.inf)
+    llrs[::5] = 7.0
+    hard, iters, ok = geo_decoder.decode(llrs, 20)
+    assert ok and iters == 1 and not hard.any()
+    llrs[3] = -np.inf
+    hard, _, ok = geo_decoder.decode(llrs, 20)
+    assert hard[3] == 1 and not ok
 
 
 def test_syndrome_ok_is_exact(geo_code, geo_decoder):
@@ -158,8 +179,6 @@ def test_wilson_interval_basics():
 
 
 def test_simulate_point_refuses_trivial_code():
-    from geomcode.gf2 import BinaryMatrix
-
     eye = BinaryMatrix.from_bits([[1 if i == j else 0 for j in range(4)] for i in range(4)])
     code = LdpcCode.from_parity(eye)
     cfg = ChannelConfig(ebn0_db_list=(2.0,), rate=0.5)
@@ -202,3 +221,129 @@ def test_high_snr_no_errors(geo_code):
                         max_iterations=30, min_frame_errors=100, max_frames=300, seed=3)
     pt = simulate_point(geo_code, cfg, 0)
     assert pt.bit_errors == 0 and pt.frames == 300
+
+
+class _RowMajorDecoder:
+    """Frozen oracle: the row-major sum-product decoder the slab kernel must
+    match bit for bit (per-check cumprods, gather/scatter, bincount sums)."""
+
+    def __init__(self, code):
+        n, m = code.n, code.m
+        self.edge_check, self.edge_var = code.h.nonzero()
+        e = len(self.edge_var)
+        self.n, self.m, self.n_edges = n, m, e
+        degrees = np.bincount(self.edge_check, minlength=m)
+        md = int(degrees.max())
+        table = np.full((m, md), e, dtype=np.int64)
+        first_edge = np.cumsum(degrees) - degrees
+        table[self.edge_check, np.arange(e) - first_edge[self.edge_check]] = np.arange(e)
+        self.check_edges = table
+
+    def decode(self, llrs, max_iter):
+        clamp = 30.0
+        llrs = np.asarray(llrs, dtype=np.float64)
+        ev, ec = self.edge_var, self.edge_check
+        m_vc = np.clip(llrs[ev], -clamp, clamp)
+        padded = np.empty(self.n_edges + 1)
+        hard = (llrs < 0).astype(np.uint8)
+        for it in range(1, max_iter + 1):
+            padded[:-1] = np.tanh(0.5 * m_vc)
+            padded[-1] = 1.0
+            t = padded[self.check_edges]
+            fwd = np.ones_like(t)
+            fwd[:, 1:] = np.cumprod(t, axis=1)[:, :-1]
+            bwd = np.ones_like(t)
+            bwd[:, :-1] = np.cumprod(t[:, ::-1], axis=1)[:, ::-1][:, 1:]
+            loo = np.clip(fwd * bwd, -1.0 + 1e-15, 1.0 - 1e-15)
+            scattered = np.empty(self.n_edges + 1)
+            scattered[self.check_edges.ravel()] = (2.0 * np.arctanh(loo)).ravel()
+            m_cv = np.clip(scattered[:-1], -clamp, clamp)
+            totals = np.bincount(ev, weights=m_cv, minlength=self.n)
+            posterior = llrs + totals
+            hard = (posterior < 0).astype(np.uint8)
+            syndrome = np.bincount(ec, weights=hard[ev].astype(np.float64),
+                                   minlength=self.m).astype(np.int64) & 1
+            if not syndrome.any() and (posterior != 0.0).all():
+                return hard, it, True
+            m_vc = np.clip(posterior[ev] - m_cv, -clamp, clamp)
+        return hard, max_iter, False
+
+
+def _irregular_code():
+    # an empty row (2), an empty column (7), a degree-1 check (4) and
+    # row degrees from 0 to 5, so the slab has pads in several slots
+    rows = [
+        [1, 1, 0, 1, 0, 0, 1, 0, 1, 0],
+        [0, 1, 1, 0, 1, 0, 0, 0, 0, 1],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [1, 0, 1, 1, 0, 1, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
+        [0, 1, 0, 0, 1, 0, 1, 0, 0, 1],
+    ]
+    return LdpcCode.from_parity(BinaryMatrix.from_bits(rows))
+
+
+def _frame_corpus(code, seed):
+    """(llrs, max_iter) pairs: AWGN from 0 to 6 dB, all-zero and exact-zero
+    entries, magnitudes far past the clamp, and frames that run out of
+    iterations."""
+    n, rate = code.n, code.rate if code.dimension else 0.5
+    zeros = np.zeros(n, dtype=np.uint8)
+    frames = []
+    for db in range(7):
+        for k in range(3):
+            rng = np.random.default_rng([seed, db, k])
+            frames.append((awgn_llrs(zeros, float(db), rate, rng), 40))
+    rng = np.random.default_rng([seed, 99])
+    frames.append((np.zeros(n), 7))
+    for k in range(3):
+        llrs = awgn_llrs(zeros, 2.0, rate, rng)
+        llrs[rng.choice(n, size=max(n // 8, 1), replace=False)] = 0.0
+        frames.append((llrs, 30))
+        frames.append((100.0 * awgn_llrs(zeros, 1.0, rate, rng), 30))
+        frames.append((awgn_llrs(zeros, 0.0, rate, rng), 3))
+    return frames
+
+
+@pytest.fixture(scope="module")
+def oracle_codes(geo_code, conic7):
+    return {
+        "hyperbolic q=3": geo_code,
+        "gallager (3,24) seed 1": random_regular_h(81, 648, 3, 24, seed=1),
+        "conic q=7": LdpcCode.from_parity(conic7.matrix),
+        "irregular": _irregular_code(),
+    }
+
+
+@pytest.mark.parametrize("name", ["hyperbolic q=3", "gallager (3,24) seed 1", "conic q=7",
+                                  "irregular"])
+def test_decode_matches_row_major_oracle(oracle_codes, name):
+    code = oracle_codes[name]
+    decoder, oracle = SumProductDecoder(code), _RowMajorDecoder(code)
+    outcomes = set()
+    for i, (llrs, max_iter) in enumerate(_frame_corpus(code, seed=len(name))):
+        hard, iters, ok = decoder.decode(llrs, max_iter)
+        want_hard, want_iters, want_ok = oracle.decode(llrs, max_iter)
+        assert hard.dtype == np.uint8
+        assert np.array_equal(hard, want_hard), f"{name}: frame {i} hard decisions differ"
+        assert (iters, ok) == (want_iters, want_ok), f"{name}: frame {i}"
+        outcomes.add(ok)
+    # the corpus exercises both exits
+    assert outcomes == {True, False}
+
+
+def test_decoder_reuse_matches_fresh_decoders(geo_code):
+    zeros = np.zeros(geo_code.n, dtype=np.uint8)
+    a = awgn_llrs(zeros, 2.5, geo_code.rate, np.random.default_rng(1))
+    b = awgn_llrs(zeros, 4.0, geo_code.rate, np.random.default_rng(2))
+    decoder = SumProductDecoder(geo_code)
+    first = decoder.decode(a, 60)
+    kept = first[0].copy()
+    second = decoder.decode(b, 60)
+    third = decoder.decode(a, 60)
+    for got, llrs in ((first, a), (second, b), (third, a)):
+        want = SumProductDecoder(geo_code).decode(llrs, 60)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+    # a returned array is the caller's: later calls never write into it
+    assert np.array_equal(first[0], kept)
+    assert first[0] is not third[0] and not np.shares_memory(first[0], third[0])
