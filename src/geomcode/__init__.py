@@ -11,19 +11,8 @@ from .constructions import (
     build_hyperbolic_structure,
 )
 from .fields import Field, field_from_string, make_field
-from .gf2 import BinaryMatrix, RankPrediction, brouwer_predict, gram2, rank2
+from .gf2 import BinaryMatrix, RankPrediction, brouwer_predict, rank2
 from .metrics import CycleReport, DistanceBounds, six_cycles, tanner_bounds, tanner_girth
-from .projective import (
-    LineMatrix,
-    ProjectivePoint,
-    Quadric,
-    collinear,
-    enumerate_points,
-    line_in_quadric,
-    lines_skew,
-    normalize_point,
-    quadric_contains,
-)
 from .sim import (
     BerResult,
     ChannelConfig,

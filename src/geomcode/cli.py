@@ -26,7 +26,6 @@ from .constructions import (
     build_hyperbolic_structure,
 )
 from .fields import field_from_string
-from .projective import ProjectivePoint
 from .gf2 import BinaryMatrix, brouwer_predict, rank2
 from .metrics import six_cycles, tanner_bounds, tanner_girth
 from .sim import BerResult, ChannelConfig, LdpcCode, ber_sweep, simulate_point
@@ -188,8 +187,6 @@ def build_analysis_report(ic: IncidenceStructure) -> dict:
 
 
 def _label_json(label):
-    if isinstance(label, ProjectivePoint):
-        return list(label.coords)
     if isinstance(label, HyperbolicLabel):
         return {"B": list(label.B), "C": list(label.C)}
     if isinstance(label, tuple):
@@ -272,12 +269,14 @@ def _point_task(payload: tuple):
 
 
 def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("GEOMCODE_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """--threads, else GEOMCODE_THREADS, else every core; at least 1."""
+    if value is None and os.environ.get("GEOMCODE_THREADS"):
+        value = int(os.environ["GEOMCODE_THREADS"])
+    if value is None:
+        return os.cpu_count() or 1
+    if value < 1:
+        raise ValueError(f"thread count must be at least 1, got {value}")
+    return value
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -14,7 +14,7 @@ Construction 2 ("hyperbolic"): points are the q^4 lines (N I2) of PG(3,q)
 skew to the fixed line (I2 0), indexed by the 2x2 matrix N; blocks are the
 hyperbolic quadrics [[0,B],[B^T,C]] through the fixed line, with B
 invertible and C symmetric, taken up to scalar: the first nonzero entry of
-B is 1, the rule by which `Quadric` normalizes.  A line (N I2) lies in a
+B is 1, which picks one matrix per class.  A line (N I2) lies in a
 block iff B^T N^T + N B + C = 0, i.e. iff C = -(NB + (NB)^T).  So each
 point lies on exactly one block per canonical B, and its row of the
 matrix is that C for each of the q(q^2-1) canonical B.
@@ -34,7 +34,6 @@ import numpy as np
 
 from .fields import Field
 from .gf2 import BinaryMatrix, gram_counts
-from .projective import ProjectivePoint, Quadric
 
 
 class ConicLabel(NamedTuple):
@@ -88,18 +87,6 @@ class IncidenceStructure:
         return f"IncidenceStructure({self.family}, {self.v}x{self.n})"
 
 
-def conic_quadric(field: Field, a: int, b: int) -> Quadric:
-    """The conic through e1,e2,e3 with parameters (a,b), a,b nonzero.
-
-    build_conic_structure solves this conic in closed form; the quadric is
-    the independent check the tests compare against.
-    """
-    if a == 0 or b == 0:
-        raise ValueError("conic parameters must be nonzero")
-    one = field.one
-    return Quadric(field, [[0, a, b], [a, 0, one], [b, one, 0]])
-
-
 def build_conic_structure(field: Field) -> IncidenceStructure:
     """Incidence of type-I points with the conics through e1,e2,e3.
 
@@ -109,7 +96,7 @@ def build_conic_structure(field: Field) -> IncidenceStructure:
     f = field
     q1 = f.q - 1
     nonzero = f.elements(nonzero_only=True)
-    points = [ProjectivePoint(f, (f.one, x, y)) for x in nonzero for y in nonzero]
+    points = [(f.one, x, y) for x in nonzero for y in nonzero]
     blocks = [ConicLabel(a, b) for a in nonzero for b in nonzero]
     a, b, x = np.indices((q1, q1, q1)) + 1
     s = f.add_table[b, x]
@@ -119,15 +106,6 @@ def build_conic_structure(field: Field) -> IncidenceStructure:
                                   (len(points), len(blocks)))
     degenerate = max(m.column_weights()) <= 1
     return IncidenceStructure("conic", field, points, blocks, m, degenerate=degenerate)
-
-
-def _mul2(f: Field, a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    return (
-        f.add(f.mul(a[0], b[0]), f.mul(a[1], b[2])),
-        f.add(f.mul(a[0], b[1]), f.mul(a[1], b[3])),
-        f.add(f.mul(a[2], b[0]), f.mul(a[3], b[2])),
-        f.add(f.mul(a[2], b[1]), f.mul(a[3], b[3])),
-    )
 
 
 def enumerate_hyperbolic_labels(field: Field) -> list[HyperbolicLabel]:
@@ -141,29 +119,6 @@ def enumerate_hyperbolic_labels(field: Field) -> list[HyperbolicLabel]:
     canonical = map(tuple, b[:, (lead == f.one) & (det != 0)].T.tolist())
     cs = [(c00, c01, c01, c11) for c00, c01, c11 in itertools.product(range(q), repeat=3)]
     return list(map(HyperbolicLabel._make, itertools.product(canonical, cs)))
-
-
-def hyperbolic_quadric(field: Field, label: HyperbolicLabel) -> Quadric:
-    """The 4x4 quadric matrix [[0,B],[B^T,C]] of a block label."""
-    b, c = label
-    return Quadric(field, [
-        [0, 0, b[0], b[1]],
-        [0, 0, b[2], b[3]],
-        [b[0], b[2], c[0], c[1]],
-        [b[1], b[3], c[2], c[3]],
-    ])
-
-
-def hyperbolic_incidence_holds(field: Field, n: tuple[int, int, int, int],
-                               label: HyperbolicLabel) -> bool:
-    """Direct test of the containment criterion B^T N^T + N B + C = 0."""
-    f = field
-    b, c = label
-    bt = (b[0], b[2], b[1], b[3])
-    nt = (n[0], n[2], n[1], n[3])
-    lhs = _mul2(f, bt, nt)
-    rhs = _mul2(f, n, b)
-    return all(f.add(f.add(x, y), z) == 0 for x, y, z in zip(lhs, rhs, c))
 
 
 def build_hyperbolic_structure(field: Field) -> IncidenceStructure:

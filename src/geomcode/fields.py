@@ -4,11 +4,10 @@ Elements are integer codes in ``range(q)``.  The code of an element with
 coefficient vector (c0, c1, ..., c_{k-1}) -- constant term first -- is
 ``sum(c_i * p**(k-1-i))``, so ascending codes enumerate the field in
 lexicographic order of coefficient vectors.  All arithmetic goes through
-tables built once per field; the tables are tiny (q <= a few hundred for
-every construction this package targets).  The :class:`Field` methods
-work on single codes; the same tables as numpy arrays (``add_table``,
-``mul_table``, ``neg_table``, ``inv_table``) evaluate a formula over whole
-arrays of codes at once.
+numpy tables built once per field (``add_table``, ``mul_table``,
+``neg_table``, ``inv_table``), which evaluate a formula over whole arrays
+of codes at once; the tables are tiny (q <= a few hundred for every
+construction this package targets).
 """
 
 from __future__ import annotations
@@ -44,50 +43,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mod(coeffs: Sequence[int], p: int) -> list[int]:
-    out = [c % p for c in coeffs]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_divmod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of polynomials over GF(p), constant term first."""
-    num = list(num)
-    dn = len(den) - 1
-    lead_inv = pow(den[-1], p - 2, p)
-    quot = [0] * max(len(num) - dn, 1)
-    for i in range(len(num) - 1, dn - 1, -1):
-        f = (num[i] * lead_inv) % p
-        quot[i - dn] = f
-        if f:
-            for j, c in enumerate(den):
-                num[i - dn + j] = (num[i - dn + j] - f * c) % p
-    return _poly_mod(quot, p), _poly_mod(num[:dn] or [0], p)
-
-
-def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= k/2."""
-    k = len(modulus) - 1
-    if k < 1:
-        return False
-    for deg in range(1, k // 2 + 1):
-        # All monic candidates of this degree.
-        for idx in range(p ** deg):
-            cand = []
-            x = idx
-            for _ in range(deg):
-                cand.append(x % p)
-                x //= p
-            cand.append(1)
-            _, rem = _poly_divmod(modulus, cand, p)
-            if rem == [0]:
-                return False
-    return True
-
-
 class Field:
-    """GF(p^k) for odd prime p, with table-driven arithmetic on int codes."""
+    """GF(p^k) for odd prime p, with numpy-table arithmetic on int codes."""
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
         if not isinstance(p, int) or not is_prime(p):
@@ -115,11 +72,13 @@ class Field:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {k}, got {modulus}")
-        if k > 1 and not _is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = modulus
 
         self._build_tables()
+        # GF(p)[x]/(modulus) is a field iff it has no zero divisors, and a
+        # factorization modulus = g h gives g h = 0 with g, h nonzero
+        if (self.mul_table[1:, 1:] == 0).any():
+            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
 
     # -- code <-> coefficient vector ------------------------------------
 
@@ -144,68 +103,24 @@ class Field:
 
     def _build_tables(self) -> None:
         p, k, q = self.p, self.k, self.q
-        if k == 1:
-            self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self._mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-            self._neg = [(-a) % p for a in range(p)]
-            self.one = 1
-        else:
-            coeff_of = [self.coeffs(c) for c in range(q)]
-            mod = self.modulus
-            self._add = [
-                [self.element((x + y) % p for x, y in zip(ca, cb)) for cb in coeff_of]
-                for ca in coeff_of
-            ]
-            self._neg = [self.element((-x) % p for x in ca) for ca in coeff_of]
-            mul = [[0] * q for _ in range(q)]
-            for a in range(q):
-                ca = coeff_of[a]
-                for b in range(a, q):
-                    cb = coeff_of[b]
-                    prod = [0] * (2 * k - 1)
-                    for i, x in enumerate(ca):
-                        if x:
-                            for j, y in enumerate(cb):
-                                prod[i + j] = (prod[i + j] + x * y) % p
-                    # reduce modulo the field polynomial
-                    for i in range(len(prod) - 1, k - 1, -1):
-                        c = prod[i]
-                        if c:
-                            prod[i] = 0
-                            for j in range(k):
-                                prod[i - k + j] = (prod[i - k + j] - c * mod[j]) % p
-                    code = self.element(prod[:k])
-                    mul[a][b] = code
-                    mul[b][a] = code
-            self._mul = mul
-            self.one = self.element([1] + [0] * (k - 1))
+        place = p ** np.arange(k - 1, -1, -1)  # code = coefficient vector . place
+        vec = np.arange(q)[:, None] // place % p  # (q, k), constant term first
+        self.add_table = (vec[:, None, :] + vec[None, :, :]) % p @ place
+        self.neg_table = -vec % p @ place
+        # schoolbook product of every pair, then reduction by the monic modulus
+        # (for k = 1 there is nothing to reduce: the product is plain mod p)
+        prod = np.zeros((q, q, 2 * k - 1), dtype=np.intp)
+        for i in range(k):
+            prod[:, :, i:i + k] += vec[:, None, i, None] * vec[None, :, :]
+        low = np.array(self.modulus[:k])
+        for i in range(2 * k - 2, k - 1, -1):
+            prod[:, :, i - k:i] -= prod[:, :, i, None] % p * low
+        self.mul_table = prod[:, :, :k] % p @ place
+        self.one = p ** (k - 1)
         self.zero = 0
-        self._inv = [0] * q
-        for a in range(1, q):
-            row = self._mul[a]
-            self._inv[a] = row.index(self.one)
-        # inv_table[0] is 0, a placeholder: callers mask the zero divisor
-        self.add_table, self.mul_table, self.neg_table, self.inv_table = (
-            np.array(t, dtype=np.intp) for t in (self._add, self._mul, self._neg, self._inv))
-
-    # -- arithmetic on codes ----------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self._inv[a]
+        # inv_table[0] is 0 (the argmax of row 0, which holds no one), a
+        # placeholder: callers mask the zero divisor
+        self.inv_table = np.argmax(self.mul_table == self.one, axis=1)
 
     def elements(self, nonzero_only: bool = False) -> list[int]:
         """All element codes in lexicographic coefficient order (zero first)."""

@@ -128,11 +128,14 @@ def rank2(m: BinaryMatrix) -> int:
     return rank
 
 
-def column_pairs(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices (i, j), i < j, of every two ones in one column.
+def gram_counts(m: BinaryMatrix) -> np.ndarray:
+    """M M^T over the integers, as a v x v numpy array.
 
-    The pairs come column by column, each column's in lexicographic order.
+    Entry (i, j) counts the columns holding both i and j: one bincount over
+    the row pairs i < j of every column, mirrored, with the row weights on
+    the diagonal.  Column weights may differ.
     """
+    v = m.nrows
     rows, cols = m.nonzero()
     order = np.argsort(cols, kind="stable")
     pts = rows[order]  # the rows of column 0, then of column 1, ...; ascending in each
@@ -141,27 +144,10 @@ def column_pairs(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray]:
     later = col_end - np.arange(len(pts)) - 1
     first = np.repeat(np.arange(len(pts)), later)
     rank = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    return pts[first], pts[first + 1 + rank]
-
-
-def gram_counts(m: BinaryMatrix) -> np.ndarray:
-    """M M^T over the integers, as a v x v numpy array.
-
-    Entry (i, j) counts the columns holding both i and j: one bincount over
-    the :func:`column_pairs`, mirrored, with the row weights on the
-    diagonal.  Column weights may differ.
-    """
-    v = m.nrows
-    i, j = column_pairs(m)
-    out = np.bincount(i * v + j, minlength=v * v).reshape(v, v)
+    out = np.bincount(pts[first] * v + pts[first + 1 + rank], minlength=v * v).reshape(v, v)
     out += out.T
     out[np.diag_indices(v)] = m.row_weights()
     return out
-
-
-def gram2(m: BinaryMatrix) -> BinaryMatrix:
-    """M M^T reduced mod 2 (v x v for a v-row matrix)."""
-    return BinaryMatrix.from_numpy(gram_counts(m) & 1)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from fractions import Fraction
 import numpy as np
 
 from .constructions import IncidenceStructure
-from .gf2 import column_pairs
 from .srpg import SrpgParams
 
 
@@ -100,9 +99,12 @@ def six_cycles(ic: IncidenceStructure, params: SrpgParams) -> CycleReport:
     The enumeration walks every block B and every point pair {P1,P2} in
     it, counts the common neighbours of the pair outside B (each closes a
     unique hexagon through two further blocks), and divides the grand
-    total by 3 because a hexagon contains three point pairs.  The common
-    neighbours are one gather from the cached A^2 (ic.adjacency_square)
-    over the pairs of every block, less the |B| - 2 other points of B.
+    total by 3 because a hexagon contains three point pairs.  `params`
+    comes from check_gpg_axioms, so axiom (i) holds: two points share at
+    most one block, and the point pairs inside the blocks are exactly the
+    adjacent pairs, each once.  Their common neighbours are therefore the
+    cached A^2 (ic.adjacency_square) summed over the adjacent pairs, less
+    the |B| - 2 other points of B for every pair of every block B.
     """
     if params.lambda_ is None:
         raise ValueError("six-cycle census needs a verified lambda")
@@ -112,11 +114,13 @@ def six_cycles(ic: IncidenceStructure, params: SrpgParams) -> CycleReport:
         raise ValueError(f"formula value {formula_num}/6 is not an integer")
     formula = formula_num // 6
 
-    p, q = column_pairs(ic.matrix)
     w = np.array(ic.matrix.column_weights(), dtype=np.int64)
     inside = int((w * (w - 1) // 2 * (w - 2)).sum())
-    # float64 sums of integers stay exact below 2^53
-    total = int(ic.adjacency_square[p, q].sum(dtype=np.float64)) - inside
+    # each adjacent pair is counted as (P, Q) and (Q, P); the 0/1 int8
+    # adjacency reads as a bool mask without a copy, and float64 sums of
+    # integers stay exact below 2^53
+    adjacent = ic.adjacency_square.sum(where=ic.adjacency.view(bool), dtype=np.float64)
+    total = int(adjacent) // 2 - inside
     if total % 3 != 0:
         raise ValueError(f"pair-completion total {total} is not divisible by 3")
     return CycleReport(six_cycle_formula=formula, six_cycle_enumerated=total // 3)

@@ -177,6 +177,9 @@ def random_regular_h(m: int, n: int, w_col: int, w_row: int, seed: int,
     Permutations that create a 4-cycle are redrawn up to max_retries, after
     which the candidate is accepted with four_cycle_free = False.
     """
+    if min(m, n, w_col, w_row) < 1:
+        raise ValueError(f"rows, columns and weights must be positive, got "
+                         f"{m}, {n}, {w_col}, {w_row}")
     if m * w_row != n * w_col:
         raise ValueError(f"weight equation fails: {m}*{w_row} != {n}*{w_col}")
     if m % w_col != 0:

@@ -1,0 +1,300 @@
+"""Scalar reference geometry of PG(2,q) and PG(3,q) over odd fields, which
+the closed-form builds in geomcode.constructions are checked against.
+
+Coordinates are field element codes (see geomcode.fields) and points are
+plain coordinate tuples, normalized so the first nonzero coordinate is
+the field's one; lines of PG(3,q) are stored as 2x4 matrices in reduced
+row echelon form, the unique representative of their row space; quadrics
+are symmetric matrices scaled so the first nonzero entry in row-major
+order is one.  All arithmetic is one element at a time through
+:class:`Scalar`, independently of the whole-array formulas of the builds.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+
+from geomcode.constructions import HyperbolicLabel
+from geomcode.fields import Field
+
+Point = tuple[int, ...]
+Matrix = tuple[tuple[int, ...], ...]
+
+
+class Scalar:
+    """Arithmetic on single codes of one field, read from Python-list
+    copies of its numpy tables (indexing a list is much faster than
+    indexing an array one element at a time)."""
+
+    def __init__(self, field: Field):
+        self.one = field.one
+        self._add, self._mul, self._neg, self._inv = (
+            t.tolist() for t in (field.add_table, field.mul_table, field.neg_table,
+                                 field.inv_table))
+
+    def add(self, a: int, b: int) -> int:
+        return self._add[a][b]
+
+    def sub(self, a: int, b: int) -> int:
+        return self._add[a][self._neg[b]]
+
+    def mul(self, a: int, b: int) -> int:
+        return self._mul[a][b]
+
+    def neg(self, a: int) -> int:
+        return self._neg[a]
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self._inv[a]
+
+
+@functools.lru_cache(maxsize=None)
+def scalar(field: Field) -> Scalar:
+    """The :class:`Scalar` of a field, built once per field."""
+    return Scalar(field)
+
+
+def rref(field: Field, rows: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Reduced row echelon form over `field`; returns (rref_rows, rank)."""
+    f = scalar(field)
+    rows = [list(r) for r in rows]
+    nrows, ncols = len(rows), len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = f.inv(rows[rank][col])
+        rows[rank] = [f.mul(inv, x) for x in rows[rank]]
+        for r in range(nrows):
+            if r != rank and rows[r][col] != 0:
+                c = rows[r][col]
+                rows[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rows, rank
+
+
+def mat_mul(field: Field, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    f = scalar(field)
+    out = []
+    for row in a:
+        new = []
+        for j in range(len(b[0])):
+            acc = 0
+            for x, brow in zip(row, b):
+                if x:
+                    acc = f.add(acc, f.mul(x, brow[j]))
+            new.append(acc)
+        out.append(new)
+    return out
+
+
+def det3(field: Field, m: list[list[int]]) -> int:
+    """Determinant of a 3x3 matrix by cofactor expansion."""
+    f = scalar(field)
+    a, b, c = m[0]
+    d, e, g = m[1]
+    h, i, j = m[2]
+    t1 = f.mul(a, f.sub(f.mul(e, j), f.mul(g, i)))
+    t2 = f.mul(b, f.sub(f.mul(d, j), f.mul(g, h)))
+    t3 = f.mul(c, f.sub(f.mul(d, i), f.mul(e, h)))
+    return f.add(f.sub(t1, t2), t3)
+
+
+def normalize_point(field: Field, raw: tuple[int, ...] | list[int]) -> Point:
+    """Scale a nonzero coordinate vector so its first nonzero entry is one."""
+    f = scalar(field)
+    coords = tuple(raw)
+    lead = next((c for c in coords if c != 0), None)
+    if lead is None:
+        raise ValueError("zero vector does not define a projective point")
+    if lead != f.one:
+        s = f.inv(lead)
+        coords = tuple(f.mul(s, c) for c in coords)
+    return coords
+
+
+def enumerate_points(field: Field, m: int) -> list[Point]:
+    """All (q^{m+1}-1)/(q-1) points of PG(m,q) in lexicographic order."""
+    if m not in (2, 3):
+        raise ValueError(f"unsupported projective dimension m = {m}")
+    return [coords for coords in itertools.product(range(field.q), repeat=m + 1)
+            if next((c for c in coords if c != 0), None) == field.one]
+
+
+class Quadric:
+    """Quadric of PG(m,q) as a symmetric matrix, scaled so the first
+    nonzero entry (row-major) is one; proportional matrices identify."""
+
+    __slots__ = ("field", "entries")
+
+    def __init__(self, field: Field, entries: list[list[int]] | Matrix):
+        f = scalar(field)
+        rows = [tuple(r) for r in entries]
+        n = len(rows)
+        if any(len(r) != n for r in rows):
+            raise ValueError("quadric matrix must be square")
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rows[i][j] != rows[j][i]:
+                    raise ValueError("quadric matrix must be symmetric")
+        lead = next((x for r in rows for x in r if x != 0), None)
+        if lead is None:
+            raise ValueError("zero matrix does not define a quadric")
+        if lead != f.one:
+            s = f.inv(lead)
+            rows = [tuple(f.mul(s, x) for x in r) for r in rows]
+        self.field = field
+        self.entries = tuple(rows)
+
+    @property
+    def m(self) -> int:
+        return len(self.entries) - 1
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Quadric)
+            and other.field == self.field
+            and other.entries == self.entries
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"Quadric{self.entries}"
+
+
+def quadric_contains(quadric: Quadric, point: Point) -> bool:
+    """True iff X A X^T = 0 for the point's coordinate vector X."""
+    if len(point) - 1 != quadric.m:
+        raise ValueError(f"dimension mismatch: point in PG({len(point) - 1}), "
+                         f"quadric in PG({quadric.m})")
+    f = scalar(quadric.field)
+    acc = 0
+    for xi, row in zip(point, quadric.entries):
+        if xi == 0:
+            continue
+        s = 0
+        for xj, aij in zip(point, row):
+            if xj and aij:
+                s = f.add(s, f.mul(aij, xj))
+        acc = f.add(acc, f.mul(xi, s))
+    return acc == 0
+
+
+def collinear(field: Field, p1: Point, p2: Point, p3: Point) -> bool:
+    """True iff three points of PG(2,q) lie on a common line."""
+    if len(p1) != 3 or len(p2) != 3 or len(p3) != 3:
+        raise ValueError("collinearity is defined for points of PG(2,q)")
+    return det3(field, [list(p1), list(p2), list(p3)]) == 0
+
+
+class LineMatrix:
+    """Line of PG(3,q), stored as the unique RREF basis of its row space."""
+
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field: Field, rows: list[list[int]] | Matrix):
+        rows = [list(r) for r in rows]
+        if len(rows) != 2 or any(len(r) != 4 for r in rows):
+            raise ValueError("a line of PG(3,q) needs a 2x4 matrix")
+        reduced, rank = rref(field, rows)
+        if rank != 2:
+            raise ValueError("line matrix must have rank 2")
+        self.field = field
+        self.rows = tuple(tuple(r) for r in reduced)
+
+    def points(self) -> list[Point]:
+        """The q+1 points on the line."""
+        f = scalar(self.field)
+        r1, r2 = self.rows
+        pts = [normalize_point(self.field, r1)]
+        for u in range(self.field.q):
+            pts.append(normalize_point(self.field,
+                                       tuple(f.add(f.mul(u, a), b) for a, b in zip(r1, r2))))
+        return pts
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, LineMatrix)
+            and other.field == self.field
+            and other.rows == self.rows
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"Line{self.rows}"
+
+
+def lines_skew(l1: LineMatrix, l2: LineMatrix) -> bool:
+    """True iff the two lines span PG(3,q), i.e. the 4x4 stack has rank 4."""
+    return rref(l1.field, [list(r) for r in l1.rows + l2.rows])[1] == 4
+
+
+def line_in_quadric(line: LineMatrix, quadric: Quadric) -> bool:
+    """True iff every point of the line lies on the quadric.
+
+    In odd characteristic this is equivalent to L H L^T being the 2x2 zero
+    matrix, which is what gets evaluated here.
+    """
+    if quadric.m != 3:
+        raise ValueError("line containment is defined against quadrics of PG(3,q)")
+    f = line.field
+    h = [list(r) for r in quadric.entries]
+    l = [list(r) for r in line.rows]
+    lh = mat_mul(f, l, h)
+    lhlt = mat_mul(f, lh, [[r[i] for r in l] for i in range(4)])
+    return all(x == 0 for row in lhlt for x in row)
+
+
+def conic_quadric(field: Field, a: int, b: int) -> Quadric:
+    """The conic through e1,e2,e3 with parameters (a,b), a,b nonzero.
+
+    build_conic_structure solves this conic in closed form; the quadric is
+    the independent check.
+    """
+    if a == 0 or b == 0:
+        raise ValueError("conic parameters must be nonzero")
+    one = field.one
+    return Quadric(field, [[0, a, b], [a, 0, one], [b, one, 0]])
+
+
+def hyperbolic_quadric(field: Field, label: HyperbolicLabel) -> Quadric:
+    """The 4x4 quadric matrix [[0,B],[B^T,C]] of a block label."""
+    b, c = label
+    return Quadric(field, [
+        [0, 0, b[0], b[1]],
+        [0, 0, b[2], b[3]],
+        [b[0], b[2], c[0], c[1]],
+        [b[1], b[3], c[2], c[3]],
+    ])
+
+
+def _mul2(f: Scalar, a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    return (
+        f.add(f.mul(a[0], b[0]), f.mul(a[1], b[2])),
+        f.add(f.mul(a[0], b[1]), f.mul(a[1], b[3])),
+        f.add(f.mul(a[2], b[0]), f.mul(a[3], b[2])),
+        f.add(f.mul(a[2], b[1]), f.mul(a[3], b[3])),
+    )
+
+
+def hyperbolic_incidence_holds(field: Field, n: tuple[int, int, int, int],
+                               label: HyperbolicLabel) -> bool:
+    """Direct test of the containment criterion B^T N^T + N B + C = 0."""
+    f = scalar(field)
+    b, c = label
+    bt = (b[0], b[2], b[1], b[3])
+    nt = (n[0], n[2], n[1], n[3])
+    lhs = _mul2(f, bt, nt)
+    rhs = _mul2(f, n, b)
+    return all(f.add(f.add(x, y), z) == 0 for x, y, z in zip(lhs, rhs, c))

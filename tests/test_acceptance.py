@@ -18,10 +18,11 @@ import geomcode
 from geomcode.cli import main as cli_main
 from geomcode.constructions import build_conic_structure, build_hyperbolic_structure
 from geomcode.fields import make_field
-from geomcode.gf2 import brouwer_predict, gram2, rank2
+from geomcode.gf2 import BinaryMatrix, brouwer_predict, gram_counts, rank2
 from geomcode.metrics import six_cycles, tanner_bounds, tanner_girth
 from geomcode.sim import ChannelConfig, LdpcCode, SumProductDecoder, random_regular_h, simulate_point
 from geomcode.srpg import check_gpg_axioms, check_strongly_regular, spectrum
+from oracles import scalar
 
 CONIC_FIELDS = {5: (5, 1), 7: (7, 1), 9: (3, 2)}
 
@@ -106,7 +107,7 @@ def test_criterion_04_hyperbolic_structure(hyp3, hyp5):
         assert set(ic.matrix.row_weights()) == {q * (q ** 2 - 1)}
     assert elapsed5 < 30.0
     # adjacency iff rank(N2 - N1) = 2, exhaustively at q = 3
-    f = hyp3.field
+    f = scalar(hyp3.field)
     rows = hyp3.matrix.rows
     for i1 in range(hyp3.v):
         n1 = hyp3.points[i1]
@@ -153,7 +154,7 @@ def test_criterion_07_rank_prediction_cross_check(hyp3, hyp5):
         params = _verified(ic)
         spec = spectrum(params.v, params.k, params.lambda_, params.mu, params.s, params.t)
         pred = brouwer_predict(spec)
-        eliminated = rank2(gram2(ic.matrix))
+        eliminated = rank2(BinaryMatrix.from_numpy(gram_counts(ic.matrix) & 1))
         assert pred.kind == "exact", f"{ic.family} q={q}: prediction not exact"
         assert pred.value == eliminated, f"{ic.family} q={q}: {pred.value} != {eliminated}"
         details.append(f"{ic.family} q={q}: {pred.value}")

@@ -125,6 +125,14 @@ def test_random_code_infeasible(tmp_path):
                 "--seed", 1, "--out", tmp_path / "x.alist"]) == 2
 
 
+@pytest.mark.parametrize("rows,cols,wcol,wrow", [(4, 8, 0, 0), (0, 0, 3, 24), (-4, -8, 1, 2)])
+def test_random_code_rejects_nonpositive_sizes(tmp_path, capsys, rows, cols, wcol, wrow):
+    assert run(["random-code", "--rows", rows, "--cols", cols, "--wcol", wcol, "--wrow", wrow,
+                "--out", tmp_path / "x.alist"]) == 2
+    assert "error: rows, columns and weights must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "x.alist").exists()
+
+
 def test_simulate_writes_csv(tmp_path):
     alist = tmp_path / "h.alist"
     run(["construct", "--family", "hyperbolic", "--field", "3", "--out", alist])
@@ -186,6 +194,15 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     assert _resolve_threads(2) == 2
     monkeypatch.delenv("GEOMCODE_THREADS")
     assert _resolve_threads(None) >= 1
+    with pytest.raises(ValueError, match="at least 1"):
+        _resolve_threads(-5)
+    monkeypatch.setenv("GEOMCODE_THREADS", "0")
+    with pytest.raises(ValueError, match="at least 1"):
+        _resolve_threads(None)
+    alist = tmp_path / "h.alist"
+    run(["construct", "--family", "hyperbolic", "--field", "3", "--out", alist])
+    assert run(["simulate", "--in", alist, "--ebno", "3", "--threads", -5,
+                "--out", tmp_path / "ber.csv"]) == 2
 
 
 def test_outputs_are_deterministic(tmp_path):

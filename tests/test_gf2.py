@@ -13,11 +13,15 @@ from geomcode.gf2 import (
     BinaryMatrix,
     RankPrediction,
     brouwer_predict,
-    gram2,
     gram_counts,
     rank2,
 )
 from geomcode.srpg import SrgSpectrum
+
+
+def gram_mod2(m):
+    """M M^T mod 2, as the analysis report forms it."""
+    return BinaryMatrix.from_numpy(gram_counts(m) & 1)
 
 
 def dense_rank_mod2(a: np.ndarray) -> int:
@@ -92,7 +96,7 @@ def test_rank_invariances():
 
 def test_gram2_single_row():
     m = BinaryMatrix.from_bits([[1, 1, 0]])
-    g = gram2(m)
+    g = gram_mod2(m)
     assert g.nrows == 1 and g.cols == 1 and g.get(0, 0) == 0  # weight 2 mod 2
 
 
@@ -102,14 +106,14 @@ def test_gram_against_numpy():
         m = random_matrix(rng, rng.randrange(1, 15), rng.randrange(1, 25))
         d = m.to_numpy().astype(np.int64)
         assert np.array_equal(gram_counts(m), d @ d.T)
-        assert np.array_equal(gram2(m).to_numpy(), (d @ d.T) % 2)
+        assert np.array_equal(gram_mod2(m).to_numpy(), (d @ d.T) % 2)
 
 
 def test_gram_diagonal_parity(conic5, hyp3):
     # diagonal of M M^T mod 2 is the row-weight parity: 3 is odd, 24 is even
-    g5 = gram2(conic5.matrix)
+    g5 = gram_mod2(conic5.matrix)
     assert all(g5.get(i, i) == 1 for i in range(g5.nrows))
-    g3 = gram2(hyp3.matrix)
+    g3 = gram_mod2(hyp3.matrix)
     assert all(g3.get(i, i) == 0 for i in range(g3.nrows))
 
 
@@ -117,12 +121,12 @@ def test_gram_rank_bounded_by_rank():
     rng = random.Random(6)
     for _ in range(15):
         m = random_matrix(rng, rng.randrange(1, 20), rng.randrange(1, 30))
-        assert rank2(gram2(m)) <= rank2(m)
+        assert rank2(gram_mod2(m)) <= rank2(m)
 
 
 def test_gram_rank_bound_on_constructed_matrices(conic5, hyp3):
     for ic in (conic5, hyp3):
-        assert rank2(gram2(ic.matrix)) <= rank2(ic.matrix)
+        assert rank2(gram_mod2(ic.matrix)) <= rank2(ic.matrix)
 
 
 def _spec(v, f1, f2, mu, theta0, theta1, theta2):
@@ -195,7 +199,7 @@ def test_property_views_match_dense(d):
     assert m.transpose() == _bitsets(d.T)
     di = d.astype(np.int64)
     assert np.array_equal(gram_counts(m), di @ di.T)
-    assert np.array_equal(gram2(m).to_numpy(), (di @ di.T) % 2)
+    assert np.array_equal(gram_mod2(m).to_numpy(), (di @ di.T) % 2)
     assert rank2(m) == dense_rank_mod2(d)
 
 

@@ -7,9 +7,11 @@ recorded in CHANGES.md with its reason.
 """
 
 import hashlib
+import sys
 
 import pytest
 
+import geomcode
 from geomcode.cli import main
 
 RANDOM_CODE = ["random-code", "--rows", "81", "--cols", "648", "--wcol", "3", "--wrow", "24",
@@ -75,3 +77,24 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("argv,status,out,digest", GOLDEN, ids=[g[2] for g in GOLDEN])
 def test_golden_output(outputs, argv, status, out, digest):
     assert outputs[out] == (status, digest)
+
+
+# The package exports the pipeline only; the scalar reference geometry
+# lives in tests/oracles.py.
+PUBLIC_API = [
+    "AlphaProfile", "AxiomViolation", "BerResult", "BinaryMatrix", "ChannelConfig",
+    "ConicLabel", "CycleReport", "DegenerateStructure", "DistanceBounds",
+    "FeasibilityReport", "Field", "HyperbolicLabel", "IncidenceStructure", "LdpcCode",
+    "PointStats", "RankPrediction", "SrgSpectrum", "SrpgParams", "SumProductDecoder",
+    "alpha_profiles", "awgn_llrs", "ber_sweep", "brouwer_predict", "build_conic_structure",
+    "build_hyperbolic_structure", "check_gpg_axioms", "check_strongly_regular",
+    "constructions", "feasibility_check", "field_from_string", "fields", "gf2",
+    "make_field", "metrics", "noise_sigma", "random_regular_h", "rank2", "sim",
+    "simulate_point", "six_cycles", "spectrum", "srpg", "tanner_bounds", "tanner_girth",
+    "wilson_interval",
+]
+
+
+def test_public_api_pinned():
+    assert sorted(geomcode.__all__) == PUBLIC_API
+    assert "geomcode.projective" not in sys.modules
