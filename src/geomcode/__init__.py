@@ -3,6 +3,8 @@ strongly regular point graphs, and the regular LDPC codes they define."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .constructions import (
     ConicLabel,
     HyperbolicLabel,
@@ -10,7 +12,7 @@ from .constructions import (
     build_conic_structure,
     build_hyperbolic_structure,
 )
-from .fields import Field, field_from_string, make_field
+from .fields import Field, field_from_string
 from .gf2 import BinaryMatrix, RankPrediction, brouwer_predict, rank2
 from .metrics import CycleReport, DistanceBounds, six_cycles, tanner_bounds, tanner_girth
 from .sim import (
@@ -40,4 +42,6 @@ from .srpg import (
     spectrum,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imports above also bind the submodules, which are not public names
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]

@@ -36,7 +36,7 @@ def write_alist(h: BinaryMatrix, path: str | Path) -> None:
         " ".join(map(str, col_w)),
         " ".join(map(str, row_w)),
     ]
-    lines += _index_lines(rows[np.argsort(cols, kind="stable")], col_w)
+    lines += _index_lines(h.by_column()[0], col_w)
     lines += _index_lines(cols, row_w)
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
@@ -81,8 +81,8 @@ def read_alist(path: str | Path) -> BinaryMatrix:
                  for j in range(n)]
     row_lists = [_index_list(path, "row", i, tokens_by_line[4 + n + i], row_w[i], n)
                  for i in range(m)]
-    h = BinaryMatrix.from_nonzero(np.fromiter(chain.from_iterable(col_lists), dtype=np.int64) - 1,
-                                  np.repeat(np.arange(n), col_w), (m, n))
+    h = BinaryMatrix(np.fromiter(chain.from_iterable(col_lists), dtype=np.int64) - 1,
+                     np.repeat(np.arange(n), col_w), (m, n))
     _, cols = h.nonzero()
     for i, (got, listed) in enumerate(zip(np.split(cols + 1, np.cumsum(h.row_weights())[:-1]),
                                           row_lists)):

@@ -9,6 +9,7 @@ so a run can be reproduced and verified byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -16,6 +17,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .alist import read_alist, write_alist
@@ -26,7 +29,7 @@ from .constructions import (
     build_hyperbolic_structure,
 )
 from .fields import field_from_string
-from .gf2 import BinaryMatrix, brouwer_predict, rank2
+from .gf2 import brouwer_predict, rank2
 from .metrics import six_cycles, tanner_bounds, tanner_girth
 from .sim import BerResult, ChannelConfig, LdpcCode, ber_sweep, simulate_point
 from .srpg import (
@@ -121,7 +124,7 @@ def build_analysis_report(ic: IncidenceStructure) -> dict:
         failures.append(str(exc))
         params = None
 
-    report["rank2_M"] = rank2(ic.matrix)
+    report["rank2_M"] = rank2(ic.matrix.packbits())
     dim = ic.n - report["rank2_M"]
     report["dimension"], report["rate"] = dim, dim / ic.n
     report["simulable"] = dim >= 1
@@ -151,7 +154,7 @@ def build_analysis_report(ic: IncidenceStructure) -> dict:
                 if not feas.all_ok:
                     failures.append("feasibility conditions failed")
 
-                report["rank2_MMT"] = rank2(BinaryMatrix.from_numpy(ic.gram & 1))
+                report["rank2_MMT"] = rank2(np.packbits(ic.gram & 1, axis=1))
                 pred = brouwer_predict(spec)
                 report["rank_prediction"] = {
                     "kind": pred.kind, "value": pred.value, "case": pred.case_tag,
@@ -263,11 +266,6 @@ def _format_csv(result: BerResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _point_task(payload: tuple):
-    code, cfg, idx = payload
-    return simulate_point(code, cfg, idx)
-
-
 def _resolve_threads(value: int | None) -> int:
     """--threads, else GEOMCODE_THREADS, else every core; at least 1."""
     if value is None and os.environ.get("GEOMCODE_THREADS"):
@@ -299,7 +297,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     threads = _resolve_threads(args.threads)
     if threads > 1 and len(grid) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(grid))) as pool:
-            points = tuple(pool.map(_point_task, [(code, cfg, i) for i in range(len(grid))]))
+            points = tuple(pool.map(functools.partial(simulate_point, code, cfg),
+                                    range(len(grid))))
         result = BerResult(config=cfg, points=points)
     else:
         result = ber_sweep(code, cfg)

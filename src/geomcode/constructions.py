@@ -102,8 +102,8 @@ def build_conic_structure(field: Field) -> IncidenceStructure:
     s = f.add_table[b, x]
     on = s != 0
     y = f.neg_table[f.mul_table[f.mul_table[a, x], f.inv_table[s]]]
-    m = BinaryMatrix.from_nonzero((x[on] - 1) * q1 + y[on] - 1, (a[on] - 1) * q1 + b[on] - 1,
-                                  (len(points), len(blocks)))
+    m = BinaryMatrix((x[on] - 1) * q1 + y[on] - 1, (a[on] - 1) * q1 + b[on] - 1,
+                     (len(points), len(blocks)))
     degenerate = max(m.column_weights()) <= 1
     return IncidenceStructure("conic", field, points, blocks, m, degenerate=degenerate)
 
@@ -141,5 +141,5 @@ def build_hyperbolic_structure(field: Field) -> IncidenceStructure:
     c00, c01, c11 = neg[add[nb00, nb00]], neg[add[nb01, nb10]], neg[add[nb11, nb11]]
     cols = np.arange(b.shape[2]) * q ** 3 + (c00 * q + c01) * q + c11
     rows = np.repeat(np.arange(len(points)), b.shape[2])
-    m = BinaryMatrix.from_nonzero(rows, cols.ravel(), (len(points), len(blocks)))
+    m = BinaryMatrix(rows, cols.ravel(), (len(points), len(blocks)))
     return IncidenceStructure("hyperbolic", f, points, blocks, m)

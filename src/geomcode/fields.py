@@ -143,11 +143,6 @@ class Field:
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"
 
 
-def make_field(p: int, k: int = 1, modulus: Sequence[int] | None = None) -> Field:
-    """Validated GF(p^k) constructor (see :class:`Field`)."""
-    return Field(p, k, modulus)
-
-
 def field_from_string(spec: str, modulus: Sequence[int] | None = None) -> Field:
     """Parse a field specification string like ``"5"`` or ``"3^2"``."""
     spec = spec.strip()

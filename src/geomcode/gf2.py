@@ -1,5 +1,5 @@
-"""Bit-packed GF(2) matrices, their integer Gram matrix M M^T,
-elimination rank, and closed-form rank prediction for Gram matrices of
+"""Sparse GF(2) matrices, their integer Gram matrix M M^T, elimination
+rank of packed rows, and closed-form rank prediction for Gram matrices of
 strongly regular point graphs."""
 
 from __future__ import annotations
@@ -14,109 +14,103 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class BinaryMatrix:
-    """GF(2) matrix stored as one Python int bitset per row (bit j = column j).
+    """GF(2) matrix stored as the row and column indices of its ones.
 
-    Every other view is derived from the index arrays of the ones:
-    :meth:`nonzero` gives them and :meth:`from_nonzero` packs them back;
-    :meth:`from_numpy` packs a dense 0/1 array.
+    ``BinaryMatrix(rows, cols, (nrows, ncols))`` has ones at (rows[k], cols[k]),
+    given in any order, repeats ORed; the shape is needed because trailing rows
+    or columns may be empty.  It keeps the indices as two read-only int64 arrays
+    in row-major order (rows ascending, columns ascending within a row):
+    :meth:`nonzero` returns them and every other view derives from them.
+    :meth:`by_column` gives the same ones in column-major order, sorted once
+    and cached.
     """
 
-    __slots__ = ("rows", "cols")
+    __slots__ = ("nrows", "cols", "_ones", "_by_column")
 
-    def __init__(self, rows: list[int], cols: int):
-        if cols < 1 or not rows:
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
+        nrows, ncols = shape
+        if nrows < 1 or ncols < 1:
             raise ValueError("matrix must have at least one row and one column")
-        limit = 1 << cols
-        for r in rows:
-            if not 0 <= r < limit:
-                raise ValueError("row has bits set beyond the declared column count")
-        self.rows = list(rows)
-        self.cols = cols
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        if rows.shape != cols.shape or rows.ndim != 1:
+            raise ValueError("row and column indices must be 1-D arrays of one length")
+        if ((rows < 0) | (rows >= nrows) | (cols < 0) | (cols >= ncols)).any():
+            raise ValueError(f"index outside the {nrows} x {ncols} matrix")
+        linear = rows * ncols + cols
+        linear.sort()
+        linear = linear[np.diff(linear, prepend=-1) != 0]  # drop repeats
+        self._ones = np.divmod(linear, ncols)
+        for a in self._ones:
+            a.flags.writeable = False
+        self.nrows, self.cols = nrows, ncols
+        self._by_column = None
 
     @classmethod
     def from_bits(cls, bit_rows: Iterable[Iterable[int]]) -> "BinaryMatrix":
-        rows = [list(bits) for bits in bit_rows]
-        if not rows:
-            raise ValueError("empty matrix")
-        if len({len(bits) for bits in rows}) > 1:
-            raise ValueError("ragged rows")
-        return cls.from_numpy(np.array(rows) != 0)
+        """The matrix of a list of 0/1 rows; numpy rejects ragged rows."""
+        return cls.from_numpy(np.array([list(bits) for bits in bit_rows]))
 
     @classmethod
     def from_numpy(cls, dense: np.ndarray) -> "BinaryMatrix":
-        """Bitset matrix of a 2-D array; nonzero entries are ones."""
+        """The matrix of a 2-D array; nonzero entries are ones."""
         if dense.ndim != 2:
             raise ValueError("expected a 2-D array")
-        return cls._from_packed(np.packbits(dense != 0, axis=1, bitorder="little"),
-                                dense.shape[1])
-
-    @classmethod
-    def from_nonzero(cls, rows: np.ndarray, cols: np.ndarray,
-                     shape: tuple[int, int]) -> "BinaryMatrix":
-        """The inverse of :meth:`nonzero`: ones at (rows[k], cols[k]), in any
-        order, packed straight into row bytes (no dense rows x cols array)."""
-        nrows, ncols = shape
-        packed = np.zeros((nrows, (ncols + 7) // 8), dtype=np.uint8)
-        np.bitwise_or.at(packed, (rows, cols >> 3), (1 << (cols & 7)).astype(np.uint8))
-        return cls._from_packed(packed, ncols)
-
-    @classmethod
-    def _from_packed(cls, packed: np.ndarray, ncols: int) -> "BinaryMatrix":
-        return cls([int.from_bytes(row.tobytes(), "little") for row in packed], ncols)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def get(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
+        return cls(*np.nonzero(dense), dense.shape)
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column indices of the ones, in row-major order.
+        """Row and column indices of the ones, in row-major order."""
+        return self._ones
 
-        Only the nonzero bytes of the packed rows are unpacked, so the
-        temporaries scale with the number of ones, not with rows x cols.
-        """
-        nbytes = (self.cols + 7) // 8
-        packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in self.rows),
-                               dtype=np.uint8)
-        nz = np.flatnonzero(packed)
-        bits = np.flatnonzero(np.unpackbits(packed[nz], bitorder="little"))
-        rows, byte = np.divmod(nz[bits >> 3], nbytes)
-        return rows, byte * 8 + (bits & 7)
+    def by_column(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the ones, in column-major order."""
+        if self._by_column is None:
+            rows, cols = self._ones
+            order = np.argsort(cols, kind="stable")
+            self._by_column = rows[order], cols[order]
+            for a in self._by_column:
+                a.flags.writeable = False
+        return self._by_column
 
     def row_weights(self) -> list[int]:
-        return [r.bit_count() for r in self.rows]
+        return np.bincount(self._ones[0], minlength=self.nrows).tolist()
 
     def column_weights(self) -> list[int]:
-        return np.bincount(self.nonzero()[1], minlength=self.cols).tolist()
+        return np.bincount(self._ones[1], minlength=self.cols).tolist()
 
     def transpose(self) -> "BinaryMatrix":
-        rows, cols = self.nonzero()
-        return BinaryMatrix.from_nonzero(cols, rows, (self.cols, self.nrows))
+        rows, cols = self._ones
+        return BinaryMatrix(cols, rows, (self.cols, self.nrows))
 
     def to_numpy(self) -> np.ndarray:
         out = np.zeros((self.nrows, self.cols), dtype=np.uint8)
-        out[self.nonzero()] = 1
+        out[self._ones] = 1
         return out
 
+    def packbits(self) -> np.ndarray:
+        """Rows packed into uint8 bytes (bit j % 8 of byte j // 8 is column j),
+        straight from the ones: no dense rows x cols array."""
+        rows, cols = self._ones
+        packed = np.zeros((self.nrows, (self.cols + 7) // 8), dtype=np.uint8)
+        np.bitwise_or.at(packed, (rows, cols >> 3), (1 << (cols & 7)).astype(np.uint8))
+        return packed
+
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BinaryMatrix)
-            and other.cols == self.cols
-            and other.rows == self.rows
-        )
+        return (isinstance(other, BinaryMatrix)
+                and (other.nrows, other.cols) == (self.nrows, self.cols)
+                and all(np.array_equal(a, b) for a, b in zip(other._ones, self._ones)))
 
     def __repr__(self) -> str:
         return f"BinaryMatrix({self.nrows}x{self.cols})"
 
 
-def rank2(m: BinaryMatrix) -> int:
-    """GF(2) rank by forward elimination; pivots on the highest set bit."""
+def rank2(packed: np.ndarray) -> int:
+    """GF(2) rank of the rows of a 2-D uint8 array of packed bits, such as
+    :meth:`BinaryMatrix.packbits` or ``np.packbits(a, axis=1)`` gives (the
+    bit order does not matter), by forward elimination on the highest set bit."""
     pivots: dict[int, int] = {}
     rank = 0
-    for row in m.rows:
-        cur = row
+    for row in packed:
+        cur = int.from_bytes(row.tobytes(), "little")
         while cur:
             h = cur.bit_length() - 1
             piv = pivots.get(h)
@@ -136,10 +130,8 @@ def gram_counts(m: BinaryMatrix) -> np.ndarray:
     the diagonal.  Column weights may differ.
     """
     v = m.nrows
-    rows, cols = m.nonzero()
-    order = np.argsort(cols, kind="stable")
-    pts = rows[order]  # the rows of column 0, then of column 1, ...; ascending in each
-    col_end = np.cumsum(np.bincount(cols, minlength=m.cols))[cols[order]]
+    pts, cols = m.by_column()  # the rows of column 0, then of column 1, ...; ascending in each
+    col_end = np.cumsum(np.bincount(cols, minlength=m.cols))[cols]
     # pair entry e with e+1, ..., col_end[e]-1, the later entries of its column
     later = col_end - np.arange(len(pts)) - 1
     first = np.repeat(np.arange(len(pts)), later)

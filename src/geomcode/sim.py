@@ -55,7 +55,7 @@ class LdpcCode:
         row_w = set(h.row_weights())
         return cls(
             h=h,
-            dimension=h.cols - rank2(h),
+            dimension=h.cols - rank2(h.packbits()),
             w_col=col_w.pop() if len(col_w) == 1 else None,
             w_row=row_w.pop() if len(row_w) == 1 else None,
         )
@@ -212,8 +212,7 @@ def random_regular_h(m: int, n: int, w_col: int, w_row: int, seed: int,
             clean = False
 
     rows = np.concatenate([band * rpb + g for band, g in enumerate(groups)])
-    code = LdpcCode.from_parity(BinaryMatrix.from_nonzero(rows, np.tile(np.arange(n), w_col),
-                                                          (m, n)))
+    code = LdpcCode.from_parity(BinaryMatrix(rows, np.tile(np.arange(n), w_col), (m, n)))
     code.four_cycle_free = clean
     return code
 

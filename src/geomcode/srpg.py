@@ -107,9 +107,7 @@ def _block_census(ic: IncidenceStructure):
     dense float32 v x len(chunk): counts[p, b] is the number of points of
     block b joined to point p, or -1 if p lies on b.  float32 is exact, as
     every entry is at most the block size."""
-    rows, cols = ic.matrix.nonzero()
-    order = np.argsort(cols, kind="stable")
-    rows, cols = rows[order], cols[order]
+    rows, cols = ic.matrix.by_column()
     a = ic.adjacency.astype(np.float32)
     for lo in range(0, ic.n, _CENSUS_CHUNK):
         hi = min(lo + _CENSUS_CHUNK, ic.n)

@@ -1,26 +1,26 @@
 import pytest
 
-from geomcode import build_conic_structure, build_hyperbolic_structure, make_field
+from geomcode import Field, build_conic_structure, build_hyperbolic_structure
 
 
 @pytest.fixture(scope="session")
 def f3():
-    return make_field(3)
+    return Field(3)
 
 
 @pytest.fixture(scope="session")
 def f5():
-    return make_field(5)
+    return Field(5)
 
 
 @pytest.fixture(scope="session")
 def f7():
-    return make_field(7)
+    return Field(7)
 
 
 @pytest.fixture(scope="session")
 def f9():
-    return make_field(3, 2)
+    return Field(3, 2)
 
 
 @pytest.fixture(scope="session")

@@ -17,8 +17,8 @@ import geomcode
 
 from geomcode.cli import main as cli_main
 from geomcode.constructions import build_conic_structure, build_hyperbolic_structure
-from geomcode.fields import make_field
-from geomcode.gf2 import BinaryMatrix, brouwer_predict, gram_counts, rank2
+from geomcode.fields import Field
+from geomcode.gf2 import brouwer_predict, gram_counts, rank2
 from geomcode.metrics import six_cycles, tanner_bounds, tanner_girth
 from geomcode.sim import ChannelConfig, LdpcCode, SumProductDecoder, random_regular_h, simulate_point
 from geomcode.srpg import check_gpg_axioms, check_strongly_regular, spectrum
@@ -34,7 +34,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def hyp5():
-    return build_hyperbolic_structure(make_field(5))
+    return build_hyperbolic_structure(Field(5))
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ def test_criterion_01_conic_structure_shape():
     details = []
     for q, (p, k) in CONIC_FIELDS.items():
         t0 = time.perf_counter()
-        ic = build_conic_structure(make_field(p, k))
+        ic = build_conic_structure(Field(p, k))
         elapsed = time.perf_counter() - t0
         ok = (
             ic.v == ic.n == (q - 1) ** 2
@@ -69,7 +69,7 @@ def test_criterion_01_conic_structure_shape():
 def test_criterion_02_conic_srg_identity():
     details = []
     for q, (p, k) in CONIC_FIELDS.items():
-        ic = build_conic_structure(make_field(p, k))
+        ic = build_conic_structure(Field(p, k))
         t0 = time.perf_counter()
         v, kk, lam, mu = check_strongly_regular(ic)
         expected = ((q - 1) ** 2, (q - 2) * (q - 3), (q - 4) ** 2 + 1, (q - 3) * (q - 4))
@@ -90,7 +90,7 @@ def test_criterion_02_conic_srg_identity():
 def test_criterion_03_conic_alpha_sets():
     details = []
     for q, (p, k) in CONIC_FIELDS.items():
-        params = check_gpg_axioms(build_conic_structure(make_field(p, k)))
+        params = check_gpg_axioms(build_conic_structure(Field(p, k)))
         expected = (q - 5, q - 4, q - 3)
         assert params.alphas == expected, f"q={q}: got {params.alphas}"
         details.append(f"q={q}: alphas={params.alphas}")
@@ -99,7 +99,7 @@ def test_criterion_03_conic_alpha_sets():
 
 def test_criterion_04_hyperbolic_structure(hyp3, hyp5):
     t0 = time.perf_counter()
-    ic5 = build_hyperbolic_structure(make_field(5))
+    ic5 = build_hyperbolic_structure(Field(5))
     elapsed5 = time.perf_counter() - t0
     for ic, q in ((hyp3, 3), (ic5, 5)):
         assert ic.v == q ** 4 and ic.n == q ** 4 * (q ** 2 - 1)
@@ -108,14 +108,14 @@ def test_criterion_04_hyperbolic_structure(hyp3, hyp5):
     assert elapsed5 < 30.0
     # adjacency iff rank(N2 - N1) = 2, exhaustively at q = 3
     f = scalar(hyp3.field)
-    rows = hyp3.matrix.rows
+    gram = gram_counts(hyp3.matrix)
     for i1 in range(hyp3.v):
         n1 = hyp3.points[i1]
         for i2 in range(i1):
             n2 = hyp3.points[i2]
             d = [f.sub(a, b) for a, b in zip(n2, n1)]
             det = f.sub(f.mul(d[0], d[3]), f.mul(d[1], d[2]))
-            assert ((rows[i1] & rows[i2]).bit_count() > 0) == (det != 0), (i1, i2)
+            assert (gram[i1, i2] > 0) == (det != 0), (i1, i2)
     _report("4", True,
             f"q=3: 81x648 weights (3,24); q=5: 625x15000 weights (5,120) in {elapsed5:.2f}s; "
             "adjacency == rank-2 criterion on all 3240 pairs")
@@ -132,11 +132,11 @@ def test_criterion_05_hyperbolic_srg(hyp3):
 def test_criterion_06_ranks(hyp3, hyp5):
     details = []
     for q, (p, k) in CONIC_FIELDS.items():
-        r = rank2(build_conic_structure(make_field(p, k)).matrix)
+        r = rank2(build_conic_structure(Field(p, k)).matrix.packbits())
         assert r == (q - 1) ** 2, f"conic q={q}: rank {r}"
         details.append(f"rank2(M1,q={q})={r}")
     t0 = time.perf_counter()
-    r3, r5 = rank2(hyp3.matrix), rank2(hyp5.matrix)
+    r3, r5 = rank2(hyp3.matrix.packbits()), rank2(hyp5.matrix.packbits())
     elapsed = time.perf_counter() - t0
     assert (r3, r5) == (81, 625)
     assert elapsed < 60.0
@@ -148,13 +148,13 @@ def test_criterion_06_ranks(hyp3, hyp5):
 
 def test_criterion_07_rank_prediction_cross_check(hyp3, hyp5):
     details = []
-    cases = [(build_conic_structure(make_field(p, k)), q) for q, (p, k) in CONIC_FIELDS.items()]
+    cases = [(build_conic_structure(Field(p, k)), q) for q, (p, k) in CONIC_FIELDS.items()]
     cases += [(hyp3, 3), (hyp5, 5)]
     for ic, q in cases:
         params = _verified(ic)
         spec = spectrum(params.v, params.k, params.lambda_, params.mu, params.s, params.t)
         pred = brouwer_predict(spec)
-        eliminated = rank2(BinaryMatrix.from_numpy(gram_counts(ic.matrix) & 1))
+        eliminated = rank2(np.packbits(gram_counts(ic.matrix) & 1, axis=1))
         assert pred.kind == "exact", f"{ic.family} q={q}: prediction not exact"
         assert pred.value == eliminated, f"{ic.family} q={q}: {pred.value} != {eliminated}"
         details.append(f"{ic.family} q={q}: {pred.value}")
@@ -203,7 +203,7 @@ def test_criterion_10_girth(conic5, conic7, conic9, hyp3):
 
 
 def test_criterion_11_code_rate(hyp3):
-    dim = hyp3.n - rank2(hyp3.matrix)
+    dim = hyp3.n - rank2(hyp3.matrix.packbits())
     assert hyp3.n == 648 and dim == 567 and dim / hyp3.n == 0.875
     _report("11", True, "length 648, dimension 567, rate 0.875")
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from geomcode.constructions import (
@@ -10,7 +11,8 @@ from geomcode.constructions import (
     build_hyperbolic_structure,
     enumerate_hyperbolic_labels,
 )
-from geomcode.fields import make_field
+from geomcode.fields import Field
+from geomcode.gf2 import gram_counts
 from oracles import (
     LineMatrix,
     Quadric,
@@ -34,7 +36,7 @@ def test_conic_q5_shape_and_weights(conic5):
 
 
 def test_conic_q3_degenerate():
-    ic = build_conic_structure(make_field(3))
+    ic = build_conic_structure(Field(3))
     assert ic.v == 4 and ic.n == 4
     assert set(ic.matrix.column_weights()) == {1}
     assert ic.degenerate
@@ -43,33 +45,34 @@ def test_conic_q3_degenerate():
 def test_conic_block_11_point_set(conic5):
     # the conic (a,b) = (1,1) over GF(5) passes through exactly these points
     j = conic5.blocks.index(ConicLabel(1, 1))
-    incident = {conic5.points[i] for i in range(conic5.v) if conic5.matrix.get(i, j)}
+    d = conic5.matrix.to_numpy()
+    incident = {conic5.points[i] for i in range(conic5.v) if d[i, j]}
     assert incident == {(1, 1, 2), (1, 2, 1), (1, 3, 3)}
 
 
 @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2)])
 def test_conic_structure_invariants(p, k):
-    f = make_field(p, k)
+    f = Field(p, k)
     q = f.q
     ic = build_conic_structure(f)
     assert ic.v == ic.n == (q - 1) ** 2
     assert set(ic.matrix.row_weights()) == {q - 2}
     assert set(ic.matrix.column_weights()) == {q - 2}
-    rows = ic.matrix.rows
-    for i in range(ic.v):
-        for j in range(i):
-            assert (rows[i] & rows[j]).bit_count() <= 1
+    shared = gram_counts(ic.matrix)
+    np.fill_diagonal(shared, 0)
+    assert shared.max() <= 1
 
 
 def test_conic_incidence_matches_quadric_evaluation():
     # build_conic_structure solves each conic in closed form; evaluate every quadric instead
     for p, k in ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2)):
-        f = make_field(p, k)
+        f = Field(p, k)
         ic = build_conic_structure(f)
+        d = ic.matrix.to_numpy()
         for j, (a, b) in enumerate(ic.blocks):
             conic = conic_quadric(f, a, b)
             for i, pt in enumerate(ic.points):
-                assert ic.matrix.get(i, j) == int(quadric_contains(conic, pt)), (f.q, i, j)
+                assert d[i, j] == int(quadric_contains(conic, pt)), (f.q, i, j)
 
 
 @pytest.mark.parametrize("qname", ["conic5", "conic7"])
@@ -78,15 +81,14 @@ def test_conic_adjacency_noncollinearity_oracle(qname, request):
     ic = request.getfixturevalue(qname)
     f = ic.field
     e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    rows = ic.matrix.rows
+    gram = gram_counts(ic.matrix)
     for i1, i2 in itertools.combinations(range(ic.v), 2):
         p, q = ic.points[i1], ic.points[i2]
-        share = (rows[i1] & rows[i2]).bit_count() > 0
         five = e + [p, q]
         oracle = all(
             not collinear(f, *triple) for triple in itertools.combinations(five, 3)
         )
-        assert share == oracle
+        assert (gram[i1, i2] > 0) == oracle
 
 
 def test_hyperbolic_q3_shape_and_weights(hyp3):
@@ -98,16 +100,17 @@ def test_hyperbolic_q3_shape_and_weights(hyp3):
 def test_hyperbolic_identity_block_lines(hyp3):
     # H_{I2,0}: incident lines are exactly the antisymmetric N
     j = hyp3.blocks.index(HyperbolicLabel((1, 0, 0, 1), (0, 0, 0, 0)))
-    incident = {hyp3.points[i] for i in range(hyp3.v) if hyp3.matrix.get(i, j)}
+    d = hyp3.matrix.to_numpy()
+    incident = {hyp3.points[i] for i in range(hyp3.v) if d[i, j]}
     assert incident == {(0, 0, 0, 0), (0, 1, 2, 0), (0, 2, 1, 0)}
 
 
 def test_block_label_counts():
-    f3 = make_field(3)
+    f3 = Field(3)
     labels3 = enumerate_hyperbolic_labels(f3)
     assert len(labels3) == 648  # 48 * 27 / 2
     assert labels3 == sorted(labels3)
-    f5 = make_field(5)
+    f5 = Field(5)
     labels5 = enumerate_hyperbolic_labels(f5)
     assert len(labels5) == 15000  # 480 * 125 / 4
 
@@ -123,7 +126,7 @@ def test_scalar_class_dedup():
     # the blocks are every quadric [[0,B],[B^T,C]] with B invertible and C
     # symmetric, one per scalar class as Quadric normalizes it, sorted
     for q in (3, 5):
-        f = make_field(q)
+        f = Field(q)
         s = scalar(f)
         classes = set()
         for b in itertools.product(range(q), repeat=4):
@@ -136,37 +139,38 @@ def test_scalar_class_dedup():
 
 def test_hyperbolic_incidence_matches_criterion_exhaustively(hyp3):
     # solver-built matrix == direct evaluation of B^T N^T + N B + C = 0
-    f = hyp3.field
+    f, d = hyp3.field, hyp3.matrix.to_numpy()
     for j, label in enumerate(hyp3.blocks):
         for i, n in enumerate(hyp3.points):
-            assert hyp3.matrix.get(i, j) == int(hyperbolic_incidence_holds(f, n, label))
+            assert d[i, j] == int(hyperbolic_incidence_holds(f, n, label))
 
 
 def test_hyperbolic_incidence_matches_criterion_q5_sampled():
-    ic = build_hyperbolic_structure(make_field(5))
+    ic = build_hyperbolic_structure(Field(5))
     rng = random.Random(5)
+    d = ic.matrix.to_numpy()
     for j in rng.sample(range(ic.n), 40):
         for i, n in enumerate(ic.points):
-            assert ic.matrix.get(i, j) == int(hyperbolic_incidence_holds(ic.field, n, ic.blocks[j]))
+            assert d[i, j] == int(hyperbolic_incidence_holds(ic.field, n, ic.blocks[j]))
 
 
 def test_hyperbolic_incidence_matches_pointwise_containment(hyp3):
     # sampled blocks: bit set iff every point of the line is on the quadric
-    f = hyp3.field
+    f, d = hyp3.field, hyp3.matrix.to_numpy()
     rng = random.Random(7)
     for j in rng.sample(range(hyp3.n), 25):
         h = hyperbolic_quadric(f, hyp3.blocks[j])
         for i, n in enumerate(hyp3.points):
             ln = LineMatrix(f, [[n[0], n[1], 1, 0], [n[2], n[3], 0, 1]])
             pointwise = all(quadric_contains(h, p) for p in ln.points())
-            assert hyp3.matrix.get(i, j) == int(pointwise)
-            assert hyp3.matrix.get(i, j) == int(line_in_quadric(ln, h))
+            assert d[i, j] == int(pointwise)
+            assert d[i, j] == int(line_in_quadric(ln, h))
 
 
 def test_hyperbolic_adjacency_rank_oracle(hyp3):
     # lines share a block iff rank(N2 - N1) = 2, exhaustively at q=3
     f = scalar(hyp3.field)
-    rows = hyp3.matrix.rows
+    gram = gram_counts(hyp3.matrix)
     for i1, i2 in itertools.combinations(range(hyp3.v), 2):
         n1, n2 = hyp3.points[i1], hyp3.points[i2]
         diff = [
@@ -174,8 +178,7 @@ def test_hyperbolic_adjacency_rank_oracle(hyp3):
             [f.sub(n2[2], n1[2]), f.sub(n2[3], n1[3])],
         ]
         det = f.sub(f.mul(diff[0][0], diff[1][1]), f.mul(diff[0][1], diff[1][0]))
-        share = (rows[i1] & rows[i2]).bit_count() > 0
-        assert share == (det != 0)
+        assert (gram[i1, i2] > 0) == (det != 0)
 
 
 def _mat_inverse(f, m):
@@ -236,33 +239,32 @@ def test_isomorphism_action_preserves_incidence(hyp3):
             block_map[j] = block_index[_label(Quadric(f, h2))]
         assert sorted(block_map.values()) == list(range(hyp3.n))
 
+        d = hyp3.matrix.to_numpy()
         for i in range(hyp3.v):
             for j_old, j_new in block_map.items():
-                assert hyp3.matrix.get(i, j_old) == hyp3.matrix.get(point_map[i], j_new)
+                assert d[i, j_old] == d[point_map[i], j_new]
 
 
 def test_hyperbolic_q5_shape_and_pairwise_rows():
-    ic = build_hyperbolic_structure(make_field(5))
+    ic = build_hyperbolic_structure(Field(5))
     assert ic.v == 625 and ic.n == 15000
     assert set(ic.matrix.column_weights()) == {5}
     assert set(ic.matrix.row_weights()) == {120}
-    rows = ic.matrix.rows
-    for i in range(625):
-        ri = rows[i]
-        for j in range(i):
-            assert (ri & rows[j]).bit_count() <= 1
+    shared = gram_counts(ic.matrix)
+    np.fill_diagonal(shared, 0)
+    assert shared.max() <= 1
 
 
 def test_construction_determinism():
-    f = make_field(3)
+    f = Field(3)
     a, b = build_hyperbolic_structure(f), build_hyperbolic_structure(f)
     assert a.matrix == b.matrix and a.points == b.points and a.blocks == b.blocks
-    g = make_field(5)
+    g = Field(5)
     c, d = build_conic_structure(g), build_conic_structure(g)
     assert c.matrix == d.matrix
 
 
 def test_conic_labels_require_nonzero():
-    f = make_field(5)
+    f = Field(5)
     with pytest.raises(ValueError):
         conic_quadric(f, 0, 1)

@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from geomcode.fields import field_from_string, make_field
+from geomcode.fields import Field, field_from_string
 from oracles import scalar
 
 
 def test_prime_field_examples():
-    f = make_field(5)
+    f = Field(5)
     assert f.mul_table[2, 3] == 1
     assert f.add_table[4, 1] == 0
     assert f.q == 5 and f.p == 5 and f.k == 1
@@ -16,7 +16,7 @@ def test_prime_field_examples():
 
 def test_gf9_reduction():
     # X * X reduces to -1 = 2 under the modulus X^2 + 1
-    f = make_field(3, 2, [1, 0, 1])
+    f = Field(3, 2, [1, 0, 1])
     x = f.element([0, 1])
     minus_one = f.element([2, 0])
     assert f.mul_table[x, x] == minus_one
@@ -29,37 +29,37 @@ def test_gf9_modulus_has_no_root():
 
 def test_even_characteristic_rejected():
     with pytest.raises(ValueError):
-        make_field(2)
+        Field(2)
 
 
 def test_nonprime_rejected():
     with pytest.raises(ValueError):
-        make_field(9)
+        Field(9)
     with pytest.raises(ValueError):
-        make_field(15)
+        Field(15)
 
 
 def test_reducible_modulus_rejected():
     # X^2 - 1 = (X-1)(X+1) over GF(3)
     with pytest.raises(ValueError, match="reducible"):
-        make_field(3, 2, [2, 0, 1])
+        Field(3, 2, [2, 0, 1])
 
 
 def test_missing_modulus_rejected():
     with pytest.raises(ValueError, match="no built-in modulus"):
-        make_field(11, 2)
+        Field(11, 2)
 
 
 def test_non_monic_modulus_rejected():
     with pytest.raises(ValueError, match="monic"):
-        make_field(3, 2, [1, 0, 2])
+        Field(3, 2, [1, 0, 2])
 
 
 def test_inverse_examples():
-    f5 = make_field(5)
+    f5 = Field(5)
     assert f5.inv_table[2] == 3
     assert f5.inv_table[4] == 4
-    f7 = make_field(7)
+    f7 = Field(7)
     # exhaustive oracle for inv(3) in GF(7)
     expected = next(x for x in range(1, 7) if (3 * x) % 7 == 1)
     assert expected == 5
@@ -68,18 +68,18 @@ def test_inverse_examples():
 
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        scalar(make_field(5)).inv(0)
+        scalar(Field(5)).inv(0)
 
 
 def test_enumeration():
-    assert make_field(3).elements() == [0, 1, 2]
-    assert make_field(5).elements(nonzero_only=True) == [1, 2, 3, 4]
-    els = make_field(3, 2).elements()
+    assert Field(3).elements() == [0, 1, 2]
+    assert Field(5).elements(nonzero_only=True) == [1, 2, 3, 4]
+    els = Field(3, 2).elements()
     assert len(els) == 9 and els[0] == 0
 
 
 def test_enumeration_is_lexicographic_on_coeffs():
-    for f in [make_field(5), make_field(3, 2), make_field(3, 3)]:
+    for f in [Field(5), Field(3, 2), Field(3, 3)]:
         coeff_vectors = [f.coeffs(c) for c in f.elements()]
         assert coeff_vectors == sorted(coeff_vectors)
         assert len(set(coeff_vectors)) == f.q
@@ -89,7 +89,7 @@ def test_enumeration_is_lexicographic_on_coeffs():
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_field_axioms_exhaustive(p, k):
-    field = make_field(p, k)
+    field = Field(p, k)
     f = scalar(field)
     els = field.elements()
     for a, b in itertools.product(els, els):
@@ -122,7 +122,7 @@ def _schoolbook_mul(f, a, b):
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4)])
 def test_tables_match_coefficient_arithmetic(p, k):
-    f = make_field(p, k)
+    f = Field(p, k)
     for a, b in itertools.product(f.elements(), f.elements()):
         ca, cb = f.coeffs(a), f.coeffs(b)
         assert f.add_table[a, b] == f.element(x + y for x, y in zip(ca, cb))
@@ -133,12 +133,12 @@ def test_tables_match_coefficient_arithmetic(p, k):
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4)])
 def test_characteristic_is_odd(p, k):
-    f = make_field(p, k)
+    f = Field(p, k)
     assert f.add_table[f.one, f.one] != 0
 
 
 def test_determinism_across_instances():
-    a, b = make_field(3, 2), make_field(3, 2)
+    a, b = Field(3, 2), Field(3, 2)
     assert a == b
     assert np.array_equal(a.mul_table, b.mul_table) and np.array_equal(a.add_table, b.add_table)
 
@@ -152,6 +152,6 @@ def test_field_from_string():
 
 def test_builtin_moduli_are_monic_and_validated():
     for q, (p, k) in [(9, (3, 2)), (25, (5, 2)), (27, (3, 3)), (49, (7, 2)), (81, (3, 4))]:
-        f = make_field(p, k)
+        f = Field(p, k)
         assert f.q == q
         assert f.modulus[-1] == 1 and len(f.modulus) == k + 1

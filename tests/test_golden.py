@@ -88,9 +88,8 @@ PUBLIC_API = [
     "PointStats", "RankPrediction", "SrgSpectrum", "SrpgParams", "SumProductDecoder",
     "alpha_profiles", "awgn_llrs", "ber_sweep", "brouwer_predict", "build_conic_structure",
     "build_hyperbolic_structure", "check_gpg_axioms", "check_strongly_regular",
-    "constructions", "feasibility_check", "field_from_string", "fields", "gf2",
-    "make_field", "metrics", "noise_sigma", "random_regular_h", "rank2", "sim",
-    "simulate_point", "six_cycles", "spectrum", "srpg", "tanner_bounds", "tanner_girth",
+    "feasibility_check", "field_from_string", "noise_sigma", "random_regular_h", "rank2",
+    "simulate_point", "six_cycles", "spectrum", "tanner_bounds", "tanner_girth",
     "wilson_interval",
 ]
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from geomcode.fields import make_field
+from geomcode.fields import Field
 from oracles import (
     LineMatrix,
     Quadric,
@@ -19,7 +19,7 @@ from oracles import (
 
 
 def test_normalize_examples():
-    f = make_field(5)
+    f = Field(5)
     assert normalize_point(f, (2, 4, 2)) == (1, 2, 1)
     assert normalize_point(f, (0, 3, 3)) == (0, 1, 1)
     with pytest.raises(ValueError):
@@ -27,15 +27,15 @@ def test_normalize_examples():
 
 
 def test_point_counts():
-    assert len(enumerate_points(make_field(5), 2)) == 31
-    assert len(enumerate_points(make_field(3), 3)) == 40
-    assert len(enumerate_points(make_field(3), 2)) == 13
+    assert len(enumerate_points(Field(5), 2)) == 31
+    assert len(enumerate_points(Field(3), 3)) == 40
+    assert len(enumerate_points(Field(3), 2)) == 13
     with pytest.raises(ValueError):
-        enumerate_points(make_field(3), 4)
+        enumerate_points(Field(3), 4)
 
 
 def test_points_pairwise_nonproportional():
-    f = make_field(3)
+    f = Field(3)
     mul = scalar(f).mul
     pts = enumerate_points(f, 2)
     for p1, p2 in itertools.combinations(pts, 2):
@@ -44,7 +44,7 @@ def test_points_pairwise_nonproportional():
 
 
 def test_points_sorted_and_normalized():
-    f = make_field(5)
+    f = Field(5)
     pts = enumerate_points(f, 2)
     assert pts == sorted(pts)
     for p in pts:
@@ -53,7 +53,7 @@ def test_points_sorted_and_normalized():
 
 
 def test_quadric_contains_examples():
-    f = make_field(5)
+    f = Field(5)
     a = Quadric(f, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     assert quadric_contains(a, (1, 1, 2))
     assert not quadric_contains(a, (1, 1, 1))
@@ -62,7 +62,7 @@ def test_quadric_contains_examples():
 
 
 def test_quadric_validation_and_scaling():
-    f = make_field(5)
+    f = Field(5)
     with pytest.raises(ValueError, match="symmetric"):
         Quadric(f, [[0, 1, 0], [2, 0, 0], [0, 0, 1]])
     with pytest.raises(ValueError, match="zero matrix"):
@@ -73,14 +73,14 @@ def test_quadric_validation_and_scaling():
 
 
 def test_quadric_dimension_mismatch():
-    f = make_field(5)
+    f = Field(5)
     a = Quadric(f, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     with pytest.raises(ValueError, match="mismatch"):
         quadric_contains(a, (1, 0, 0, 0))
 
 
 def test_collinear_examples():
-    f = make_field(5)
+    f = Field(5)
     e1 = (1, 0, 0)
     e2 = (0, 1, 0)
     e3 = (0, 0, 1)
@@ -92,7 +92,7 @@ def test_collinear_examples():
 
 
 def test_collinear_permutation_invariant():
-    f = make_field(5)
+    f = Field(5)
     pts = enumerate_points(f, 2)
     rng = random.Random(0)
     for _ in range(50):
@@ -107,7 +107,7 @@ def _line(f, rows):
 
 
 def test_lines_skew_examples():
-    f = make_field(3)
+    f = Field(3)
     fixed = _line(f, [[1, 0, 0, 0], [0, 1, 0, 0]])   # (I2 0)
     l0 = _line(f, [[0, 0, 1, 0], [0, 0, 0, 1]])       # (0 I2)
     assert lines_skew(fixed, l0)
@@ -119,13 +119,13 @@ def test_lines_skew_examples():
 
 
 def test_line_rank_validation():
-    f = make_field(3)
+    f = Field(3)
     with pytest.raises(ValueError, match="rank 2"):
         _line(f, [[1, 0, 0, 0], [2, 0, 0, 0]])
 
 
 def test_line_points_count_and_membership():
-    f = make_field(5)
+    f = Field(5)
     ln = _line(f, [[1, 0, 2, 3], [0, 1, 4, 1]])
     pts = ln.points()
     assert len(pts) == f.q + 1
@@ -133,7 +133,7 @@ def test_line_points_count_and_membership():
 
 
 def test_line_in_quadric_examples():
-    f = make_field(3)
+    f = Field(3)
     s = scalar(f)
     fixed = _line(f, [[1, 0, 0, 0], [0, 1, 0, 0]])
     # block form with zero top-left block and invertible B contains (I2 0)
@@ -163,7 +163,7 @@ def test_line_in_quadric_examples():
 
 
 def test_line_in_quadric_matches_pointwise_oracle():
-    f = make_field(3)
+    f = Field(3)
     rng = random.Random(1)
     quadrics = []
     while len(quadrics) < 8:
@@ -183,7 +183,7 @@ def test_line_in_quadric_matches_pointwise_oracle():
 
 
 def test_rref_idempotent_and_rowspace_invariant():
-    f = make_field(5)
+    f = Field(5)
     rng = random.Random(2)
     for _ in range(100):
         rows = [[rng.randrange(5) for _ in range(4)] for _ in range(2)]

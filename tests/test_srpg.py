@@ -9,7 +9,7 @@ from geomcode.constructions import (
     build_conic_structure,
     build_hyperbolic_structure,
 )
-from geomcode.fields import make_field
+from geomcode.fields import Field
 from geomcode.gf2 import BinaryMatrix, gram_counts
 from geomcode.srpg import (
     AlphaProfile,
@@ -85,7 +85,7 @@ def test_srg_spot_check_common_neighbors(conic7):
 
 
 def test_degenerate_edgeless():
-    ic = build_conic_structure(make_field(3))
+    ic = build_conic_structure(Field(3))
     assert ic.degenerate
     with pytest.raises(DegenerateStructure, match="no edges"):
         check_strongly_regular(ic)
@@ -93,7 +93,7 @@ def test_degenerate_edgeless():
 
 def test_degenerate_conic_axioms_still_measurable():
     # the q=3 conic structure is four isolated points: s = t = 0, alpha = {0}
-    params = check_gpg_axioms(build_conic_structure(make_field(3)))
+    params = check_gpg_axioms(build_conic_structure(Field(3)))
     assert (params.s, params.t, params.alphas) == (0, 0, (0,))
 
 
@@ -267,7 +267,7 @@ PROFILES = [
                          ids=[f"{f}-{p}^{k}" for f, (p, k), _ in PROFILES])
 def test_alpha_profiles_pinned(family, field, expected):
     build = build_conic_structure if family == "conic" else build_hyperbolic_structure
-    ic = build(make_field(*field))
+    ic = build(Field(*field))
     assert alpha_profiles(ic, _verified_params(ic)) == expected
 
 
