@@ -154,7 +154,8 @@ def build_analysis_report(ic: IncidenceStructure) -> dict:
                 if not feas.all_ok:
                     failures.append("feasibility conditions failed")
 
-                report["rank2_MMT"] = rank2(np.packbits(ic.gram & 1, axis=1))
+                # int64 -> uint8 wraps modulo 256, so the parity survives the cast
+                report["rank2_MMT"] = rank2(np.packbits(ic.gram.astype(np.uint8) & 1, axis=1))
                 pred = brouwer_predict(spec)
                 report["rank_prediction"] = {
                     "kind": pred.kind, "value": pred.value, "case": pred.case_tag,

@@ -55,7 +55,6 @@ class IncidenceStructure:
     points: list
     blocks: list
     matrix: BinaryMatrix
-    degenerate: bool = False
 
     @property
     def v(self) -> int:
@@ -65,6 +64,11 @@ class IncidenceStructure:
     def n(self) -> int:
         return len(self.blocks)
 
+    @property
+    def degenerate(self) -> bool:
+        """No block holds two points, i.e. the point graph is edgeless."""
+        return max(self.matrix.column_weights()) <= 1
+
     @cached_property
     def gram(self) -> np.ndarray:
         """Integer M M^T (v x v), formed once per structure."""
@@ -72,10 +76,19 @@ class IncidenceStructure:
 
     @cached_property
     def adjacency(self) -> np.ndarray:
-        """0/1 point graph: the off-diagonal clamp of M M^T."""
-        a = (self.gram > 0).astype(np.int8)
-        np.fill_diagonal(a, 0)
+        """Bool point graph: the off-diagonal nonzeros of M M^T."""
+        a = self.gram > 0
+        np.fill_diagonal(a, False)
         return a
+
+    @cached_property
+    def four_cycle(self) -> tuple[int, int] | None:
+        """The first pair of points (row-major) sharing two or more blocks,
+        or None; with two of those blocks the pair is a Tanner 4-cycle."""
+        shared = self.gram > 1
+        np.fill_diagonal(shared, False)
+        flat = int(np.argmax(shared))
+        return divmod(flat, self.v) if shared.flat[flat] else None
 
     @cached_property
     def adjacency_square(self) -> np.ndarray:
@@ -104,8 +117,7 @@ def build_conic_structure(field: Field) -> IncidenceStructure:
     y = f.neg_table[f.mul_table[f.mul_table[a, x], f.inv_table[s]]]
     m = BinaryMatrix((x[on] - 1) * q1 + y[on] - 1, (a[on] - 1) * q1 + b[on] - 1,
                      (len(points), len(blocks)))
-    degenerate = max(m.column_weights()) <= 1
-    return IncidenceStructure("conic", field, points, blocks, m, degenerate=degenerate)
+    return IncidenceStructure("conic", field, points, blocks, m)
 
 
 def enumerate_hyperbolic_labels(field: Field) -> list[HyperbolicLabel]:
@@ -139,7 +151,9 @@ def build_hyperbolic_structure(field: Field) -> IncidenceStructure:
     nb00, nb01, nb10, nb11 = (add[mul[n[r], b[c]], mul[n[r + 1], b[c + 2]]]
                               for r in (0, 2) for c in (0, 1))
     c00, c01, c11 = neg[add[nb00, nb00]], neg[add[nb01, nb10]], neg[add[nb11, nb11]]
-    cols = np.arange(b.shape[2]) * q ** 3 + (c00 * q + c01) * q + c11
+    del nb00, nb01, nb10, nb11
+    cols = (np.arange(b.shape[2]) * q ** 3 + (c00 * q + c01) * q + c11).ravel()
+    del c00, c01, c11  # the v x (canonical B) intermediates go before the matrix is built
     rows = np.repeat(np.arange(len(points)), b.shape[2])
-    m = BinaryMatrix(rows, cols.ravel(), (len(points), len(blocks)))
+    m = BinaryMatrix(rows, cols, (len(points), len(blocks)))
     return IncidenceStructure("hyperbolic", f, points, blocks, m)

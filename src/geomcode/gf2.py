@@ -125,18 +125,18 @@ def rank2(packed: np.ndarray) -> int:
 def gram_counts(m: BinaryMatrix) -> np.ndarray:
     """M M^T over the integers, as a v x v numpy array.
 
-    Entry (i, j) counts the columns holding both i and j: one bincount over
-    the row pairs i < j of every column, mirrored, with the row weights on
-    the diagonal.  Column weights may differ.
+    Entry (i, j) counts the columns holding both i and j.  Pairing each one
+    with the one d places later in its column, for every offset d, lists
+    each row pair i < j of each column once, with temporaries the size of
+    the ones; the counts are mirrored, with the row weights on the diagonal.
     """
     v = m.nrows
     pts, cols = m.by_column()  # the rows of column 0, then of column 1, ...; ascending in each
-    col_end = np.cumsum(np.bincount(cols, minlength=m.cols))[cols]
-    # pair entry e with e+1, ..., col_end[e]-1, the later entries of its column
-    later = col_end - np.arange(len(pts)) - 1
-    first = np.repeat(np.arange(len(pts)), later)
-    rank = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    out = np.bincount(pts[first] * v + pts[first + 1 + rank], minlength=v * v).reshape(v, v)
+    out = np.zeros(v * v, dtype=np.int64)
+    for d in range(1, max(m.column_weights())):
+        same = cols[d:] == cols[:-d]
+        np.add.at(out, pts[:-d][same] * v + pts[d:][same], 1)
+    out = out.reshape(v, v)
     out += out.T
     out[np.diag_indices(v)] = m.row_weights()
     return out

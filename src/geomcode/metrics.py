@@ -48,12 +48,13 @@ def tanner_girth(ic: IncidenceStructure) -> float:
     """Length of the shortest cycle in the Tanner graph of ic.matrix
     (math.inf for a forest).
 
-    Runs a breadth-first search from every variable node; since every
-    cycle alternates between the two sides, this sweep is exact.  A 4-cycle
-    exists iff two rows share two columns, i.e. iff an off-diagonal entry
-    of the cached H H^T (ic.gram) is at least 2; that fixes the earliest
-    possible exit (4 or 6) for the sweep.
+    A 4-cycle exists iff two rows share two columns (ic.four_cycle, read off
+    the cached H H^T), and then the girth is 4.  Otherwise a breadth-first
+    search from every variable node, exact because every cycle alternates
+    between the two sides, stops at the first 6-cycle.
     """
+    if ic.four_cycle is not None:
+        return 4
     h = ic.matrix
     n, m = h.cols, h.nrows
     # node ids: variables 0..n-1, checks n..n+m-1
@@ -62,8 +63,6 @@ def tanner_girth(ic: IncidenceStructure) -> float:
         adj[j].append(n + i)
         adj[n + i].append(j)
 
-    twos = ic.gram >= 2
-    floor = 4 if np.count_nonzero(twos) > np.count_nonzero(twos.diagonal()) else 6
     best = math.inf
     dist = [-1] * (n + m)
     parent = [-1] * (n + m)
@@ -88,7 +87,7 @@ def tanner_girth(ic: IncidenceStructure) -> float:
                     cand = dist[u] + dist[w] + 1
                     if cand < best:
                         best = cand
-        if best <= floor:
+        if best == 6:
             return best
     return best
 
@@ -116,10 +115,9 @@ def six_cycles(ic: IncidenceStructure, params: SrpgParams) -> CycleReport:
 
     w = np.array(ic.matrix.column_weights(), dtype=np.int64)
     inside = int((w * (w - 1) // 2 * (w - 2)).sum())
-    # each adjacent pair is counted as (P, Q) and (Q, P); the 0/1 int8
-    # adjacency reads as a bool mask without a copy, and float64 sums of
+    # each adjacent pair is counted as (P, Q) and (Q, P); float64 sums of
     # integers stay exact below 2^53
-    adjacent = ic.adjacency_square.sum(where=ic.adjacency.view(bool), dtype=np.float64)
+    adjacent = ic.adjacency_square.sum(where=ic.adjacency, dtype=np.float64)
     total = int(adjacent) // 2 - inside
     if total % 3 != 0:
         raise ValueError(f"pair-completion total {total} is not divisible by 3")

@@ -27,14 +27,14 @@ import numpy as np
 from .gf2 import BinaryMatrix, rank2
 
 LLR_CLAMP = 30.0
+MAX_RETRIES = 200     # redraws of a band permutation that makes a 4-cycle
+WILSON_Z = 1.959964   # the 97.5% normal quantile, for 95% intervals
 
 
 @dataclass
 class LdpcCode:
     h: BinaryMatrix
     dimension: int
-    w_col: int | None = None          # set when the code is regular
-    w_row: int | None = None
     four_cycle_free: bool | None = None
 
     @property
@@ -51,14 +51,7 @@ class LdpcCode:
 
     @classmethod
     def from_parity(cls, h: BinaryMatrix) -> "LdpcCode":
-        col_w = set(h.column_weights())
-        row_w = set(h.row_weights())
-        return cls(
-            h=h,
-            dimension=h.cols - rank2(h.packbits()),
-            w_col=col_w.pop() if len(col_w) == 1 else None,
-            w_row=row_w.pop() if len(row_w) == 1 else None,
-        )
+        return cls(h=h, dimension=h.cols - rank2(h.packbits()))
 
 
 class SumProductDecoder:
@@ -76,7 +69,6 @@ class SumProductDecoder:
     """
 
     def __init__(self, code: LdpcCode):
-        self.code = code
         n, m = code.n, code.m
         # edges in row-major order: the order of the floating-point sums below
         edge_check, self.edge_var = code.h.nonzero()
@@ -168,13 +160,12 @@ def awgn_llrs(bits: np.ndarray, ebn0_db: float, rate: float,
     return 2.0 * y / (sigma * sigma)
 
 
-def random_regular_h(m: int, n: int, w_col: int, w_row: int, seed: int,
-                     max_retries: int = 200) -> LdpcCode:
+def random_regular_h(m: int, n: int, w_col: int, w_row: int, seed: int) -> LdpcCode:
     """Gallager-style (w_col, w_row)-regular parity-check construction.
 
     The first band of m/w_col rows covers w_row consecutive columns each;
     every further band is a seeded random column permutation of the first.
-    Permutations that create a 4-cycle are redrawn up to max_retries, after
+    Permutations that create a 4-cycle are redrawn up to MAX_RETRIES, after
     which the candidate is accepted with four_cycle_free = False.
     """
     if min(m, n, w_col, w_row) < 1:
@@ -195,7 +186,7 @@ def random_regular_h(m: int, n: int, w_col: int, w_row: int, seed: int,
     groups = [band_groups(base)]
     clean = True
     for _ in range(1, w_col):
-        for attempt in range(max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             perm = rng.permutation(n)
             g = band_groups(perm)
             collision = False
@@ -252,15 +243,15 @@ class BerResult:
     points: tuple[PointStats, ...]
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
+    half = WILSON_Z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
     return max(center - half, 0.0), min(center + half, 1.0)
 
 

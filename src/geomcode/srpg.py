@@ -131,12 +131,8 @@ def check_gpg_axioms(ic: IncidenceStructure) -> SrpgParams:
     m = ic.matrix
     v, n = m.nrows, m.cols
 
-    shared = ic.gram > 1
-    np.fill_diagonal(shared, False)
-    if shared.any():
-        i, j = np.unravel_index(np.argmax(shared), shared.shape)
-        raise AxiomViolation("i", (int(i), int(j)),
-                             f"points share {int(ic.gram[i, j])} blocks")
+    if (pair := ic.four_cycle) is not None:
+        raise AxiomViolation("i", pair, f"points share {int(ic.gram[pair])} blocks")
 
     col_w = m.column_weights()
     if min(col_w) != max(col_w):
@@ -178,10 +174,9 @@ def check_strongly_regular(ic: IncidenceStructure) -> tuple[int, int, int, int]:
         raise DegenerateStructure("point graph is complete")
 
     a2 = ic.adjacency_square
-    adj_mask = a == 1
-    nonadj_mask = ~adj_mask
+    nonadj_mask = ~a
     np.fill_diagonal(nonadj_mask, False)
-    lam = _constant_on(a2, adj_mask, "lambda")
+    lam = _constant_on(a2, a, "lambda")
     mu = _constant_on(a2, nonadj_mask, "mu")
     if not (np.diagonal(a2) == k).all():
         raise ValueError("diagonal of A^2 does not equal the degree")
@@ -283,7 +278,7 @@ def alpha_profiles(ic: IncidenceStructure, params: SrpgParams) -> AlphaProfile:
         for i, al in enumerate(alphas):
             prof[i] += m @ (counts == al).T.astype(np.float32)
 
-    adj = ic.adjacency == 1
+    adj = ic.adjacency
     size = prof.sum(axis=0)
     weighted = np.tensordot(np.array(alphas, dtype=np.float32), prof, axes=1)
     bad = np.where(adj, (size != t) | (weighted - size + (s - 1) != lam),

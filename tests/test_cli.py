@@ -87,6 +87,17 @@ def test_analyze_conic_q3_degenerate_notice(tmp_path):
     assert "notice" in rep and "srg" not in rep
 
 
+def test_analyze_degenerate_alist_file(tmp_path):
+    # the same 4 x 4 identity as conic q=3, read from a file: the edgeless
+    # point graph is read off the matrix, so it gets the notice, not a failure
+    alist, out = tmp_path / "c3.alist", tmp_path / "c3.json"
+    run(["construct", "--family", "conic", "--field", "3", "--out", alist])
+    assert run(["analyze", "--in", alist, "--out", out]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["family"] == "file" and rep["degenerate"] is True
+    assert "notice" in rep and "srg" not in rep and rep["checks_passed"]
+
+
 def test_analyze_from_alist_file(tmp_path):
     alist = tmp_path / "h.alist"
     run(["construct", "--family", "hyperbolic", "--field", "3", "--out", alist])

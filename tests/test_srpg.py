@@ -137,6 +137,9 @@ def test_gram_identity(conic5, hyp3):
         mmt = gram_counts(ic.matrix)
         a = ic.adjacency
         assert np.array_equal(mmt, a.astype(np.int64) + (t + 1) * np.eye(ic.v, dtype=np.int64))
+        off = mmt > 0
+        np.fill_diagonal(off, False)
+        assert a.dtype == bool and np.array_equal(a, off)
 
 
 def test_spectrum_hyperbolic_q3():
