@@ -137,7 +137,10 @@ def gram_counts(m: BinaryMatrix) -> np.ndarray:
         same = cols[d:] == cols[:-d]
         np.add.at(out, pts[:-d][same] * v + pts[d:][same], 1)
     out = out.reshape(v, v)
-    out += out.T
+    # mirror in row blocks of 2^20 entries: out += out.T would copy all of out.T
+    step = max(1, (1 << 20) // v)
+    for lo in range(0, v, step):
+        out[lo:lo + step] += out[:, lo:lo + step].T
     out[np.diag_indices(v)] = m.row_weights()
     return out
 

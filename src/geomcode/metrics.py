@@ -49,12 +49,17 @@ def tanner_girth(ic: IncidenceStructure) -> float:
     (math.inf for a forest).
 
     A 4-cycle exists iff two rows share two columns (ic.four_cycle, read off
-    the cached H H^T), and then the girth is 4.  Otherwise a breadth-first
-    search from every variable node, exact because every cycle alternates
-    between the two sides, stops at the first 6-cycle.
+    the cached H H^T), and then the girth is 4.  Otherwise it is 6 iff the
+    pair-completion count, read off the cached A^2, is positive (unless no
+    column holds two rows: then the graph is a forest).  The remaining
+    inputs have girth 8 or more, and a breadth-first search from every
+    variable node, exact because every cycle alternates between the two
+    sides, stops at the first 8-cycle.
     """
     if ic.four_cycle is not None:
         return 4
+    if not ic.degenerate and _pair_completions(ic) > 0:
+        return 6
     h = ic.matrix
     n, m = h.cols, h.nrows
     # node ids: variables 0..n-1, checks n..n+m-1
@@ -87,24 +92,32 @@ def tanner_girth(ic: IncidenceStructure) -> float:
                     cand = dist[u] + dist[w] + 1
                     if cand < best:
                         best = cand
-        if best == 6:
+        if best == 8:
             return best
     return best
 
 
-def six_cycles(ic: IncidenceStructure, params: SrpgParams) -> CycleReport:
-    """6-cycle count: n*s*(s+1)*(lambda-s+1)/6 against direct enumeration.
+def _pair_completions(ic: IncidenceStructure) -> int:
+    """The common neighbours outside B of every point pair {P1,P2} of every
+    block B, summed.  With no two points on two common blocks (axiom (i))
+    each completion closes a unique hexagon through two further blocks, and
+    a hexagon holds three point pairs, so the sum is three times the number
+    of 6-cycles.  The point pairs inside the blocks are then exactly the
+    adjacent pairs, each once, so the sum is the cached A^2
+    (ic.adjacency_square) over the adjacent pairs, less the |B| - 2 other
+    points of B for every pair of every block B."""
+    w = np.array(ic.matrix.column_weights(), dtype=np.int64)
+    inside = int((w * (w - 1) // 2 * (w - 2)).sum())
+    # each adjacent pair is counted as (P, Q) and (Q, P); float64 sums of
+    # integers stay exact below 2^53
+    adjacent = ic.adjacency_square.sum(where=ic.adjacency, dtype=np.float64)
+    return int(adjacent) // 2 - inside
 
-    The enumeration walks every block B and every point pair {P1,P2} in
-    it, counts the common neighbours of the pair outside B (each closes a
-    unique hexagon through two further blocks), and divides the grand
-    total by 3 because a hexagon contains three point pairs.  `params`
-    comes from check_gpg_axioms, so axiom (i) holds: two points share at
-    most one block, and the point pairs inside the blocks are exactly the
-    adjacent pairs, each once.  Their common neighbours are therefore the
-    cached A^2 (ic.adjacency_square) summed over the adjacent pairs, less
-    the |B| - 2 other points of B for every pair of every block B.
-    """
+
+def six_cycles(ic: IncidenceStructure, params: SrpgParams) -> CycleReport:
+    """6-cycle count: n*s*(s+1)*(lambda-s+1)/6 against direct enumeration,
+    the pair-completion count divided by 3.  `params` comes from
+    check_gpg_axioms, so axiom (i) holds."""
     if params.lambda_ is None:
         raise ValueError("six-cycle census needs a verified lambda")
     s, lam, n = params.s, params.lambda_, params.n
@@ -113,12 +126,7 @@ def six_cycles(ic: IncidenceStructure, params: SrpgParams) -> CycleReport:
         raise ValueError(f"formula value {formula_num}/6 is not an integer")
     formula = formula_num // 6
 
-    w = np.array(ic.matrix.column_weights(), dtype=np.int64)
-    inside = int((w * (w - 1) // 2 * (w - 2)).sum())
-    # each adjacent pair is counted as (P, Q) and (Q, P); float64 sums of
-    # integers stay exact below 2^53
-    adjacent = ic.adjacency_square.sum(where=ic.adjacency, dtype=np.float64)
-    total = int(adjacent) // 2 - inside
+    total = _pair_completions(ic)
     if total % 3 != 0:
         raise ValueError(f"pair-completion total {total} is not divisible by 3")
     return CycleReport(six_cycle_formula=formula, six_cycle_enumerated=total // 3)

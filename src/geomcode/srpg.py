@@ -7,14 +7,14 @@ A + (t+1)I.  Each structure forms M M^T once (``IncidenceStructure.gram``),
 clamps its off-diagonal part to the adjacency matrix
 (``IncidenceStructure.adjacency``) and squares that once
 (``IncidenceStructure.adjacency_square``, shared by the strong-regularity
-check and the 6-cycle census); the tests cross-check these against the
-direct definitions.
+check, the girth and the 6-cycle census); the tests cross-check these
+against the direct definitions.
 
 Every count that relates points to blocks comes from one streamed block
-census: for each chunk of blocks, the dense float32 columns M[:, chunk]
-and counts = A M[:, chunk], the number of each block's points joined to
-each point, with the points on the block marked -1.  Its histogram gives
-the alpha set, and its products with M give the pair profiles.
+census: for each chunk of blocks, counts[b, p], the number of points of
+block b joined to point p, is the sum of the s+1 adjacency rows of b's
+points (v n (s+1) additions), with a sentinel where p lies on b.  Its
+histogram gives the alpha set, and its products with M the pair profiles.
 """
 
 from __future__ import annotations
@@ -99,34 +99,36 @@ class AlphaProfile:
     mu: int
 
 
-_CENSUS_CHUNK = 1024  # blocks per census chunk
+_CENSUS_CELLS = 1 << 19  # (block, point) cells per census chunk
 
 
 def _block_census(ic: IncidenceStructure):
-    """Yield (M[:, chunk], counts) for consecutive chunks of blocks, both
-    dense float32 v x len(chunk): counts[p, b] is the number of points of
-    block b joined to point p, or -1 if p lies on b.  float32 is exact, as
-    every entry is at most the block size."""
-    rows, cols = ic.matrix.by_column()
-    a = ic.adjacency.astype(np.float32)
-    for lo in range(0, ic.n, _CENSUS_CHUNK):
-        hi = min(lo + _CENSUS_CHUNK, ic.n)
-        lo_e, hi_e = np.searchsorted(cols, (lo, hi))
-        on = rows[lo_e:hi_e], cols[lo_e:hi_e] - lo
-        m = np.zeros((ic.v, hi - lo), dtype=np.float32)
-        m[on] = 1
-        counts = a @ m
-        counts[on] = -1
-        yield m, counts
+    """Yield (blocks, counts) for consecutive chunks of blocks of w points
+    each (axiom (ii)): blocks[b] holds the points of block b, ascending, and
+    counts[b, p] how many of them are joined to point p, or the sentinel
+    w + 1 if p lies on b, in the narrowest unsigned dtype that holds it."""
+    rows, _ = ic.matrix.by_column()
+    w = rows.size // ic.n
+    blocks = rows.reshape(ic.n, w)
+    a = ic.adjacency.view(np.uint8)
+    dtype = np.min_scalar_type(w + 1)
+    step = max(1, _CENSUS_CELLS // ic.v)
+    for lo in range(0, ic.n, step):
+        chunk = blocks[lo:lo + step]
+        counts = np.zeros((len(chunk), ic.v), dtype=dtype)
+        for j in range(w):
+            counts += a[chunk[:, j]]
+        counts[np.arange(len(chunk))[:, None], chunk] = w + 1
+        yield chunk, counts
 
 
 def check_gpg_axioms(ic: IncidenceStructure) -> SrpgParams:
     """Verify axioms (i)-(iii) and compute the realized alpha-set.
 
     Raises :class:`AxiomViolation` with the smallest-index witness on the
-    first failed axiom.  The alpha scan realizes axioms (iv)-(v): every
-    observed count is admitted, and every member of the returned set has a
-    witnessing (point, block) pair by construction.
+    first failed axiom.  The alpha scan realizes axioms (iv)-(v): the block
+    census, run once axiom (ii) holds, admits every observed count, and
+    every member of the returned set has a witnessing (point, block) pair.
     """
     m = ic.matrix
     v, n = m.nrows, m.cols
@@ -146,11 +148,11 @@ def check_gpg_axioms(ic: IncidenceStructure) -> SrpgParams:
         raise AxiomViolation("iii", (i,), f"point degrees differ: {row_w[0]} vs {row_w[i]}")
     t = row_w[0] - 1
 
-    # bin k + 1 counts the (point, block) pairs with k of the block's
-    # points joined to the point; bin 0 the points on the block
-    hist = sum(np.bincount((counts + 1).astype(np.intp).ravel(), minlength=s + 3)
+    # bin k counts the (point, block) pairs with k of the block's points
+    # joined to the point; the last bin, s + 2, the points on the block
+    hist = sum(np.bincount(counts.ravel(), minlength=s + 3)
                for _, counts in _block_census(ic))
-    alphas = tuple(np.flatnonzero(hist[1:]).tolist())
+    alphas = tuple(np.flatnonzero(hist[:-1]).tolist())
     return SrpgParams(s=s, t=t, alphas=alphas, v=v, n=n)
 
 
@@ -274,9 +276,11 @@ def alpha_profiles(ic: IncidenceStructure, params: SrpgParams) -> AlphaProfile:
     s, t, lam, mu = params.s, params.t, params.lambda_, params.mu
     # prof[i, P, Q]: blocks on P avoiding Q with alphas[i] points joined to Q
     prof = np.zeros((len(alphas), ic.v, ic.v), dtype=np.float32)
-    for m, counts in _block_census(ic):
+    for blocks, counts in _block_census(ic):
+        m = np.zeros((ic.v, len(blocks)), dtype=np.float32)
+        m[blocks, np.arange(len(blocks))[:, None]] = 1
         for i, al in enumerate(alphas):
-            prof[i] += m @ (counts == al).T.astype(np.float32)
+            prof[i] += m @ (counts == al).astype(np.float32)
 
     adj = ic.adjacency
     size = prof.sum(axis=0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -78,6 +79,30 @@ def test_girth_eight_cycle():
         [0, 0, 1, 1],
         [1, 0, 0, 1],
     ])
+    assert _girth(h) == 8
+
+
+def test_girth_triangle_inside_one_block():
+    # three points on one block: a point-graph triangle, but no Tanner cycle
+    assert _girth(BinaryMatrix.from_bits([[1], [1], [1]])) == math.inf
+
+
+def test_girth_fano_plane():
+    lines = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+    h = BinaryMatrix.from_bits([[int(p in line) for line in lines] for p in range(7)])
+    assert _girth(h) == 6
+
+
+def test_girth_generalized_quadrangle():
+    # GQ(2,2): the 15 duads of {1..6} on the 15 synthemes (three disjoint
+    # duads); its point graph has only the triangles inside lines, so the
+    # girth comes from the search
+    duads = list(itertools.combinations(range(1, 7), 2))
+    synthemes = {frozenset(t) for t in itertools.combinations(duads, 3)
+                 if len(set().union(*t)) == 6}
+    assert len(synthemes) == 15
+    h = BinaryMatrix.from_bits([[int(d in syn) for syn in sorted(synthemes, key=sorted)]
+                                for d in duads])
     assert _girth(h) == 8
 
 

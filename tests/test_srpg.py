@@ -16,6 +16,7 @@ from geomcode.srpg import (
     AxiomViolation,
     DegenerateStructure,
     SrpgParams,
+    _block_census,
     alpha_profiles,
     check_gpg_axioms,
     check_strongly_regular,
@@ -42,6 +43,34 @@ def test_axioms_hyperbolic_q3(hyp3):
     assert (params.s, params.t) == (2, 23)
     assert params.alphas == (1, 2, 3)
     assert params.v * (params.t + 1) == params.n * (params.s + 1)
+
+
+def test_alphas_of_blocks_past_uint8():
+    # two disjoint 256-point blocks: no point off a block is joined to any of
+    # its points, so the only count is 0; a uint8 sentinel (257) would wrap
+    # to a spurious 1
+    pts = np.arange(512)
+    ic = IncidenceStructure("test", None, list(range(512)), [0, 1],
+                            BinaryMatrix(pts, pts // 256, (512, 2)))
+    params = check_gpg_axioms(ic)
+    assert (params.s, params.t, params.alphas) == (255, 0, (0,))
+
+
+@pytest.mark.parametrize("family,field", [
+    ("hyperbolic", (3, 1)), ("conic", (7, 1)), ("conic", (3, 2)), ("conic", (11, 1)),
+])
+def test_block_census_matches_direct_definition(family, field):
+    build = build_conic_structure if family == "conic" else build_hyperbolic_structure
+    ic = build(Field(*field))
+    m = ic.matrix.to_numpy().astype(np.int64)
+    w = int(m[:, 0].sum())
+    joined = (m @ m.T > 0) & ~np.eye(ic.v, dtype=bool)
+    # direct[p, b] = |b ∩ N(p)|, and w + 1 where p lies on b
+    direct = np.where(m == 1, w + 1, joined.astype(np.int64) @ m)
+    census = np.concatenate([counts for _, counts in _block_census(ic)])
+    assert np.array_equal(census.T, direct)  # cell by cell, so the histograms agree
+    hist = np.bincount(direct.ravel(), minlength=w + 2)
+    assert check_gpg_axioms(ic).alphas == tuple(np.flatnonzero(hist[:-1]).tolist())
 
 
 def test_axiom_i_violation_with_witness():
