@@ -154,8 +154,9 @@ def build_analysis_report(ic: IncidenceStructure) -> dict:
                 if not feas.all_ok:
                     failures.append("feasibility conditions failed")
 
-                # int64 -> uint8 wraps modulo 256, so the parity survives the cast
-                report["rank2_MMT"] = rank2(np.packbits(ic.gram.astype(np.uint8) & 1, axis=1))
+                # the axioms hold, so M M^T = A + (t+1)I: mod 2, A with t+1 on the diagonal
+                parity = ic.adjacency | np.eye(ic.v, dtype=bool) & (params.t % 2 == 0)
+                report["rank2_MMT"] = rank2(np.packbits(parity, axis=1))
                 pred = brouwer_predict(spec)
                 report["rank_prediction"] = {
                     "kind": pred.kind, "value": pred.value, "case": pred.case_tag,

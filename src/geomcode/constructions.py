@@ -46,9 +46,13 @@ class HyperbolicLabel(NamedTuple):
     C: tuple[int, int, int, int]  # row-major 2x2, symmetric
 
 
+_CENSUS_CELLS = 1 << 19  # (block, point) cells per census chunk
+
+
 @dataclass
 class IncidenceStructure:
-    """Point-block incidence structure with its binary incidence matrix."""
+    """Point-block incidence structure with its binary incidence matrix, and
+    the point graph and block census derived from it, each formed once."""
 
     family: str
     field: Field | None
@@ -70,31 +74,55 @@ class IncidenceStructure:
         return max(self.matrix.column_weights()) <= 1
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        """Integer M M^T (v x v), formed once per structure."""
-        return gram_counts(self.matrix)
+    def _point_graph(self) -> tuple[np.ndarray, tuple | None]:
+        """The bool point graph, the off-diagonal nonzeros of M M^T, and the
+        first pair of points (row-major) sharing two or more blocks, with
+        how many they share, or None; with two of those blocks the pair is
+        a Tanner 4-cycle.  The integer M M^T is dropped once both are read."""
+        gram = gram_counts(self.matrix)
+        np.fill_diagonal(gram, 0)
+        flat = int(np.argmax(gram > 1))
+        shared = int(gram.flat[flat])
+        return gram > 0, (divmod(flat, self.v), shared) if shared > 1 else None
 
-    @cached_property
+    @property
     def adjacency(self) -> np.ndarray:
-        """Bool point graph: the off-diagonal nonzeros of M M^T."""
-        a = self.gram > 0
-        np.fill_diagonal(a, False)
-        return a
+        return self._point_graph[0]
+
+    @property
+    def four_cycle(self) -> tuple[tuple[int, int], int] | None:
+        return self._point_graph[1]
+
+    def block_census(self):
+        """Yield (blocks, counts) for consecutive chunks of blocks, all of w
+        points: blocks[b] holds the points of block b, ascending, and
+        counts[b, p] how many of them are joined to point p (the sum of
+        their adjacency rows), or the sentinel w + 1 if p lies on b, in the
+        narrowest unsigned dtype that holds it."""
+        weights = self.matrix.column_weights()
+        if min(weights) != max(weights):
+            raise ValueError("the block census needs blocks of one size")
+        rows, _ = self.matrix.by_column()
+        w = weights[0]
+        blocks = rows.reshape(self.n, w)
+        a = self.adjacency.view(np.uint8)
+        dtype = np.min_scalar_type(w + 1)
+        step = max(1, _CENSUS_CELLS // self.v)
+        for lo in range(0, self.n, step):
+            chunk = blocks[lo:lo + step]
+            counts = np.zeros((len(chunk), self.v), dtype=dtype)
+            for j in range(w):
+                counts += a[chunk[:, j]]
+            counts[np.arange(len(chunk))[:, None], chunk] = w + 1
+            yield chunk, counts
 
     @cached_property
-    def four_cycle(self) -> tuple[int, int] | None:
-        """The first pair of points (row-major) sharing two or more blocks,
-        or None; with two of those blocks the pair is a Tanner 4-cycle."""
-        shared = self.gram > 1
-        np.fill_diagonal(shared, False)
-        flat = int(np.argmax(shared))
-        return divmod(flat, self.v) if shared.flat[flat] else None
-
-    @cached_property
-    def adjacency_square(self) -> np.ndarray:
-        """A^2 in float32 (v x v): common-neighbour counts, exact below 2^24."""
-        a = self.adjacency.astype(np.float32)
-        return a @ a
+    def census(self) -> np.ndarray:
+        """Histogram of the block census: bin c counts the (point, block)
+        pairs, the point off the block, with c of the block's points joined
+        to the point; the last bin, w + 1, counts the points on the blocks."""
+        bins = self.matrix.column_weights()[0] + 2
+        return sum(np.bincount(counts.ravel(), minlength=bins) for _, counts in self.block_census())
 
     def __repr__(self) -> str:
         return f"IncidenceStructure({self.family}, {self.v}x{self.n})"

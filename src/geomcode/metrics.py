@@ -49,16 +49,18 @@ def tanner_girth(ic: IncidenceStructure) -> float:
     (math.inf for a forest).
 
     A 4-cycle exists iff two rows share two columns (ic.four_cycle, read off
-    the cached H H^T), and then the girth is 4.  Otherwise it is 6 iff the
-    pair-completion count, read off the cached A^2, is positive (unless no
-    column holds two rows: then the graph is a forest).  The remaining
-    inputs have girth 8 or more, and a breadth-first search from every
-    variable node, exact because every cycle alternates between the two
-    sides, stops at the first 8-cycle.
+    H H^T), and then the girth is 4.  With columns of one weight it is 6 iff
+    the pair-completion count, read off the block census, is positive.  The
+    remaining inputs have girth 6 or more if their column weights differ,
+    8 or more otherwise; a breadth-first search from every variable node,
+    exact because every cycle alternates between the two sides, stops at
+    the first cycle of that length.
     """
     if ic.four_cycle is not None:
         return 4
-    if not ic.degenerate and _pair_completions(ic) > 0:
+    weights = ic.matrix.column_weights()
+    floor = 8 if min(weights) == max(weights) else 6
+    if floor == 8 and _pair_completions(ic) > 0:
         return 6
     h = ic.matrix
     n, m = h.cols, h.nrows
@@ -92,7 +94,7 @@ def tanner_girth(ic: IncidenceStructure) -> float:
                     cand = dist[u] + dist[w] + 1
                     if cand < best:
                         best = cand
-        if best == 8:
+        if best == floor:
             return best
     return best
 
@@ -102,22 +104,18 @@ def _pair_completions(ic: IncidenceStructure) -> int:
     block B, summed.  With no two points on two common blocks (axiom (i))
     each completion closes a unique hexagon through two further blocks, and
     a hexagon holds three point pairs, so the sum is three times the number
-    of 6-cycles.  The point pairs inside the blocks are then exactly the
-    adjacent pairs, each once, so the sum is the cached A^2
-    (ic.adjacency_square) over the adjacent pairs, less the |B| - 2 other
-    points of B for every pair of every block B."""
-    w = np.array(ic.matrix.column_weights(), dtype=np.int64)
-    inside = int((w * (w - 1) // 2 * (w - 2)).sum())
-    # each adjacent pair is counted as (P, Q) and (Q, P); float64 sums of
-    # integers stay exact below 2^53
-    adjacent = ic.adjacency_square.sum(where=ic.adjacency, dtype=np.float64)
-    return int(adjacent) // 2 - inside
+    of 6-cycles.  A point off B joined to c points of B completes C(c, 2)
+    of its pairs: the sum is C(c, 2) over the bins of ic.census but the last."""
+    hist = ic.census[:-1]
+    c = np.arange(hist.size)
+    return int(hist @ (c * (c - 1) // 2))
 
 
 def six_cycles(ic: IncidenceStructure, params: SrpgParams) -> CycleReport:
     """6-cycle count: n*s*(s+1)*(lambda-s+1)/6 against direct enumeration,
-    the pair-completion count divided by 3.  `params` comes from
-    check_gpg_axioms, so axiom (i) holds."""
+    the pair-completion count of the block census divided by 3, which does
+    not read the A^2 that gave lambda.  `params` comes from
+    check_gpg_axioms, so axioms (i)-(iii) hold."""
     if params.lambda_ is None:
         raise ValueError("six-cycle census needs a verified lambda")
     s, lam, n = params.s, params.lambda_, params.n

@@ -3,18 +3,16 @@ for point-block incidence structures.
 
 The point graph joins two points iff they share a block.  For a structure
 satisfying the pairwise axiom the integer Gram matrix M M^T equals
-A + (t+1)I.  Each structure forms M M^T once (``IncidenceStructure.gram``),
-clamps its off-diagonal part to the adjacency matrix
-(``IncidenceStructure.adjacency``) and squares that once
-(``IncidenceStructure.adjacency_square``, shared by the strong-regularity
-check, the girth and the 6-cycle census); the tests cross-check these
-against the direct definitions.
+A + (t+1)I.  Each structure forms M M^T once and keeps only what it reads
+off it (``IncidenceStructure.adjacency`` and ``four_cycle``); A^2 is formed
+only by the strong-regularity check; the tests cross-check these against
+the direct definitions.
 
 Every count that relates points to blocks comes from one streamed block
-census: for each chunk of blocks, counts[b, p], the number of points of
-block b joined to point p, is the sum of the s+1 adjacency rows of b's
-points (v n (s+1) additions), with a sentinel where p lies on b.  Its
-histogram gives the alpha set, and its products with M the pair profiles.
+census (``IncidenceStructure.block_census``): for each chunk of blocks,
+counts[b, p], the number of points of block b joined to point p, with a
+sentinel where p lies on b.  Its histogram (``IncidenceStructure.census``)
+gives the alpha set, and its products with M the pair profiles.
 """
 
 from __future__ import annotations
@@ -99,29 +97,6 @@ class AlphaProfile:
     mu: int
 
 
-_CENSUS_CELLS = 1 << 19  # (block, point) cells per census chunk
-
-
-def _block_census(ic: IncidenceStructure):
-    """Yield (blocks, counts) for consecutive chunks of blocks of w points
-    each (axiom (ii)): blocks[b] holds the points of block b, ascending, and
-    counts[b, p] how many of them are joined to point p, or the sentinel
-    w + 1 if p lies on b, in the narrowest unsigned dtype that holds it."""
-    rows, _ = ic.matrix.by_column()
-    w = rows.size // ic.n
-    blocks = rows.reshape(ic.n, w)
-    a = ic.adjacency.view(np.uint8)
-    dtype = np.min_scalar_type(w + 1)
-    step = max(1, _CENSUS_CELLS // ic.v)
-    for lo in range(0, ic.n, step):
-        chunk = blocks[lo:lo + step]
-        counts = np.zeros((len(chunk), ic.v), dtype=dtype)
-        for j in range(w):
-            counts += a[chunk[:, j]]
-        counts[np.arange(len(chunk))[:, None], chunk] = w + 1
-        yield chunk, counts
-
-
 def check_gpg_axioms(ic: IncidenceStructure) -> SrpgParams:
     """Verify axioms (i)-(iii) and compute the realized alpha-set.
 
@@ -134,7 +109,7 @@ def check_gpg_axioms(ic: IncidenceStructure) -> SrpgParams:
     v, n = m.nrows, m.cols
 
     if (pair := ic.four_cycle) is not None:
-        raise AxiomViolation("i", pair, f"points share {int(ic.gram[pair])} blocks")
+        raise AxiomViolation("i", pair[0], f"points share {pair[1]} blocks")
 
     col_w = m.column_weights()
     if min(col_w) != max(col_w):
@@ -148,11 +123,7 @@ def check_gpg_axioms(ic: IncidenceStructure) -> SrpgParams:
         raise AxiomViolation("iii", (i,), f"point degrees differ: {row_w[0]} vs {row_w[i]}")
     t = row_w[0] - 1
 
-    # bin k counts the (point, block) pairs with k of the block's points
-    # joined to the point; the last bin, s + 2, the points on the block
-    hist = sum(np.bincount(counts.ravel(), minlength=s + 3)
-               for _, counts in _block_census(ic))
-    alphas = tuple(np.flatnonzero(hist[:-1]).tolist())
+    alphas = tuple(np.flatnonzero(ic.census[:-1]).tolist())
     return SrpgParams(s=s, t=t, alphas=alphas, v=v, n=n)
 
 
@@ -175,7 +146,8 @@ def check_strongly_regular(ic: IncidenceStructure) -> tuple[int, int, int, int]:
     if k == v - 1:
         raise DegenerateStructure("point graph is complete")
 
-    a2 = ic.adjacency_square
+    a2 = a.astype(np.float32)  # exact: no entry of A^2 exceeds k < 2^24
+    a2 = a2 @ a2  # rebinding frees the float32 copy of A before the scans
     nonadj_mask = ~a
     np.fill_diagonal(nonadj_mask, False)
     lam = _constant_on(a2, a, "lambda")
@@ -276,7 +248,7 @@ def alpha_profiles(ic: IncidenceStructure, params: SrpgParams) -> AlphaProfile:
     s, t, lam, mu = params.s, params.t, params.lambda_, params.mu
     # prof[i, P, Q]: blocks on P avoiding Q with alphas[i] points joined to Q
     prof = np.zeros((len(alphas), ic.v, ic.v), dtype=np.float32)
-    for blocks, counts in _block_census(ic):
+    for blocks, counts in ic.block_census():
         m = np.zeros((ic.v, len(blocks)), dtype=np.float32)
         m[blocks, np.arange(len(blocks))[:, None]] = 1
         for i, al in enumerate(alphas):

@@ -365,3 +365,13 @@ def test_criterion_15b_conic_q49_analysis(tmp_path):
     _report("15b", True, f"conic q=49: srg(2304, 2162, 2026, 2070), rank2(MM^T) = 2304 "
                          f"(all-theta-odd), 1644642048 6-cycles; "
                          f"{run['elapsed']:.1f}s, peak RSS {run['rss_mb']:.0f} MB")
+
+
+def test_criterion_15c_conic_q81_analysis(tmp_path):
+    run, rep = _analyze_in_subprocess(tmp_path, "conic", "3^4")
+    assert rep["checks_passed"] and rep["failures"] == []
+    assert (rep["v"], rep["srg"]) == (6400, {"k": 6162, "lambda": 5930, "mu": 6006})
+    assert rep["alphas"] == [76, 77, 78]
+    assert run["elapsed"] < 40.0 and run["rss_mb"] < 500
+    _report("15c", True, f"conic q=81: srg(6400, 6162, 5930, 6006), alphas (76, 77, 78); "
+                         f"{run['elapsed']:.1f}s, peak RSS {run['rss_mb']:.0f} MB")

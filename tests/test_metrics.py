@@ -5,9 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from geomcode.constructions import IncidenceStructure
+from geomcode.constructions import (
+    IncidenceStructure,
+    build_conic_structure,
+    build_hyperbolic_structure,
+)
+from geomcode.fields import Field
 from geomcode.gf2 import BinaryMatrix, gram_counts
-from geomcode.metrics import six_cycles, tanner_bounds, tanner_girth
+from geomcode.metrics import _pair_completions, six_cycles, tanner_bounds, tanner_girth
 from geomcode.srpg import check_gpg_axioms, check_strongly_regular
 
 
@@ -87,23 +92,68 @@ def test_girth_triangle_inside_one_block():
     assert _girth(BinaryMatrix.from_bits([[1], [1], [1]])) == math.inf
 
 
-def test_girth_fano_plane():
+def _fano() -> BinaryMatrix:
     lines = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
-    h = BinaryMatrix.from_bits([[int(p in line) for line in lines] for p in range(7)])
-    assert _girth(h) == 6
+    return BinaryMatrix.from_bits([[int(p in line) for line in lines] for p in range(7)])
 
 
-def test_girth_generalized_quadrangle():
+def _gq22() -> BinaryMatrix:
     # GQ(2,2): the 15 duads of {1..6} on the 15 synthemes (three disjoint
-    # duads); its point graph has only the triangles inside lines, so the
-    # girth comes from the search
+    # duads); its point graph has only the triangles inside lines
     duads = list(itertools.combinations(range(1, 7), 2))
     synthemes = {frozenset(t) for t in itertools.combinations(duads, 3)
                  if len(set().union(*t)) == 6}
     assert len(synthemes) == 15
-    h = BinaryMatrix.from_bits([[int(d in syn) for syn in sorted(synthemes, key=sorted)]
-                                for d in duads])
-    assert _girth(h) == 8
+    return BinaryMatrix.from_bits([[int(d in syn) for syn in sorted(synthemes, key=sorted)]
+                                   for d in duads])
+
+
+def test_girth_fano_plane():
+    assert _girth(_fano()) == 6
+
+
+def test_girth_generalized_quadrangle():
+    # no hexagon, so the girth comes from the search
+    assert _girth(_gq22()) == 8
+
+
+@pytest.mark.parametrize("build,girth", [(_fano, 6), (_gq22, 8)])
+def test_girth_blocks_of_unequal_size(build, girth):
+    # one incidence removed: the blocks differ in size, so the census cannot
+    # run and the search alone finds the girth, stopping at a 6-cycle
+    full = build()
+    rows, cols = full.nonzero()
+    h = BinaryMatrix(rows[1:], cols[1:], (full.nrows, full.cols))
+    ic = IncidenceStructure("file", None, list(range(h.nrows)), list(range(h.cols)), h)
+    assert tanner_girth(ic) == girth
+    assert "census" not in vars(ic)
+
+
+def _conic_less_a_block(field: Field) -> IncidenceStructure:
+    # every block keeps q - 2 points, but the points of the dropped block lose
+    # a block: axiom (iii) fails, axiom (i) still holds
+    m = build_conic_structure(field).matrix
+    rows, cols = m.nonzero()
+    keep = cols < m.cols - 1
+    h = BinaryMatrix(rows[keep], cols[keep], (m.nrows, m.cols - 1))
+    assert len(set(h.column_weights())) == 1 < len(set(h.row_weights()))
+    return IncidenceStructure("file", None, list(range(h.nrows)), list(range(h.cols)), h)
+
+
+@pytest.mark.parametrize("build,field", [
+    (build_hyperbolic_structure, (3, 1)), (build_conic_structure, (5, 1)),
+    (build_conic_structure, (7, 1)), (build_conic_structure, (3, 2)),
+    (build_conic_structure, (11, 1)), (_conic_less_a_block, (7, 1)),
+])
+def test_pair_completions_match_adjacency_square(build, field):
+    ic = build(Field(*field))
+    assert ic.four_cycle is None
+    # reference: (sum of A^2 over the adjacent pairs) / 2 counts each pair of
+    # each block once with all its common neighbours, less the w - 2 on the block
+    a = ic.adjacency.astype(np.int64)
+    w = np.array(ic.matrix.column_weights(), dtype=np.int64)
+    reference = int((a @ a)[ic.adjacency].sum()) // 2 - int((w * (w - 1) // 2 * (w - 2)).sum())
+    assert _pair_completions(ic) == reference > 0
 
 
 def test_girth_constructions(conic5, hyp3):

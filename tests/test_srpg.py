@@ -16,7 +16,6 @@ from geomcode.srpg import (
     AxiomViolation,
     DegenerateStructure,
     SrpgParams,
-    _block_census,
     alpha_profiles,
     check_gpg_axioms,
     check_strongly_regular,
@@ -67,10 +66,19 @@ def test_block_census_matches_direct_definition(family, field):
     joined = (m @ m.T > 0) & ~np.eye(ic.v, dtype=bool)
     # direct[p, b] = |b ∩ N(p)|, and w + 1 where p lies on b
     direct = np.where(m == 1, w + 1, joined.astype(np.int64) @ m)
-    census = np.concatenate([counts for _, counts in _block_census(ic)])
+    census = np.concatenate([counts for _, counts in ic.block_census()])
     assert np.array_equal(census.T, direct)  # cell by cell, so the histograms agree
     hist = np.bincount(direct.ravel(), minlength=w + 2)
     assert check_gpg_axioms(ic).alphas == tuple(np.flatnonzero(hist[:-1]).tolist())
+
+
+def test_block_census_refuses_blocks_of_unequal_size():
+    # sizes 1 and 3 fill a 2 x 2 array: a reshape alone would not notice
+    ic = _structure([[1, 1], [0, 1], [0, 1]])
+    with pytest.raises(ValueError, match="one size"):
+        next(ic.block_census())
+    with pytest.raises(ValueError, match="one size"):
+        ic.census
 
 
 def test_axiom_i_violation_with_witness():
@@ -79,6 +87,7 @@ def test_axiom_i_violation_with_witness():
         check_gpg_axioms(ic)
     assert exc.value.axiom == "i"
     assert exc.value.witness == (0, 1)
+    assert "points share 2 blocks" in str(exc.value)
 
 
 def test_axiom_ii_violation():
