@@ -58,13 +58,19 @@ def _index_list(path: str | Path, kind: str, k: int, tokens: list[int], declared
 def read_alist(path: str | Path) -> BinaryMatrix:
     """Parse an alist file into a binary matrix; checks the header against
     both index sections, cross-checks the sections and ignores zero padding."""
-    tokens_by_line = [
-        [int(x) for x in line.split()]
-        for line in Path(path).read_text(encoding="ascii").splitlines()
-        if line.strip()
-    ]
+    tokens_by_line = []
+    for number, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
+        try:
+            tokens = [int(x) for x in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
+        if tokens:
+            tokens_by_line.append(tokens)
     if len(tokens_by_line) < 4:
         raise ValueError(f"{path}: truncated alist header")
+    if len(tokens_by_line[0]) != 2:
+        raise ValueError(f"{path}: the first line must hold n and m, "
+                         f"got {len(tokens_by_line[0])} values")
     n, m = tokens_by_line[0]
     col_w = tokens_by_line[2]
     row_w = tokens_by_line[3]

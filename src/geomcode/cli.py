@@ -364,8 +364,11 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
-    if args.command == "analyze" and not args.infile and not (args.family and args.field):
-        parser.error("analyze needs either --in FILE or both --family and --field")
+    if args.command == "analyze":
+        if args.infile and (args.family or args.field or args.modulus):
+            parser.error("analyze takes --in FILE or --family and --field, not both")
+        if not args.infile and not (args.family and args.field):
+            parser.error("analyze needs either --in FILE or both --family and --field")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import Field
-from .gf2 import BinaryMatrix, gram_counts
+from .gf2 import BinaryMatrix
 
 
 class ConicLabel(NamedTuple):
@@ -75,15 +75,34 @@ class IncidenceStructure:
 
     @cached_property
     def _point_graph(self) -> tuple[np.ndarray, tuple | None]:
-        """The bool point graph, the off-diagonal nonzeros of M M^T, and the
-        first pair of points (row-major) sharing two or more blocks, with
-        how many they share, or None; with two of those blocks the pair is
-        a Tanner 4-cycle.  The integer M M^T is dropped once both are read."""
-        gram = gram_counts(self.matrix)
-        np.fill_diagonal(gram, 0)
-        flat = int(np.argmax(gram > 1))
-        shared = int(gram.flat[flat])
-        return gram > 0, (divmod(flat, self.v), shared) if shared > 1 else None
+        """The bool point graph, joining two points iff they share a block,
+        and the first pair of points (row-major) sharing two or more blocks,
+        with how many they share, or None; with two of those blocks the pair
+        is a Tanner 4-cycle.
+
+        Pairing each one with the one d places later in its column, for
+        every offset d, joins each point pair i < j of each block once; the
+        pairs are set in both orientations.  A point's blocks list
+        sum(|b| - 1) neighbours with repeats, more than its row of the graph
+        holds iff some point shares two of them; only then are the points
+        on the first such point's blocks counted."""
+        v, m = self.v, self.matrix
+        pts, cols = m.by_column()  # the points of block 0, then of block 1, ...; ascending in each
+        adj = np.zeros((v, v), dtype=bool)
+        for d in range(1, max(m.column_weights())):
+            same = cols[d:] == cols[:-d]
+            i, j = pts[:-d][same], pts[d:][same]
+            adj[i, j] = adj[j, i] = True
+        rows, on = m.nonzero()
+        listed = np.bincount(rows, weights=np.bincount(on)[on] - 1, minlength=v)
+        excess = np.flatnonzero(listed > adj.sum(axis=1))
+        if excess.size == 0:
+            return adj, None
+        p = int(excess[0])
+        shared = np.bincount(pts[np.isin(cols, on[rows == p])], minlength=v)
+        shared[p] = 0
+        q = int(np.argmax(shared > 1))
+        return adj, ((p, q), int(shared[q]))
 
     @property
     def adjacency(self) -> np.ndarray:

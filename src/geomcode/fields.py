@@ -12,7 +12,7 @@ construction this package targets).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,25 +80,6 @@ class Field:
         if (self.mul_table[1:, 1:] == 0).any():
             raise ValueError(f"modulus {modulus} is reducible over GF({p})")
 
-    # -- code <-> coefficient vector ------------------------------------
-
-    def coeffs(self, code: int) -> tuple[int, ...]:
-        """Coefficient vector (constant term first) of an element code."""
-        out = []
-        for i in range(self.k - 1, -1, -1):
-            out.append((code // self.p ** i) % self.p)
-        return tuple(out)
-
-    def element(self, coeffs: Iterable[int]) -> int:
-        """Code of the element with the given coefficient vector."""
-        cs = [c % self.p for c in coeffs]
-        if len(cs) != self.k:
-            raise ValueError(f"expected {self.k} coefficients, got {len(cs)}")
-        code = 0
-        for c in cs:
-            code = code * self.p + c
-        return code
-
     # -- table construction ----------------------------------------------
 
     def _build_tables(self) -> None:
@@ -125,19 +106,6 @@ class Field:
     def elements(self, nonzero_only: bool = False) -> list[int]:
         """All element codes in lexicographic coefficient order (zero first)."""
         return list(range(1, self.q)) if nonzero_only else list(range(self.q))
-
-    # -- misc ----------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Field)
-            and self.p == other.p
-            and self.k == other.k
-            and (self.k == 1 or self.modulus == other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.k, self.modulus if self.k > 1 else None))
 
     def __repr__(self) -> str:
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"

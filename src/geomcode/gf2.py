@@ -1,11 +1,11 @@
-"""Sparse GF(2) matrices, their integer Gram matrix M M^T, elimination
-rank of packed rows, and closed-form rank prediction for Gram matrices of
-strongly regular point graphs."""
+"""Sparse GF(2) matrices stored as the index arrays of their ones,
+elimination rank of packed rows, and closed-form rank prediction for the
+Gram matrices M M^T of strongly regular point graphs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,18 +45,6 @@ class BinaryMatrix:
         self.nrows, self.cols = nrows, ncols
         self._by_column = None
 
-    @classmethod
-    def from_bits(cls, bit_rows: Iterable[Iterable[int]]) -> "BinaryMatrix":
-        """The matrix of a list of 0/1 rows; numpy rejects ragged rows."""
-        return cls.from_numpy(np.array([list(bits) for bits in bit_rows]))
-
-    @classmethod
-    def from_numpy(cls, dense: np.ndarray) -> "BinaryMatrix":
-        """The matrix of a 2-D array; nonzero entries are ones."""
-        if dense.ndim != 2:
-            raise ValueError("expected a 2-D array")
-        return cls(*np.nonzero(dense), dense.shape)
-
     def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column indices of the ones, in row-major order."""
         return self._ones
@@ -76,15 +64,6 @@ class BinaryMatrix:
 
     def column_weights(self) -> list[int]:
         return np.bincount(self._ones[1], minlength=self.cols).tolist()
-
-    def transpose(self) -> "BinaryMatrix":
-        rows, cols = self._ones
-        return BinaryMatrix(cols, rows, (self.cols, self.nrows))
-
-    def to_numpy(self) -> np.ndarray:
-        out = np.zeros((self.nrows, self.cols), dtype=np.uint8)
-        out[self._ones] = 1
-        return out
 
     def packbits(self) -> np.ndarray:
         """Rows packed into uint8 bytes (bit j % 8 of byte j // 8 is column j),
@@ -120,29 +99,6 @@ def rank2(packed: np.ndarray) -> int:
                 break
             cur ^= piv
     return rank
-
-
-def gram_counts(m: BinaryMatrix) -> np.ndarray:
-    """M M^T over the integers, as a v x v numpy array.
-
-    Entry (i, j) counts the columns holding both i and j.  Pairing each one
-    with the one d places later in its column, for every offset d, lists
-    each row pair i < j of each column once, with temporaries the size of
-    the ones; the counts are mirrored, with the row weights on the diagonal.
-    """
-    v = m.nrows
-    pts, cols = m.by_column()  # the rows of column 0, then of column 1, ...; ascending in each
-    out = np.zeros(v * v, dtype=np.int64)
-    for d in range(1, max(m.column_weights())):
-        same = cols[d:] == cols[:-d]
-        np.add.at(out, pts[:-d][same] * v + pts[d:][same], 1)
-    out = out.reshape(v, v)
-    # mirror in row blocks of 2^20 entries: out += out.T would copy all of out.T
-    step = max(1, (1 << 20) // v)
-    for lo in range(0, v, step):
-        out[lo:lo + step] += out[:, lo:lo + step].T
-    out[np.diag_indices(v)] = m.row_weights()
-    return out
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,8 @@ def tanner_girth(ic: IncidenceStructure) -> float:
     """Length of the shortest cycle in the Tanner graph of ic.matrix
     (math.inf for a forest).
 
-    A 4-cycle exists iff two rows share two columns (ic.four_cycle, read off
-    H H^T), and then the girth is 4.  With columns of one weight it is 6 iff
+    A 4-cycle exists iff two rows share two columns (ic.four_cycle), and
+    then the girth is 4.  With columns of one weight it is 6 iff
     the pair-completion count, read off the block census, is positive.  The
     remaining inputs have girth 6 or more if their column weights differ,
     8 or more otherwise; a breadth-first search from every variable node,

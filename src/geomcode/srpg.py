@@ -1,12 +1,13 @@
 """Axiom checking, strong-regularity verification and closed-form spectra
 for point-block incidence structures.
 
-The point graph joins two points iff they share a block.  For a structure
-satisfying the pairwise axiom the integer Gram matrix M M^T equals
-A + (t+1)I.  Each structure forms M M^T once and keeps only what it reads
-off it (``IncidenceStructure.adjacency`` and ``four_cycle``); A^2 is formed
-only by the strong-regularity check; the tests cross-check these against
-the direct definitions.
+The point graph joins two points iff they share a block; for a structure
+satisfying the pairwise axiom, M M^T = A + (t+1)I.  Each structure sets its
+bool adjacency A once, straight from the point pairs of each block, and
+tests axiom (i) by counting (``IncidenceStructure.adjacency`` and
+``four_cycle``): no integer M M^T is formed.  A^2 is formed only by the
+strong-regularity check; the tests cross-check these against the integer
+Gram matrix and the direct definitions.
 
 Every count that relates points to blocks comes from one streamed block
 census (``IncidenceStructure.block_census``): for each chunk of blocks,

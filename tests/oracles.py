@@ -1,5 +1,7 @@
 """Scalar reference geometry of PG(2,q) and PG(3,q) over odd fields, which
-the closed-form builds in geomcode.constructions are checked against.
+the closed-form builds in geomcode.constructions are checked against, and
+the dense views of a BinaryMatrix and its integer Gram matrix, which the
+point graph and the other derived views are checked against.
 
 Coordinates are field element codes (see geomcode.fields) and points are
 plain coordinate tuples, normalized so the first nonzero coordinate is
@@ -15,8 +17,11 @@ from __future__ import annotations
 import functools
 import itertools
 
+import numpy as np
+
 from geomcode.constructions import HyperbolicLabel
 from geomcode.fields import Field
+from geomcode.gf2 import BinaryMatrix
 
 Point = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -298,3 +303,40 @@ def hyperbolic_incidence_holds(field: Field, n: tuple[int, int, int, int],
     lhs = _mul2(f, bt, nt)
     rhs = _mul2(f, n, b)
     return all(f.add(f.add(x, y), z) == 0 for x, y, z in zip(lhs, rhs, c))
+
+
+def matrix(rows) -> BinaryMatrix:
+    """The matrix of a 2-D 0/1 array or a list of 0/1 rows; nonzero
+    entries are ones."""
+    d = np.array(rows)
+    return BinaryMatrix(*np.nonzero(d), d.shape)
+
+
+def dense(m: BinaryMatrix) -> np.ndarray:
+    """The matrix as a dense uint8 array."""
+    out = np.zeros((m.nrows, m.cols), dtype=np.uint8)
+    out[m.nonzero()] = 1
+    return out
+
+
+def gram_counts(m: BinaryMatrix) -> np.ndarray:
+    """M M^T over the integers, as a v x v numpy array.
+
+    Entry (i, j) counts the columns holding both i and j.  Pairing each one
+    with the one d places later in its column, for every offset d, lists
+    each row pair i < j of each column once, with temporaries the size of
+    the ones; the counts are mirrored, with the row weights on the diagonal.
+    """
+    v = m.nrows
+    pts, cols = m.by_column()  # the rows of column 0, then of column 1, ...; ascending in each
+    out = np.zeros(v * v, dtype=np.int64)
+    for d in range(1, max(m.column_weights())):
+        same = cols[d:] == cols[:-d]
+        np.add.at(out, pts[:-d][same] * v + pts[d:][same], 1)
+    out = out.reshape(v, v)
+    # mirror in row blocks of 2^20 entries: out += out.T would copy all of out.T
+    step = max(1, (1 << 20) // v)
+    for lo in range(0, v, step):
+        out[lo:lo + step] += out[:, lo:lo + step].T
+    out[np.diag_indices(v)] = m.row_weights()
+    return out

@@ -18,11 +18,11 @@ import geomcode
 from geomcode.cli import main as cli_main
 from geomcode.constructions import build_conic_structure, build_hyperbolic_structure
 from geomcode.fields import Field
-from geomcode.gf2 import brouwer_predict, gram_counts, rank2
+from geomcode.gf2 import brouwer_predict, rank2
 from geomcode.metrics import six_cycles, tanner_bounds, tanner_girth
 from geomcode.sim import ChannelConfig, LdpcCode, SumProductDecoder, random_regular_h, simulate_point
 from geomcode.srpg import check_gpg_axioms, check_strongly_regular, spectrum
-from oracles import scalar
+from oracles import gram_counts, scalar
 
 CONIC_FIELDS = {5: (5, 1), 7: (7, 1), 9: (3, 2)}
 

@@ -1,8 +1,8 @@
 import pytest
 
 from geomcode.alist import read_alist, write_alist
-from geomcode.gf2 import BinaryMatrix
 from geomcode.sim import random_regular_h
+from oracles import matrix
 
 
 def test_roundtrip_conic(tmp_path, conic5):
@@ -32,7 +32,7 @@ def test_roundtrip_remaining_constructions(tmp_path, conic7, conic9):
 
 
 def test_header_layout(tmp_path):
-    h = BinaryMatrix.from_bits([[1, 1, 0], [0, 1, 1]])
+    h = matrix([[1, 1, 0], [0, 1, 1]])
     path = tmp_path / "t.alist"
     write_alist(h, path)
     lines = path.read_text().splitlines()
@@ -51,7 +51,7 @@ def test_reader_accepts_zero_padding(tmp_path):
     padded = "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2\n2 3\n"
     path = tmp_path / "p.alist"
     path.write_text(padded)
-    assert read_alist(path) == BinaryMatrix.from_bits([[1, 1, 0], [0, 1, 1]])
+    assert read_alist(path) == matrix([[1, 1, 0], [0, 1, 1]])
 
 
 def test_reader_rejects_inconsistent_sections(tmp_path):
@@ -93,6 +93,21 @@ def test_reader_rejects_wrong_row_weight(tmp_path):
     path = tmp_path / "roww.alist"
     path.write_text("3 2\n2 5\n1 2 1\n5 2\n1\n1 2\n2\n1 2\n2 3\n")
     with pytest.raises(ValueError, match="row 0 lists 2 indices, declared 5"):
+        read_alist(path)
+
+
+@pytest.mark.parametrize("first", ["3 2 7", "3"])
+def test_reader_names_file_on_malformed_header(tmp_path, first):
+    path = tmp_path / "bad4.alist"
+    path.write_text(f"{first}\n2 2\n1 2 1\n2 2\n1\n1 2\n2\n1 2\n2 3\n")
+    with pytest.raises(ValueError, match=r"bad4\.alist: the first line must hold n and m"):
+        read_alist(path)
+
+
+def test_reader_names_file_and_line_on_non_integer_token(tmp_path):
+    path = tmp_path / "bad5.alist"
+    path.write_text("3 2\n2 2\n1 2 1\n2 2\n1\n1 x\n2\n1 2\n2 3\n")
+    with pytest.raises(ValueError, match=r"bad5\.alist: line 6: .*'x'"):
         read_alist(path)
 
 

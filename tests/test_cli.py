@@ -123,6 +123,19 @@ def test_analyze_requires_input(tmp_path, capsys):
         run(["analyze", "--out", tmp_path / "x.json"])
 
 
+@pytest.mark.parametrize("extra", [["--family", "conic", "--field", "5"], ["--family", "conic"],
+                                   ["--field", "5"], ["--modulus", "1,0,1"]])
+def test_analyze_rejects_file_with_family(tmp_path, capsys, extra):
+    alist = tmp_path / "c5.alist"
+    assert run(["construct", "--family", "conic", "--field", 5, "--out", alist]) == 0
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", "--in", alist, *extra, "--out", out])
+    assert exc.value.code == 2
+    assert "not both" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_random_code_manifest_and_weights(tmp_path):
     out = tmp_path / "R.alist"
     assert run(["random-code", "--rows", 81, "--cols", 648, "--wcol", 3, "--wrow", 24,

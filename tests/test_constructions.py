@@ -7,21 +7,26 @@ import pytest
 from geomcode.constructions import (
     ConicLabel,
     HyperbolicLabel,
+    IncidenceStructure,
     build_conic_structure,
     build_hyperbolic_structure,
     enumerate_hyperbolic_labels,
 )
 from geomcode.fields import Field
-from geomcode.gf2 import gram_counts
+from geomcode.gf2 import BinaryMatrix
+from geomcode.sim import random_regular_h
 from oracles import (
     LineMatrix,
     Quadric,
     collinear,
     conic_quadric,
+    dense,
+    gram_counts,
     hyperbolic_incidence_holds,
     hyperbolic_quadric,
     line_in_quadric,
     mat_mul,
+    matrix,
     quadric_contains,
     rref,
     scalar,
@@ -45,7 +50,7 @@ def test_conic_q3_degenerate():
 def test_conic_block_11_point_set(conic5):
     # the conic (a,b) = (1,1) over GF(5) passes through exactly these points
     j = conic5.blocks.index(ConicLabel(1, 1))
-    d = conic5.matrix.to_numpy()
+    d = dense(conic5.matrix)
     incident = {conic5.points[i] for i in range(conic5.v) if d[i, j]}
     assert incident == {(1, 1, 2), (1, 2, 1), (1, 3, 3)}
 
@@ -68,7 +73,7 @@ def test_conic_incidence_matches_quadric_evaluation():
     for p, k in ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2)):
         f = Field(p, k)
         ic = build_conic_structure(f)
-        d = ic.matrix.to_numpy()
+        d = dense(ic.matrix)
         for j, (a, b) in enumerate(ic.blocks):
             conic = conic_quadric(f, a, b)
             for i, pt in enumerate(ic.points):
@@ -100,7 +105,7 @@ def test_hyperbolic_q3_shape_and_weights(hyp3):
 def test_hyperbolic_identity_block_lines(hyp3):
     # H_{I2,0}: incident lines are exactly the antisymmetric N
     j = hyp3.blocks.index(HyperbolicLabel((1, 0, 0, 1), (0, 0, 0, 0)))
-    d = hyp3.matrix.to_numpy()
+    d = dense(hyp3.matrix)
     incident = {hyp3.points[i] for i in range(hyp3.v) if d[i, j]}
     assert incident == {(0, 0, 0, 0), (0, 1, 2, 0), (0, 2, 1, 0)}
 
@@ -139,7 +144,7 @@ def test_scalar_class_dedup():
 
 def test_hyperbolic_incidence_matches_criterion_exhaustively(hyp3):
     # solver-built matrix == direct evaluation of B^T N^T + N B + C = 0
-    f, d = hyp3.field, hyp3.matrix.to_numpy()
+    f, d = hyp3.field, dense(hyp3.matrix)
     for j, label in enumerate(hyp3.blocks):
         for i, n in enumerate(hyp3.points):
             assert d[i, j] == int(hyperbolic_incidence_holds(f, n, label))
@@ -148,7 +153,7 @@ def test_hyperbolic_incidence_matches_criterion_exhaustively(hyp3):
 def test_hyperbolic_incidence_matches_criterion_q5_sampled():
     ic = build_hyperbolic_structure(Field(5))
     rng = random.Random(5)
-    d = ic.matrix.to_numpy()
+    d = dense(ic.matrix)
     for j in rng.sample(range(ic.n), 40):
         for i, n in enumerate(ic.points):
             assert d[i, j] == int(hyperbolic_incidence_holds(ic.field, n, ic.blocks[j]))
@@ -156,7 +161,7 @@ def test_hyperbolic_incidence_matches_criterion_q5_sampled():
 
 def test_hyperbolic_incidence_matches_pointwise_containment(hyp3):
     # sampled blocks: bit set iff every point of the line is on the quadric
-    f, d = hyp3.field, hyp3.matrix.to_numpy()
+    f, d = hyp3.field, dense(hyp3.matrix)
     rng = random.Random(7)
     for j in rng.sample(range(hyp3.n), 25):
         h = hyperbolic_quadric(f, hyp3.blocks[j])
@@ -239,7 +244,7 @@ def test_isomorphism_action_preserves_incidence(hyp3):
             block_map[j] = block_index[_label(Quadric(f, h2))]
         assert sorted(block_map.values()) == list(range(hyp3.n))
 
-        d = hyp3.matrix.to_numpy()
+        d = dense(hyp3.matrix)
         for i in range(hyp3.v):
             for j_old, j_new in block_map.items():
                 assert d[i, j_old] == d[point_map[i], j_new]
@@ -262,6 +267,49 @@ def test_construction_determinism():
     g = Field(5)
     c, d = build_conic_structure(g), build_conic_structure(g)
     assert c.matrix == d.matrix
+
+
+def _assert_point_graph_matches_gram(m: BinaryMatrix):
+    """The point graph is the off-diagonal M M^T > 0, and the 4-cycle
+    witness its first row-major entry > 1, with that entry."""
+    ic = IncidenceStructure("file", None, list(range(m.nrows)), list(range(m.cols)), m)
+    gram = gram_counts(m)
+    np.fill_diagonal(gram, 0)
+    bad = np.argwhere(gram > 1)
+    expected = (tuple(bad[0].tolist()), int(gram[tuple(bad[0])])) if len(bad) else None
+    assert ic.adjacency.dtype == bool
+    assert np.array_equal(ic.adjacency, gram > 0)
+    assert ic.four_cycle == expected
+    return expected
+
+
+def test_point_graph_matches_gram_on_random_matrices():
+    rng = np.random.default_rng(11)
+    witnesses = 0
+    for _ in range(300):
+        d = rng.random((rng.integers(1, 12), rng.integers(1, 14))) < rng.random()
+        d[:, rng.integers(0, d.shape[1])] = False  # an empty column
+        col = rng.integers(0, d.shape[1])
+        d[:, col] = False
+        d[rng.integers(0, d.shape[0]), col] = True  # a weight-1 column
+        witnesses += _assert_point_graph_matches_gram(matrix(d)) is not None
+    assert 50 < witnesses < 300  # both outcomes are exercised
+
+
+def test_point_graph_matches_gram_on_random_codes():
+    assert _assert_point_graph_matches_gram(random_regular_h(81, 648, 3, 24, 7).h) == ((0, 27), 3)
+    assert _assert_point_graph_matches_gram(random_regular_h(300, 2400, 3, 24, 5).h) is not None
+
+
+@pytest.mark.parametrize("rows,witness", [
+    # points 0 and 2 share three blocks
+    ([[1, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 1]], ((0, 2), 3)),
+    # the first bad row, 1, is joined to the lower point 0 by one block;
+    # its partner 2 shares two blocks with it and two with the later point 3
+    ([[1, 0, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]], ((1, 2), 2)),
+])
+def test_point_graph_witness_handmade(rows, witness):
+    assert _assert_point_graph_matches_gram(matrix(rows)) == witness
 
 
 def test_conic_labels_require_nonzero():

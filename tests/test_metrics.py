@@ -11,9 +11,10 @@ from geomcode.constructions import (
     build_hyperbolic_structure,
 )
 from geomcode.fields import Field
-from geomcode.gf2 import BinaryMatrix, gram_counts
+from geomcode.gf2 import BinaryMatrix
 from geomcode.metrics import _pair_completions, six_cycles, tanner_bounds, tanner_girth
 from geomcode.srpg import check_gpg_axioms, check_strongly_regular
+from oracles import gram_counts, matrix
 
 
 def _girth(h: BinaryMatrix) -> float:
@@ -54,15 +55,15 @@ def test_bounds_degenerate_error():
 
 
 def test_girth_forest():
-    eye = BinaryMatrix.from_bits([[1, 0], [0, 1]])
+    eye = matrix([[1, 0], [0, 1]])
     assert _girth(eye) == math.inf
 
 
 def test_girth_four_cycle():
-    h = BinaryMatrix.from_bits([[1, 1], [1, 1]])
+    h = matrix([[1, 1], [1, 1]])
     assert _girth(h) == 4
     # variable 0 lies only on a 6-cycle; the sweep must go on to the 4-cycle
-    h = BinaryMatrix.from_bits([
+    h = matrix([
         [1, 1, 0, 0, 0],
         [0, 1, 1, 0, 0],
         [1, 0, 1, 0, 0],
@@ -73,12 +74,12 @@ def test_girth_four_cycle():
 
 
 def test_girth_six_cycle():
-    h = BinaryMatrix.from_bits([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    h = matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     assert _girth(h) == 6
 
 
 def test_girth_eight_cycle():
-    h = BinaryMatrix.from_bits([
+    h = matrix([
         [1, 1, 0, 0],
         [0, 1, 1, 0],
         [0, 0, 1, 1],
@@ -89,12 +90,12 @@ def test_girth_eight_cycle():
 
 def test_girth_triangle_inside_one_block():
     # three points on one block: a point-graph triangle, but no Tanner cycle
-    assert _girth(BinaryMatrix.from_bits([[1], [1], [1]])) == math.inf
+    assert _girth(matrix([[1], [1], [1]])) == math.inf
 
 
 def _fano() -> BinaryMatrix:
     lines = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
-    return BinaryMatrix.from_bits([[int(p in line) for line in lines] for p in range(7)])
+    return matrix([[int(p in line) for line in lines] for p in range(7)])
 
 
 def _gq22() -> BinaryMatrix:
@@ -104,7 +105,7 @@ def _gq22() -> BinaryMatrix:
     synthemes = {frozenset(t) for t in itertools.combinations(duads, 3)
                  if len(set().union(*t)) == 6}
     assert len(synthemes) == 15
-    return BinaryMatrix.from_bits([[int(d in syn) for syn in sorted(synthemes, key=sorted)]
+    return matrix([[int(d in syn) for syn in sorted(synthemes, key=sorted)]
                                    for d in duads])
 
 

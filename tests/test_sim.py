@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from geomcode.gf2 import BinaryMatrix
 from geomcode.sim import (
     ChannelConfig,
     LdpcCode,
@@ -15,6 +14,7 @@ from geomcode.sim import (
     simulate_point,
     wilson_interval,
 )
+from oracles import dense, matrix
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +80,7 @@ def test_decode_accepts_infinite_llrs(geo_decoder):
 def test_syndrome_ok_is_exact(geo_code, geo_decoder):
     # every convergent output must satisfy H c^T = 0 in integer arithmetic
     converged = 0
-    h = geo_code.h.to_numpy().astype(np.int64)
+    h = dense(geo_code.h).astype(np.int64)
     for frame in range(60):
         rng = np.random.default_rng([42, frame])
         llrs = awgn_llrs(np.zeros(geo_code.n, dtype=np.uint8), 3.5, geo_code.rate, rng)
@@ -144,7 +144,7 @@ def test_random_regular_infeasible():
 
 
 def _columns_share_two_rows(h):
-    d = h.to_numpy().astype(np.int64)
+    d = dense(h).astype(np.int64)
     shared = d.T @ d
     np.fill_diagonal(shared, 0)
     return bool((shared >= 2).any())
@@ -174,7 +174,7 @@ def test_wilson_interval_basics():
 
 
 def test_simulate_point_refuses_trivial_code():
-    eye = BinaryMatrix.from_bits([[1 if i == j else 0 for j in range(4)] for i in range(4)])
+    eye = matrix([[1 if i == j else 0 for j in range(4)] for i in range(4)])
     code = LdpcCode.from_parity(eye)
     cfg = ChannelConfig(ebn0_db_list=(2.0,), rate=0.5)
     with pytest.raises(ValueError, match="dimension 0"):
@@ -275,7 +275,7 @@ def _irregular_code():
         [0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
         [0, 1, 0, 0, 1, 0, 1, 0, 0, 1],
     ]
-    return LdpcCode.from_parity(BinaryMatrix.from_bits(rows))
+    return LdpcCode.from_parity(matrix(rows))
 
 
 def _frame_corpus(code, seed):

@@ -10,7 +10,7 @@ from geomcode.constructions import (
     build_hyperbolic_structure,
 )
 from geomcode.fields import Field
-from geomcode.gf2 import BinaryMatrix, gram_counts
+from geomcode.gf2 import BinaryMatrix
 from geomcode.srpg import (
     AlphaProfile,
     AxiomViolation,
@@ -22,10 +22,11 @@ from geomcode.srpg import (
     feasibility_check,
     spectrum,
 )
+from oracles import dense, gram_counts, matrix
 
 
 def _structure(bit_rows):
-    m = BinaryMatrix.from_bits(bit_rows)
+    m = matrix(bit_rows)
     return IncidenceStructure("test", None, list(range(m.nrows)), list(range(m.cols)), m)
 
 
@@ -61,7 +62,7 @@ def test_alphas_of_blocks_past_uint8():
 def test_block_census_matches_direct_definition(family, field):
     build = build_conic_structure if family == "conic" else build_hyperbolic_structure
     ic = build(Field(*field))
-    m = ic.matrix.to_numpy().astype(np.int64)
+    m = dense(ic.matrix).astype(np.int64)
     w = int(m[:, 0].sum())
     joined = (m @ m.T > 0) & ~np.eye(ic.v, dtype=bool)
     # direct[p, b] = |b ∩ N(p)|, and w + 1 where p lies on b
@@ -163,7 +164,7 @@ def test_non_srg_lambda_witness():
 
 def test_adjacency_matches_direct_definition(conic5, hyp3):
     for ic in (conic5, hyp3):
-        m = ic.matrix.to_numpy().astype(np.int64)
+        m = dense(ic.matrix).astype(np.int64)
         direct = (m @ m.T > 0).astype(np.int8)
         np.fill_diagonal(direct, 0)
         assert np.array_equal(ic.adjacency, direct)
