@@ -5,93 +5,124 @@ maximum column and row weights, line 3 the n column weights, line 4 the m
 row weights, then n lines of 1-based row indices per column and m lines of
 1-based column indices per row.  Written files carry no zero padding,
 except that an empty column or row is written as a single 0; the reader
-tolerates zero-padded entries for interoperability.
+tolerates zero-padded entries for interoperability.  Both directions work
+on whole arrays of tokens: no Python loop runs per line or per index.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .gf2 import BinaryMatrix
 
-
-def _index_lines(index: np.ndarray, weights: list[int]) -> list[str]:
-    """Consecutive runs of `weights` entries of `index`, 1-based, one line each."""
-    parts = np.split(index + 1, np.cumsum(weights)[:-1])
-    return [" ".join(map(str, part.tolist())) or "0" for part in parts]
+# The class of each byte, as str.split and str.splitlines read ASCII.
+_OTHER, _DIGIT, _BLANK, _BREAK = range(4)
+_CLASS = bytes(_DIGIT if 48 <= b < 58 else _BREAK if len(f"a{chr(b)}b".splitlines()) > 1
+               else _BLANK if chr(b).isspace() else _OTHER for b in range(128)) + bytes(128)
+_POWERS = 10 ** np.arange(1, 19, dtype=np.int64)  # a token of 10^18 or more is rejected
 
 
 def write_alist(h: BinaryMatrix, path: str | Path) -> None:
-    """Serialize a binary matrix (rows = checks, columns = variables)."""
+    """Serialize a binary matrix (rows = checks, columns = variables): the tokens
+    fill the rows of one byte array right-aligned, one digit place at a time."""
     m, n = h.nrows, h.cols
     rows, cols = h.nonzero()
-    col_w = np.bincount(cols, minlength=n).tolist()
-    row_w = np.bincount(rows, minlength=m).tolist()
-    lines = [
-        f"{n} {m}",
-        f"{max(col_w)} {max(row_w)}",
-        " ".join(map(str, col_w)),
-        " ".join(map(str, row_w)),
-    ]
-    lines += _index_lines(h.by_column()[0], col_w)
-    lines += _index_lines(cols, row_w)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    col_w, row_w = np.bincount(cols, minlength=n), np.bincount(rows, minlength=m)
+    lengths = np.concatenate(([2, 2, n, m], col_w, row_w))  # tokens per line
+    values = np.concatenate(([n, m, col_w.max(), row_w.max()], col_w, row_w,
+                             h.by_column()[0] + 1, cols + 1))
+    empty = lengths == 0  # an empty column or row is written as a single 0
+    values = np.insert(values, (np.cumsum(lengths) - lengths)[empty], 0)
+    lengths[empty] = 1
+    places = np.searchsorted(_POWERS, values, side="right").astype(np.uint8) + 1  # digits
+    top = int(places.max())
+    digits = np.empty((len(values), top + 1), dtype=np.uint8)  # right-aligned, then a separator
+    for j in range(top - 1, -1, -1):
+        digits[:, j] = values % 10
+        values //= 10
+    digits += ord("0")
+    digits[:, top] = ord(" ")
+    digits[np.cumsum(lengths) - 1, top] = ord("\n")
+    Path(path).write_bytes(digits[np.arange(top + 1) >= top - places[:, None]])
 
 
-def _index_list(path: str | Path, kind: str, k: int, tokens: list[int], declared: int,
-                limit: int) -> list[int]:
-    """The sorted 1-based indices of one column or row line, validated."""
-    entries = [x for x in tokens if x != 0]
-    if len(entries) != declared:
-        raise ValueError(f"{path}: {kind} {k} lists {len(entries)} indices, declared {declared}")
-    if len(set(entries)) != declared:
-        raise ValueError(f"{path}: {kind} {k} lists an index more than once")
-    for x in entries:
-        if not 1 <= x <= limit:
-            raise ValueError(f"{path}: index {x} out of range in {kind} {k}")
-    return sorted(entries)
+def _tokens(path: str | Path, raw: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The value of each token, and the first token of each nonblank line; a
+    word that is not an integer from 0 to 10^18 - 1 raises, naming the line."""
+    data, kind = np.frombuffer(raw, dtype=np.uint8), np.frombuffer(raw.translate(_CLASS), np.uint8)
+    breaks = np.flatnonzero(kind == _BREAK)
+    after = data[np.minimum(breaks + 1, len(data) - 1)]
+    breaks = breaks[(data[breaks] != 13) | (after != 10)]  # \r\n breaks once, at the \n
+    starts, ends = np.flatnonzero(np.diff(kind == _DIGIT, prepend=False, append=False)
+                                  ).reshape(-1, 2).T
+    bad = kind == _OTHER
+    for k in np.flatnonzero(ends - starts > 18):  # zero padded, or too large
+        bad[starts[k]] |= int(raw[starts[k]:ends[k]]) >= 10**18
+    if bad.any():
+        at, blank = int(bad.argmax()), kind >= _BLANK
+        start = at + 1 - int(blank[at::-1].argmax()) if blank[:at].any() else 0
+        stop = at + int(blank[at:].argmax()) if blank[at:].any() else len(raw)
+        raise ValueError(f"{path}: line {np.searchsorted(breaks, at) + 1}: not an unsigned "
+                         f"integer below 10^18: {raw[start:stop].decode('utf-8', 'replace')!r}")
+    del kind, bad  # temporaries stay at token size
+    lines = np.searchsorted(breaks, starts)  # of each token
+    values = np.zeros(len(starts), dtype=np.int64)
+    for p in range(min(int((ends - starts).max(initial=0)), 18), 0, -1):  # Horner steps
+        at = ends - p  # the digit p places before each token's end, if it has one
+        values *= 10
+        values += np.where(at >= starts, np.take(data, at, mode="clip") - ord("0"), 0)
+    return values, np.flatnonzero(np.concatenate(([True], lines[1:] != lines[:-1])))
 
 
 def read_alist(path: str | Path) -> BinaryMatrix:
     """Parse an alist file into a binary matrix; checks the header against
     both index sections, cross-checks the sections and ignores zero padding."""
-    tokens_by_line = []
-    for number, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
-        try:
-            tokens = [int(x) for x in line.split()]
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {number}: {exc}") from None
-        if tokens:
-            tokens_by_line.append(tokens)
-    if len(tokens_by_line) < 4:
+    values, first = _tokens(path, Path(path).read_bytes())
+    if len(first) < 4:
         raise ValueError(f"{path}: truncated alist header")
-    if len(tokens_by_line[0]) != 2:
-        raise ValueError(f"{path}: the first line must hold n and m, "
-                         f"got {len(tokens_by_line[0])} values")
-    n, m = tokens_by_line[0]
-    col_w = tokens_by_line[2]
-    row_w = tokens_by_line[3]
+    head = np.split(values, first[1:5])[:4]
+    if len(head[0]) != 2:
+        raise ValueError(f"{path}: the first line must hold n and m, got {len(head[0])} values")
+    (n, m), line2, col_w, row_w = head[0].tolist(), *head[1:]
     if len(col_w) != n or len(row_w) != m:
         raise ValueError(f"{path}: weight lines do not match declared dimensions")
-    maxima = [max(col_w, default=0), max(row_w, default=0)]
-    if tokens_by_line[1] != maxima:
-        raise ValueError(f"{path}: line 2 declares maximum weights {tokens_by_line[1]}, "
+    maxima = [int(col_w.max()), int(row_w.max())]
+    if line2.tolist() != maxima:
+        raise ValueError(f"{path}: line 2 declares maximum weights {line2.tolist()}, "
                          f"the weight lines give {maxima}")
-    if len(tokens_by_line) != 4 + n + m:
-        raise ValueError(f"{path}: expected {4 + n + m} lines, got {len(tokens_by_line)}")
+    if len(first) != 4 + n + m:
+        raise ValueError(f"{path}: expected {4 + n + m} lines, got {len(first)}")
 
-    col_lists = [_index_list(path, "column", j, tokens_by_line[4 + j], col_w[j], m)
-                 for j in range(n)]
-    row_lists = [_index_list(path, "row", i, tokens_by_line[4 + n + i], row_w[i], n)
-                 for i in range(m)]
-    h = BinaryMatrix(np.fromiter(chain.from_iterable(col_lists), dtype=np.int64) - 1,
-                     np.repeat(np.arange(n), col_w), (m, n))
-    _, cols = h.nonzero()
-    for i, (got, listed) in enumerate(zip(np.split(cols + 1, np.cumsum(h.row_weights())[:-1]),
-                                          row_lists)):
-        if got.tolist() != listed:
-            raise ValueError(f"{path}: row section for row {i} disagrees with column section")
+    # the nonzero entries x of the index lines in file order, and their line:
+    # n columns, then m rows; xs and ls are sorted by (line, index)
+    x, line = values[first[4]:], np.repeat(np.arange(n + m), np.diff(first[4:], append=len(values)))
+    x, line = x[x != 0], line[x != 0]
+    ascending = not ((line[1:] == line[:-1]) & (x[1:] <= x[:-1])).any()
+    order = slice(None) if ascending else np.lexsort((x, line))
+    xs, ls = x[order], line[order]
+    repeats = ls[1:][(ls[1:] == ls[:-1]) & (xs[1:] == xs[:-1])]
+    outside = x > np.where(line < n, m, n)
+    declared = np.concatenate((col_w, row_w))
+    count = np.bincount(line, minlength=n + m)
+    failed = count != declared
+    failed[repeats] = failed[line[outside]] = True
+    if failed.any():  # the first failing line, and its first failing check
+        k = int(failed.argmax())
+        kind, j = ("column", k) if k < n else ("row", k - n)
+        if count[k] != declared[k]:
+            raise ValueError(f"{path}: {kind} {j} lists {count[k]} indices, declared {declared[k]}")
+        if k in repeats:
+            raise ValueError(f"{path}: {kind} {j} lists an index more than once")
+        raise ValueError(f"{path}: index {x[outside & (line == k)][0]} out of range in {kind} {j}")
+
+    c = int(count[:n].sum())
+    del values, head, line2, col_w, row_w, x, line, outside  # the matrix outlives the parse
+    h = BinaryMatrix(xs[:c] - 1, ls[:c], (m, n))
+    rows, cols = h.nonzero()
+    got, listed = rows * n + cols, (ls[c:] - n) * n + xs[c:] - 1  # both row-major
+    if not np.array_equal(got, listed):
+        i = np.setxor1d(got, listed, assume_unique=True)[0] // n
+        raise ValueError(f"{path}: row section for row {i} disagrees with column section")
     return h

@@ -1,6 +1,11 @@
+import re
+
+import numpy as np
 import pytest
 
+import oracles
 from geomcode.alist import read_alist, write_alist
+from geomcode.cli import main
 from geomcode.sim import random_regular_h
 from oracles import matrix
 
@@ -115,4 +120,185 @@ def test_reader_rejects_truncated(tmp_path):
     path = tmp_path / "bad3.alist"
     path.write_text("3 2\n2 2\n")
     with pytest.raises(ValueError):
+        read_alist(path)
+
+
+def _random_matrices(seed, count=300, max_rows=12, max_cols=15):
+    """Seeded random 0/1 matrices of every density, about half of them with
+    an emptied row and half with an emptied column."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = rng.random((rng.integers(1, max_rows + 1), rng.integers(1, max_cols + 1)))
+        d = d < rng.random()
+        if rng.random() < 0.5:
+            d[rng.integers(d.shape[0])] = False
+        if rng.random() < 0.5:
+            d[:, rng.integers(d.shape[1])] = False
+        yield matrix(d)
+
+
+def _assert_written_alike(h, tmp_path):
+    write_alist(h, tmp_path / "new.alist")
+    oracles.write_alist(h, tmp_path / "old.alist")
+    assert (tmp_path / "new.alist").read_bytes() == (tmp_path / "old.alist").read_bytes()
+
+
+def test_writer_matches_per_line_writer_on_random_matrices(tmp_path):
+    for h in _random_matrices(seed=11):
+        _assert_written_alike(h, tmp_path)
+
+
+def test_writer_matches_per_line_writer_on_wide_and_random_codes(tmp_path):
+    _assert_written_alike(random_regular_h(81, 648, 3, 24, seed=7).h, tmp_path)
+    # indices of one to six digits, and empty columns among them
+    _assert_written_alike(matrix(np.arange(123_457)[None, :] % 997 == 5), tmp_path)
+
+
+def _lines(text):
+    return text.split("\n")[:-1]
+
+
+def _zero_pad(text, rng):
+    lines = _lines(text)
+    k = rng.integers(4, len(lines))
+    tokens = lines[k].split()
+    tokens.insert(rng.integers(len(tokens) + 1), "0")
+    i = rng.integers(len(tokens))
+    tokens[i] = "00" + tokens[i]
+    lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def _blank_lines(text, rng):
+    lines = _lines(text)
+    for _ in range(3):
+        lines.insert(rng.integers(len(lines) + 1), " " * int(rng.integers(3)))
+    return "\n".join(lines) + "\n"
+
+
+def _edit_index_line(text, rng, edit):
+    lines = _lines(text)
+    n, m = map(int, lines[0].split())
+    k = rng.choice([k for k in range(4, len(lines)) if lines[k].strip()])
+    tokens = lines[k].split()
+    edit(tokens, m if k < 4 + n else n)
+    lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def _drop_index(tokens, limit, rng):
+    del tokens[rng.integers(len(tokens))]
+
+
+def _repeat_index(tokens, limit, rng):
+    if len(tokens) > 1:  # in place of another index, so that the count still holds
+        i, j = rng.choice(len(tokens), size=2, replace=False)
+        tokens[i] = tokens[j]
+    else:
+        tokens.append(tokens[0])
+
+
+def _index_out_of_range(tokens, limit, rng):
+    for i in rng.choice(len(tokens), size=min(len(tokens), 2), replace=False):
+        tokens[i] = str(limit + 1 + rng.integers(3) * rng.integers(10**12))
+
+
+def _swap_row_lines(text, rng):
+    """Swap a row line with another of the same length, if there is one."""
+    lines = _lines(text)
+    rows = range(len(lines) - int(lines[0].split()[1]), len(lines))
+    i = rng.choice(rows)
+    j = rng.choice([j for j in rows if len(lines[j]) == len(lines[i]) and j != i] or [i])
+    lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+def _wrong_line_2(text, rng):
+    lines = _lines(text)
+    lines[1] = " ".join(str(max(0, int(v) + int(rng.integers(-1, 2)))) for v in lines[1].split())
+    return "\n".join(lines) + "\n"
+
+
+# in the order they are applied: edits of the lines, then of the layout
+MUTATIONS = [
+    lambda text, rng: _edit_index_line(text, rng, lambda t, lim: _drop_index(t, lim, rng)),
+    lambda text, rng: _edit_index_line(text, rng, lambda t, lim: _repeat_index(t, lim, rng)),
+    lambda text, rng: _edit_index_line(text, rng,
+                                       lambda t, lim: _index_out_of_range(t, lim, rng)),
+    _swap_row_lines,
+    _wrong_line_2,
+    _zero_pad,
+    _blank_lines,
+    lambda text, rng: text.replace("\n", "\r\n"),
+    lambda text, rng: text.replace(" ", "\t"),
+    lambda text, rng: text.rstrip("\r\n"),
+    lambda text, rng: text[:rng.integers(len(text))],
+]
+
+
+def test_reader_matches_per_line_reader_on_mutated_files(tmp_path):
+    """Each valid file gets one to three seeded mutations; both readers must
+    return the same matrix, or raise the same ValueError naming the file."""
+    rng = np.random.default_rng(5)
+    path = tmp_path / "mut.alist"
+    outcomes = {"read": 0, "raised": 0}
+    for h in _random_matrices(seed=12):
+        oracles.write_alist(h, path)
+        text = path.read_text()
+        for k in sorted(rng.choice(len(MUTATIONS), size=rng.integers(1, 4))):
+            text = MUTATIONS[k](text, rng)
+        path.write_bytes(text.encode("ascii"))
+        try:
+            expected = oracles.read_alist(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                read_alist(path)
+            assert str(got.value) == str(exc) and str(path) in str(exc)
+            outcomes["raised"] += 1
+        else:
+            assert read_alist(path) == expected
+            outcomes["read"] += 1
+    assert min(outcomes.values()) > 50, outcomes
+
+
+@pytest.mark.parametrize("token", ["é", "\u0663", "+2", "1_0"])
+def test_reader_names_file_and_line_on_a_byte_outside_digits_and_whitespace(tmp_path, token):
+    # non-ASCII bytes (the Arabic-Indic three is a digit to int()), and a sign and
+    # an underscore, which int() accepts, all fail with the file and the line
+    path = tmp_path / "bad6.alist"
+    path.write_bytes(f"3 2\n2 2\n1 2 1\n2 2\n1\n1 {token}\n2\n1 2\n2 3\n".encode("utf-8"))
+    with pytest.raises(ValueError, match=rf"bad6\.alist: line 6: .*'{re.escape(token)}'"):
+        read_alist(path)
+
+
+def test_cli_names_file_and_line_on_non_ascii_byte(tmp_path, capsys):
+    path = tmp_path / "bad7.alist"
+    path.write_bytes("3 2\n2 2\n1 2 1\n2 2\n1\n1 2\n2\n1 2\n2 é\n".encode("utf-8"))
+    assert main(["analyze", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert f"error: {path}: line 9: " in capsys.readouterr().err
+
+
+def test_reader_never_wraps_a_long_index(tmp_path):
+    path = tmp_path / "long.alist"
+    text = "3 2\n2 2\n1 2 1\n2 2\n1\n1 2\n2\n1 2\n2 {}\n"
+    # 2**64 + 3 would read as 3 after an int64 wraparound; 10**22 + 3 has 23 digits
+    for token in (str(2**64 + 3), str(10**22 + 3)):
+        path.write_text(text.format(token))
+        with pytest.raises(ValueError,
+                           match=r"long\.alist: line 9: not an unsigned integer below 10\^18"):
+            read_alist(path)
+    # leading zeros do not count: 23 digits that read as 3
+    path.write_text(text.format("3".zfill(23)))
+    assert read_alist(path) == matrix([[1, 1, 0], [0, 1, 1]])
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_reader_counts_crlf_and_cr_as_one_line_break(tmp_path, newline):
+    path = tmp_path / "nl.alist"
+    lines = ["3 2", "2 2", "1 2 1", "2 2", "1", "1 2", "2", "1 2", "2 3"]
+    path.write_bytes(newline.join(lines).encode())
+    assert read_alist(path) == matrix([[1, 1, 0], [0, 1, 1]])
+    lines[5] = "1 x"
+    path.write_bytes(newline.join(lines).encode())
+    with pytest.raises(ValueError, match=r"nl\.alist: line 6: .*'x'"):
         read_alist(path)

@@ -43,6 +43,11 @@ GOLDEN = [
      "6e43f49a8d24df0dab466d214de64cd696d375b1a5f7268c8a99f8c146fdf76f"),
     (["analyze", "--family", "conic", "--field", "5^2", "--out", "c25.json"], 0, "c25.json",
      "5812d7edf7111e45a3a59647cd7350be5c40f03b105e413682a33c81e1ca1f4f"),
+    # the benchmark's alists: hyperbolic q=5 (625 x 15,000) and conic 3^3 (676 x 676)
+    (["construct", "--family", "hyperbolic", "--field", "5", "--out", "h5.alist"], 0, "h5.alist",
+     "060af2f84814153cb98a68f5b8b81ce5a34c6de255bf0077dd14974ccaa2caca"),
+    (["construct", "--family", "conic", "--field", "3^3", "--out", "c27.alist"], 0, "c27.alist",
+     "2e56768cac4f7937275b44246b229e08db1c9ebb1c375d42f22d20f8043fc5b2"),
     (RANDOM_CODE, 0, "r.alist",
      "44a7a1d420804d4417348299892e1d2e5bcafa8a818dae93887a9414f36d14d5"),
     # axiom (i) fails on the random code (witness (0, 27)), so analyze exits 1
