@@ -20,14 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, constructions
 from .alist import read_alist, write_alist
-from .constructions import (
-    HyperbolicLabel,
-    IncidenceStructure,
-    build_conic_structure,
-    build_hyperbolic_structure,
-)
+from .constructions import HyperbolicLabel, IncidenceStructure
 from .fields import field_from_string
 from .gf2 import brouwer_predict, rank2
 from .metrics import six_cycles, tanner_bounds, tanner_girth
@@ -64,13 +59,17 @@ def _parse_modulus(text: str | None) -> list[int] | None:
     return [int(x) for x in text.split(",")]
 
 
+# family -> the names in .constructions of its builder and of its label
+# function, looked up at each call so that a wrapper bound there is called
+FAMILIES = {
+    "conic": ("build_conic_structure", "conic_labels"),
+    "hyperbolic": ("build_hyperbolic_structure", "hyperbolic_labels"),
+}
+
+
 def _build_structure(family: str, field_spec: str, modulus: str | None) -> IncidenceStructure:
-    field = field_from_string(field_spec, _parse_modulus(modulus))
-    if family == "conic":
-        return build_conic_structure(field)
-    if family == "hyperbolic":
-        return build_hyperbolic_structure(field)
-    raise ValueError(f"unknown family {family!r}")
+    build = getattr(constructions, FAMILIES[family][0])
+    return build(field_from_string(field_spec, _parse_modulus(modulus)))
 
 
 def parse_ebno_grid(text: str) -> tuple[float, ...]:
@@ -127,7 +126,7 @@ def build_analysis_report(ic: IncidenceStructure) -> dict:
     report["rank2_M"] = rank2(ic.matrix.packbits())
     dim = ic.n - report["rank2_M"]
     report["dimension"], report["rate"] = dim, dim / ic.n
-    report["simulable"] = dim >= 1
+    report["simulable"] = 0 < dim < ic.n
     g = tanner_girth(ic)
     report["girth"] = None if math.isinf(g) else int(g)
 
@@ -191,14 +190,6 @@ def build_analysis_report(ic: IncidenceStructure) -> dict:
     return report
 
 
-def _label_json(label):
-    if isinstance(label, HyperbolicLabel):
-        return {"B": list(label.B), "C": list(label.C)}
-    if isinstance(label, tuple):
-        return list(label)
-    return label
-
-
 def _cmd_construct(args: argparse.Namespace) -> int:
     ic = _build_structure(args.family, args.field, args.modulus)
     out = Path(args.out)
@@ -207,22 +198,18 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         "family": args.family, "field": args.field, "modulus": args.modulus,
     })
     if args.labels:
+        points, blocks = getattr(constructions, FAMILIES[args.family][1])(ic.field)
+        # tuples go out as arrays, a hyperbolic block as {"B": ..., "C": ...}
+        blocks = [b._asdict() if isinstance(b, HyperbolicLabel) else b for b in blocks]
         Path(args.labels).write_text(json.dumps(
-            {"points": [_label_json(p) for p in ic.points],
-             "blocks": [_label_json(b) for b in ic.blocks]},
-            sort_keys=True) + "\n", encoding="utf-8")
+            {"points": points, "blocks": blocks}, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {ic.v}x{ic.n} incidence matrix to {out}")
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.infile:
-        h = read_alist(args.infile)
-        ic = IncidenceStructure(
-            family="file", field=None,
-            points=list(range(h.nrows)), blocks=list(range(h.cols)),
-            matrix=h,
-        )
+        ic = IncidenceStructure("file", None, read_alist(args.infile))
         params_for_manifest = {"in": args.infile}
     else:
         ic = _build_structure(args.family, args.field, args.modulus)
@@ -287,6 +274,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
               f"(rank {h.cols - code.dimension} = n = {h.cols}), the code is {{0}}",
               file=sys.stderr)
         return 2
+    if code.dimension == h.cols:
+        print(f"refusing to simulate: parity-check matrix has rank 0, "
+              f"the code is all of GF(2)^{h.cols}", file=sys.stderr)
+        return 2
     grid = parse_ebno_grid(args.ebno)
     cfg = ChannelConfig(
         ebn0_db_list=grid,
@@ -324,7 +315,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build an incidence matrix and write it as alist")
-    p.add_argument("--family", required=True, choices=["conic", "hyperbolic"])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--field", required=True, help='field spec "p" or "p^k"')
     p.add_argument("--modulus", help="comma-separated modulus coefficients, constant term first")
     p.add_argument("--out", required=True)
@@ -332,7 +323,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("analyze", help="run all structural checks, write a JSON report")
-    p.add_argument("--family", choices=["conic", "hyperbolic"])
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--field", help='field spec "p" or "p^k"')
     p.add_argument("--modulus")
     p.add_argument("--in", dest="infile", help="alist file to analyze instead of a family")

@@ -20,7 +20,8 @@ point lies on exactly one block per canonical B, and its row of the
 matrix is that C for each of the q(q^2-1) canonical B.
 
 All orderings are lexicographic on the label code tuples, so the emitted
-matrices are bit-for-bit reproducible.
+matrices are bit-for-bit reproducible.  The builds emit index arrays only;
+`conic_labels` and `hyperbolic_labels` form the labels, when asked.
 """
 
 from __future__ import annotations
@@ -51,22 +52,21 @@ _CENSUS_CELLS = 1 << 19  # (block, point) cells per census chunk
 
 @dataclass
 class IncidenceStructure:
-    """Point-block incidence structure with its binary incidence matrix, and
-    the point graph and block census derived from it, each formed once."""
+    """Point-block incidence structure: its binary incidence matrix (rows
+    are points, columns blocks), what built it, and the point graph and
+    block census derived from the matrix, each formed once."""
 
     family: str
     field: Field | None
-    points: list
-    blocks: list
     matrix: BinaryMatrix
 
     @property
     def v(self) -> int:
-        return len(self.points)
+        return self.matrix.nrows
 
     @property
     def n(self) -> int:
-        return len(self.blocks)
+        return self.matrix.cols
 
     @property
     def degenerate(self) -> bool:
@@ -137,11 +137,12 @@ class IncidenceStructure:
 
     @cached_property
     def census(self) -> np.ndarray:
-        """Histogram of the block census: bin c counts the (point, block)
-        pairs, the point off the block, with c of the block's points joined
-        to the point; the last bin, w + 1, counts the points on the blocks."""
+        """Histogram of the block census off the blocks: bin c counts the
+        (point, block) pairs, the point off the block, with c of the block's
+        points joined to the point, for c = 0..w; the sentinel bin goes."""
         bins = self.matrix.column_weights()[0] + 2
-        return sum(np.bincount(counts.ravel(), minlength=bins) for _, counts in self.block_census())
+        hist = sum(np.bincount(counts.ravel(), minlength=bins) for _, counts in self.block_census())
+        return hist[:-1]
 
     def __repr__(self) -> str:
         return f"IncidenceStructure({self.family}, {self.v}x{self.n})"
@@ -155,29 +156,42 @@ def build_conic_structure(field: Field) -> IncidenceStructure:
     """
     f = field
     q1 = f.q - 1
-    nonzero = f.elements(nonzero_only=True)
-    points = [(f.one, x, y) for x in nonzero for y in nonzero]
-    blocks = [ConicLabel(a, b) for a in nonzero for b in nonzero]
     a, b, x = np.indices((q1, q1, q1)) + 1
     s = f.add_table[b, x]
     on = s != 0
     y = f.neg_table[f.mul_table[f.mul_table[a, x], f.inv_table[s]]]
     m = BinaryMatrix((x[on] - 1) * q1 + y[on] - 1, (a[on] - 1) * q1 + b[on] - 1,
-                     (len(points), len(blocks)))
-    return IncidenceStructure("conic", field, points, blocks, m)
+                     (q1 * q1, q1 * q1))
+    return IncidenceStructure("conic", field, m)
 
 
-def enumerate_hyperbolic_labels(field: Field) -> list[HyperbolicLabel]:
-    """All q^4(q^2-1) scalar classes of blocks (B invertible, C symmetric),
-    sorted: each B in lex order whose first nonzero entry is 1, times each
-    (c00, c01, c11) in lex order."""
+def conic_labels(field: Field) -> tuple[list[tuple[int, int, int]], list[ConicLabel]]:
+    """The points (1,x,y) and the conics (a,b) of the conic structure, in
+    row and column order."""
+    nonzero = field.elements(nonzero_only=True)
+    return ([(field.one, x, y) for x in nonzero for y in nonzero],
+            [ConicLabel(a, b) for a in nonzero for b in nonzero])
+
+
+def _canonical_b(field: Field) -> np.ndarray:
+    """The q(q^2-1) invertible B whose first nonzero entry is 1, in lex
+    order, as the columns of a 4 x q(q^2-1) array of row-major entries."""
     f, q = field, field.q
     b = np.indices((q, q, q, q)).reshape(4, -1)
     lead = b[(b != 0).argmax(axis=0), np.arange(b.shape[1])]  # first nonzero entry, 0 for B = 0
     det = f.add_table[f.mul_table[b[0], b[3]], f.neg_table[f.mul_table[b[1], b[2]]]]
-    canonical = map(tuple, b[:, (lead == f.one) & (det != 0)].T.tolist())
+    return b[:, (lead == f.one) & (det != 0)]
+
+
+def hyperbolic_labels(field: Field) -> tuple[list[tuple[int, ...]], list[HyperbolicLabel]]:
+    """The lines N and the q^4(q^2-1) scalar classes of blocks (B, C) of the
+    hyperbolic structure, in row and column order: N in lex order; each
+    canonical B in lex order times each (c00, c01, c11) in lex order."""
+    q = field.q
+    canonical = map(tuple, _canonical_b(field).T.tolist())
     cs = [(c00, c01, c01, c11) for c00, c01, c11 in itertools.product(range(q), repeat=3)]
-    return list(map(HyperbolicLabel._make, itertools.product(canonical, cs)))
+    return (list(itertools.product(range(q), repeat=4)),
+            list(map(HyperbolicLabel._make, itertools.product(canonical, cs))))
 
 
 def build_hyperbolic_structure(field: Field) -> IncidenceStructure:
@@ -190,10 +204,8 @@ def build_hyperbolic_structure(field: Field) -> IncidenceStructure:
     f = field
     q = f.q
     add, mul, neg = f.add_table, f.mul_table, f.neg_table
-    points = list(itertools.product(range(q), repeat=4))
-    blocks = enumerate_hyperbolic_labels(f)
-    b = np.array([label.B for label in blocks[::q ** 3]]).T[:, None, :]
-    n = np.array(points).T[:, :, None]
+    b = _canonical_b(f)[:, None, :]
+    n = np.indices((q,) * 4).reshape(4, -1, 1)  # the lines N in lex order
     # (NB)_rc = N_r0 B_0c + N_r1 B_1c, for every point and every canonical B
     nb00, nb01, nb10, nb11 = (add[mul[n[r], b[c]], mul[n[r + 1], b[c + 2]]]
                               for r in (0, 2) for c in (0, 1))
@@ -201,6 +213,6 @@ def build_hyperbolic_structure(field: Field) -> IncidenceStructure:
     del nb00, nb01, nb10, nb11
     cols = (np.arange(b.shape[2]) * q ** 3 + (c00 * q + c01) * q + c11).ravel()
     del c00, c01, c11  # the v x (canonical B) intermediates go before the matrix is built
-    rows = np.repeat(np.arange(len(points)), b.shape[2])
-    m = BinaryMatrix(rows, cols, (len(points), len(blocks)))
-    return IncidenceStructure("hyperbolic", f, points, blocks, m)
+    rows = np.repeat(np.arange(q ** 4), b.shape[2])
+    m = BinaryMatrix(rows, cols, (q ** 4, b.shape[2] * q ** 3))
+    return IncidenceStructure("hyperbolic", f, m)

@@ -105,8 +105,8 @@ def _pair_completions(ic: IncidenceStructure) -> int:
     each completion closes a unique hexagon through two further blocks, and
     a hexagon holds three point pairs, so the sum is three times the number
     of 6-cycles.  A point off B joined to c points of B completes C(c, 2)
-    of its pairs: the sum is C(c, 2) over the bins of ic.census but the last."""
-    hist = ic.census[:-1]
+    of its pairs: the sum is C(c, 2) over the bins of ic.census."""
+    hist = ic.census
     c = np.arange(hist.size)
     return int(hist @ (c * (c - 1) // 2))
 

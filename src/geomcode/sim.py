@@ -178,29 +178,17 @@ def random_regular_h(m: int, n: int, w_col: int, w_row: int, seed: int) -> LdpcC
     rpb = m // w_col  # rows per band; equals n // w_row
     rng = np.random.default_rng(seed)
 
-    def band_groups(perm: np.ndarray) -> np.ndarray:
-        # group index (row within band) of each column under this permutation
-        return perm // w_row
-
-    base = np.arange(n)
-    groups = [band_groups(base)]
+    groups = [np.arange(n) // w_row]  # the row within its band of each column
     clean = True
     for _ in range(1, w_col):
-        for attempt in range(MAX_RETRIES + 1):
-            perm = rng.permutation(n)
-            g = band_groups(perm)
-            collision = False
-            for prev in groups:
-                pairs = prev.astype(np.int64) * rpb + g
-                if np.bincount(pairs).max() > 1:
-                    collision = True
-                    break
-            if not collision:
-                groups.append(g)
+        for _ in range(MAX_RETRIES + 1):
+            g = rng.permutation(n) // w_row
+            # two columns in one row of this band and of an earlier one make a 4-cycle
+            if all(np.bincount(prev * rpb + g).max() <= 1 for prev in groups):
                 break
         else:
-            groups.append(g)
             clean = False
+        groups.append(g)
 
     rows = np.concatenate([band * rpb + g for band, g in enumerate(groups)])
     code = LdpcCode.from_parity(BinaryMatrix(rows, np.tile(np.arange(n), w_col), (m, n)))

@@ -12,8 +12,9 @@ Gram matrix and the direct definitions.
 Every count that relates points to blocks comes from one streamed block
 census (``IncidenceStructure.block_census``): for each chunk of blocks,
 counts[b, p], the number of points of block b joined to point p, with a
-sentinel where p lies on b.  Its histogram (``IncidenceStructure.census``)
-gives the alpha set, and its products with M the pair profiles.
+sentinel where p lies on b.  Its histogram off the blocks
+(``IncidenceStructure.census``) gives the alpha set, and its products with
+M the pair profiles.
 """
 
 from __future__ import annotations
@@ -116,6 +117,8 @@ def check_gpg_axioms(ic: IncidenceStructure) -> SrpgParams:
     if min(col_w) != max(col_w):
         j = next(j for j, w in enumerate(col_w) if w != col_w[0])
         raise AxiomViolation("ii", (j,), f"block sizes differ: {col_w[0]} vs {col_w[j]}")
+    if col_w[0] == 0:
+        raise AxiomViolation("ii", (0,), "the blocks hold no points")
     s = col_w[0] - 1
 
     row_w = m.row_weights()
@@ -124,7 +127,7 @@ def check_gpg_axioms(ic: IncidenceStructure) -> SrpgParams:
         raise AxiomViolation("iii", (i,), f"point degrees differ: {row_w[0]} vs {row_w[i]}")
     t = row_w[0] - 1
 
-    alphas = tuple(np.flatnonzero(ic.census[:-1]).tolist())
+    alphas = tuple(np.flatnonzero(ic.census).tolist())
     return SrpgParams(s=s, t=t, alphas=alphas, v=v, n=n)
 
 

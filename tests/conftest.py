@@ -1,6 +1,7 @@
 import pytest
 
 from geomcode import Field, build_conic_structure, build_hyperbolic_structure
+from geomcode.constructions import hyperbolic_labels
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +42,9 @@ def conic9(f9):
 @pytest.fixture(scope="session")
 def hyp3(f3):
     return build_hyperbolic_structure(f3)
+
+
+@pytest.fixture(scope="session")
+def hyp3_labels(f3):
+    """The (points, blocks) labels of hyp3, in row and column order."""
+    return hyperbolic_labels(f3)

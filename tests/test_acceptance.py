@@ -97,7 +97,7 @@ def test_criterion_03_conic_alpha_sets():
     _report("3", True, "; ".join(details))
 
 
-def test_criterion_04_hyperbolic_structure(hyp3, hyp5):
+def test_criterion_04_hyperbolic_structure(hyp3, hyp3_labels, hyp5):
     t0 = time.perf_counter()
     ic5 = build_hyperbolic_structure(Field(5))
     elapsed5 = time.perf_counter() - t0
@@ -109,10 +109,11 @@ def test_criterion_04_hyperbolic_structure(hyp3, hyp5):
     # adjacency iff rank(N2 - N1) = 2, exhaustively at q = 3
     f = scalar(hyp3.field)
     gram = gram_counts(hyp3.matrix)
+    points = hyp3_labels[0]
     for i1 in range(hyp3.v):
-        n1 = hyp3.points[i1]
+        n1 = points[i1]
         for i2 in range(i1):
-            n2 = hyp3.points[i2]
+            n2 = points[i2]
             d = [f.sub(a, b) for a, b in zip(n2, n1)]
             det = f.sub(f.mul(d[0], d[3]), f.mul(d[1], d[2]))
             assert (gram[i1, i2] > 0) == (det != 0), (i1, i2)

@@ -177,6 +177,29 @@ def test_simulate_refuses_trivial_code(tmp_path):
     assert run(["simulate", "--in", alist, "--ebno", "2", "--out", tmp_path / "x.csv"]) == 2
 
 
+# a 2 x 3 parity-check matrix with no ones: alist header, weights, five empty index lines
+ZERO_ALIST = "3 2\n0 0\n0 0 0\n0 0\n" + "0\n" * 5
+
+
+def test_analyze_refuses_zero_matrix(tmp_path, capsys):
+    alist, out = tmp_path / "z.alist", tmp_path / "z.json"
+    alist.write_text(ZERO_ALIST)
+    assert run(["analyze", "--in", alist, "--out", out]) == 1
+    rep = json.loads(out.read_text())
+    assert rep["axioms"] == {"pass": False, "violated": "ii", "witness": [0]}
+    assert rep["rank2_M"] == 0 and rep["dimension"] == 3
+    assert rep["simulable"] is False and not rep["checks_passed"]
+    assert "axiom (ii) violated: the blocks hold no points" in capsys.readouterr().err
+
+
+def test_simulate_refuses_zero_matrix(tmp_path, capsys):
+    alist, out = tmp_path / "z.alist", tmp_path / "z.csv"
+    alist.write_text(ZERO_ALIST)
+    assert run(["simulate", "--in", alist, "--ebno", "2", "--out", out]) == 2
+    assert "refusing to simulate: parity-check matrix has rank 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_threads_do_not_change_output(tmp_path):
     alist = tmp_path / "h.alist"
     run(["construct", "--family", "hyperbolic", "--field", "3", "--out", alist])

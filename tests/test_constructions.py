@@ -10,7 +10,8 @@ from geomcode.constructions import (
     IncidenceStructure,
     build_conic_structure,
     build_hyperbolic_structure,
-    enumerate_hyperbolic_labels,
+    conic_labels,
+    hyperbolic_labels,
 )
 from geomcode.fields import Field
 from geomcode.gf2 import BinaryMatrix
@@ -49,9 +50,10 @@ def test_conic_q3_degenerate():
 
 def test_conic_block_11_point_set(conic5):
     # the conic (a,b) = (1,1) over GF(5) passes through exactly these points
-    j = conic5.blocks.index(ConicLabel(1, 1))
+    points, blocks = conic_labels(conic5.field)
+    j = blocks.index(ConicLabel(1, 1))
     d = dense(conic5.matrix)
-    incident = {conic5.points[i] for i in range(conic5.v) if d[i, j]}
+    incident = {points[i] for i in range(conic5.v) if d[i, j]}
     assert incident == {(1, 1, 2), (1, 2, 1), (1, 3, 3)}
 
 
@@ -74,9 +76,11 @@ def test_conic_incidence_matches_quadric_evaluation():
         f = Field(p, k)
         ic = build_conic_structure(f)
         d = dense(ic.matrix)
-        for j, (a, b) in enumerate(ic.blocks):
+        points, blocks = conic_labels(f)
+        assert (len(points), len(blocks)) == (ic.v, ic.n)
+        for j, (a, b) in enumerate(blocks):
             conic = conic_quadric(f, a, b)
-            for i, pt in enumerate(ic.points):
+            for i, pt in enumerate(points):
                 assert d[i, j] == int(quadric_contains(conic, pt)), (f.q, i, j)
 
 
@@ -87,8 +91,9 @@ def test_conic_adjacency_noncollinearity_oracle(qname, request):
     f = ic.field
     e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     gram = gram_counts(ic.matrix)
+    points = conic_labels(f)[0]
     for i1, i2 in itertools.combinations(range(ic.v), 2):
-        p, q = ic.points[i1], ic.points[i2]
+        p, q = points[i1], points[i2]
         five = e + [p, q]
         oracle = all(
             not collinear(f, *triple) for triple in itertools.combinations(five, 3)
@@ -102,22 +107,25 @@ def test_hyperbolic_q3_shape_and_weights(hyp3):
     assert set(hyp3.matrix.row_weights()) == {24}
 
 
-def test_hyperbolic_identity_block_lines(hyp3):
+def test_hyperbolic_identity_block_lines(hyp3, hyp3_labels):
     # H_{I2,0}: incident lines are exactly the antisymmetric N
-    j = hyp3.blocks.index(HyperbolicLabel((1, 0, 0, 1), (0, 0, 0, 0)))
+    points, blocks = hyp3_labels
+    j = blocks.index(HyperbolicLabel((1, 0, 0, 1), (0, 0, 0, 0)))
     d = dense(hyp3.matrix)
-    incident = {hyp3.points[i] for i in range(hyp3.v) if d[i, j]}
+    incident = {points[i] for i in range(hyp3.v) if d[i, j]}
     assert incident == {(0, 0, 0, 0), (0, 1, 2, 0), (0, 2, 1, 0)}
 
 
 def test_block_label_counts():
     f3 = Field(3)
-    labels3 = enumerate_hyperbolic_labels(f3)
+    points3, labels3 = hyperbolic_labels(f3)
     assert len(labels3) == 648  # 48 * 27 / 2
     assert labels3 == sorted(labels3)
+    assert len(points3) == 81 and points3 == sorted(points3)
     f5 = Field(5)
-    labels5 = enumerate_hyperbolic_labels(f5)
+    points5, labels5 = hyperbolic_labels(f5)
     assert len(labels5) == 15000  # 480 * 125 / 4
+    assert len(points5) == 625
 
 
 def _label(quadric):
@@ -139,45 +147,50 @@ def test_scalar_class_dedup():
                 for c00, c01, c11 in itertools.product(range(q), repeat=3):
                     label = HyperbolicLabel(b, (c00, c01, c01, c11))
                     classes.add(_label(hyperbolic_quadric(f, label)))
-        assert build_hyperbolic_structure(f).blocks == sorted(classes)
+        assert hyperbolic_labels(f)[1] == sorted(classes)
 
 
-def test_hyperbolic_incidence_matches_criterion_exhaustively(hyp3):
+def test_hyperbolic_incidence_matches_criterion_exhaustively(hyp3, hyp3_labels):
     # solver-built matrix == direct evaluation of B^T N^T + N B + C = 0
     f, d = hyp3.field, dense(hyp3.matrix)
-    for j, label in enumerate(hyp3.blocks):
-        for i, n in enumerate(hyp3.points):
+    points, blocks = hyp3_labels
+    assert (len(points), len(blocks)) == (hyp3.v, hyp3.n)
+    for j, label in enumerate(blocks):
+        for i, n in enumerate(points):
             assert d[i, j] == int(hyperbolic_incidence_holds(f, n, label))
 
 
 def test_hyperbolic_incidence_matches_criterion_q5_sampled():
     ic = build_hyperbolic_structure(Field(5))
+    points, blocks = hyperbolic_labels(ic.field)
     rng = random.Random(5)
     d = dense(ic.matrix)
     for j in rng.sample(range(ic.n), 40):
-        for i, n in enumerate(ic.points):
-            assert d[i, j] == int(hyperbolic_incidence_holds(ic.field, n, ic.blocks[j]))
+        for i, n in enumerate(points):
+            assert d[i, j] == int(hyperbolic_incidence_holds(ic.field, n, blocks[j]))
 
 
-def test_hyperbolic_incidence_matches_pointwise_containment(hyp3):
+def test_hyperbolic_incidence_matches_pointwise_containment(hyp3, hyp3_labels):
     # sampled blocks: bit set iff every point of the line is on the quadric
     f, d = hyp3.field, dense(hyp3.matrix)
+    points, blocks = hyp3_labels
     rng = random.Random(7)
     for j in rng.sample(range(hyp3.n), 25):
-        h = hyperbolic_quadric(f, hyp3.blocks[j])
-        for i, n in enumerate(hyp3.points):
+        h = hyperbolic_quadric(f, blocks[j])
+        for i, n in enumerate(points):
             ln = LineMatrix(f, [[n[0], n[1], 1, 0], [n[2], n[3], 0, 1]])
             pointwise = all(quadric_contains(h, p) for p in ln.points())
             assert d[i, j] == int(pointwise)
             assert d[i, j] == int(line_in_quadric(ln, h))
 
 
-def test_hyperbolic_adjacency_rank_oracle(hyp3):
+def test_hyperbolic_adjacency_rank_oracle(hyp3, hyp3_labels):
     # lines share a block iff rank(N2 - N1) = 2, exhaustively at q=3
     f = scalar(hyp3.field)
     gram = gram_counts(hyp3.matrix)
+    points = hyp3_labels[0]
     for i1, i2 in itertools.combinations(range(hyp3.v), 2):
-        n1, n2 = hyp3.points[i1], hyp3.points[i2]
+        n1, n2 = points[i1], points[i2]
         diff = [
             [f.sub(n2[0], n1[0]), f.sub(n2[1], n1[1])],
             [f.sub(n2[2], n1[2]), f.sub(n2[3], n1[3])],
@@ -194,15 +207,16 @@ def _mat_inverse(f, m):
     return [row[size:] for row in reduced]
 
 
-def test_isomorphism_action_preserves_incidence(hyp3):
+def test_isomorphism_action_preserves_incidence(hyp3, hyp3_labels):
     # a projectivity fixing the base line permutes points and blocks and
     # maps the incidence matrix onto itself
     f = hyp3.field
     s = scalar(f)
     q = f.q
     rng = random.Random(11)
-    point_index = {n: i for i, n in enumerate(hyp3.points)}
-    block_index = {lbl: j for j, lbl in enumerate(hyp3.blocks)}
+    points, blocks = hyp3_labels
+    point_index = {n: i for i, n in enumerate(points)}
+    block_index = {lbl: j for j, lbl in enumerate(blocks)}
 
     def rand_gl2():
         while True:
@@ -225,7 +239,7 @@ def test_isomorphism_action_preserves_incidence(hyp3):
         # induced point permutation: N -> Q22^{-1} (N Q11 + Q21)
         q22_inv = _mat_inverse(f, [[q22[0], q22[1]], [q22[2], q22[3]]])
         point_map = {}
-        for i, n in enumerate(hyp3.points):
+        for i, n in enumerate(points):
             nm = mat_mul(f, [[n[0], n[1]], [n[2], n[3]]], [[q11[0], q11[1]], [q11[2], q11[3]]])
             shifted = [
                 [s.add(nm[0][0], q21[0]), s.add(nm[0][1], q21[1])],
@@ -237,7 +251,7 @@ def test_isomorphism_action_preserves_incidence(hyp3):
 
         # induced block permutation: H -> Q^{-1} H Q^{-T}
         block_map = {}
-        for j, lbl in enumerate(hyp3.blocks):
+        for j, lbl in enumerate(blocks):
             h = [list(r) for r in hyperbolic_quadric(f, lbl).entries]
             h2 = mat_mul(f, mat_mul(f, big_inv, h), big_inv_t)
             assert all(h2[i][jj] == 0 for i in range(2) for jj in range(2))
@@ -263,7 +277,7 @@ def test_hyperbolic_q5_shape_and_pairwise_rows():
 def test_construction_determinism():
     f = Field(3)
     a, b = build_hyperbolic_structure(f), build_hyperbolic_structure(f)
-    assert a.matrix == b.matrix and a.points == b.points and a.blocks == b.blocks
+    assert a.matrix == b.matrix and hyperbolic_labels(f) == hyperbolic_labels(f)
     g = Field(5)
     c, d = build_conic_structure(g), build_conic_structure(g)
     assert c.matrix == d.matrix
@@ -272,7 +286,7 @@ def test_construction_determinism():
 def _assert_point_graph_matches_gram(m: BinaryMatrix):
     """The point graph is the off-diagonal M M^T > 0, and the 4-cycle
     witness its first row-major entry > 1, with that entry."""
-    ic = IncidenceStructure("file", None, list(range(m.nrows)), list(range(m.cols)), m)
+    ic = IncidenceStructure("file", None, m)
     gram = gram_counts(m)
     np.fill_diagonal(gram, 0)
     bad = np.argwhere(gram > 1)

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import geomcode
+from geomcode import constructions
 from geomcode.cli import main
 
 RANDOM_CODE = ["random-code", "--rows", "81", "--cols", "648", "--wcol", "3", "--wrow", "24",
@@ -62,6 +63,14 @@ GOLDEN = [
     (["construct", "--family", "conic", "--field", "3^2", "--out", "c9l.alist",
       "--labels", "c9.labels.json"], 0, "c9.labels.json",
      "aae93cc69c874a0dcd1733bee9db120f504d1c311a6c1274fab85b7e63c3240d"),
+    # at benchmark size, and over a modulus given on the command line; the
+    # labels are element codes, so they match the built-in modulus's
+    (["construct", "--family", "hyperbolic", "--field", "5", "--out", "h5l.alist",
+      "--labels", "h5.labels.json"], 0, "h5.labels.json",
+     "6c094af7e81760143ae4065724e3948eeab6962f58ca489b50dd101338d7dcd2"),
+    (["construct", "--family", "conic", "--field", "3^2", "--modulus", "2,2,1",
+      "--out", "c9ml.alist", "--labels", "c9m.labels.json"], 0, "c9m.labels.json",
+     "aae93cc69c874a0dcd1733bee9db120f504d1c311a6c1274fab85b7e63c3240d"),
 ]
 
 
@@ -82,6 +91,28 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("argv,status,out,digest", GOLDEN, ids=[g[2] for g in GOLDEN])
 def test_golden_output(outputs, argv, status, out, digest):
     assert outputs[out] == (status, digest)
+
+
+def test_only_labels_form_labels(tmp_path, monkeypatch):
+    """With the label functions made to raise, every golden construct and
+    analyze --family without --labels still writes its pinned bytes, and
+    construct --labels reaches them."""
+    def refuse(field):
+        raise AssertionError(f"labels formed over GF({field.q})")
+
+    monkeypatch.setattr(constructions, "conic_labels", refuse)
+    monkeypatch.setattr(constructions, "hyperbolic_labels", refuse)
+    monkeypatch.chdir(tmp_path)
+    built = [g for g in GOLDEN if "--family" in g[0] and "--labels" not in g[0]]
+    assert {(argv[0], argv[argv.index("--family") + 1]) for argv, *_ in built} == {
+        (cmd, family) for cmd in ("construct", "analyze") for family in ("conic", "hyperbolic")}
+    for argv, status, out, digest in built:
+        assert main(argv) == status
+        assert hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() == digest, out
+    for argv, *_ in GOLDEN:
+        if "--labels" in argv:
+            with pytest.raises(AssertionError, match="labels formed"):
+                main(argv)
 
 
 # The package exports the pipeline only; the scalar reference geometry

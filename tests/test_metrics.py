@@ -19,8 +19,7 @@ from oracles import gram_counts, matrix
 
 def _girth(h: BinaryMatrix) -> float:
     """Girth of a bare parity-check matrix, wrapped as a structure."""
-    return tanner_girth(IncidenceStructure("file", None, list(range(h.nrows)),
-                                           list(range(h.cols)), h))
+    return tanner_girth(IncidenceStructure("file", None, h))
 
 
 def test_bounds_hyperbolic_q3():
@@ -125,7 +124,7 @@ def test_girth_blocks_of_unequal_size(build, girth):
     full = build()
     rows, cols = full.nonzero()
     h = BinaryMatrix(rows[1:], cols[1:], (full.nrows, full.cols))
-    ic = IncidenceStructure("file", None, list(range(h.nrows)), list(range(h.cols)), h)
+    ic = IncidenceStructure("file", None, h)
     assert tanner_girth(ic) == girth
     assert "census" not in vars(ic)
 
@@ -138,7 +137,7 @@ def _conic_less_a_block(field: Field) -> IncidenceStructure:
     keep = cols < m.cols - 1
     h = BinaryMatrix(rows[keep], cols[keep], (m.nrows, m.cols - 1))
     assert len(set(h.column_weights())) == 1 < len(set(h.row_weights()))
-    return IncidenceStructure("file", None, list(range(h.nrows)), list(range(h.cols)), h)
+    return IncidenceStructure("file", None, h)
 
 
 @pytest.mark.parametrize("build,field", [

@@ -27,7 +27,7 @@ from oracles import dense, gram_counts, matrix
 
 def _structure(bit_rows):
     m = matrix(bit_rows)
-    return IncidenceStructure("test", None, list(range(m.nrows)), list(range(m.cols)), m)
+    return IncidenceStructure("test", None, m)
 
 
 def test_axioms_conic_q5(conic5):
@@ -50,8 +50,7 @@ def test_alphas_of_blocks_past_uint8():
     # its points, so the only count is 0; a uint8 sentinel (257) would wrap
     # to a spurious 1
     pts = np.arange(512)
-    ic = IncidenceStructure("test", None, list(range(512)), [0, 1],
-                            BinaryMatrix(pts, pts // 256, (512, 2)))
+    ic = IncidenceStructure("test", None, BinaryMatrix(pts, pts // 256, (512, 2)))
     params = check_gpg_axioms(ic)
     assert (params.s, params.t, params.alphas) == (255, 0, (0,))
 
@@ -70,6 +69,7 @@ def test_block_census_matches_direct_definition(family, field):
     census = np.concatenate([counts for _, counts in ic.block_census()])
     assert np.array_equal(census.T, direct)  # cell by cell, so the histograms agree
     hist = np.bincount(direct.ravel(), minlength=w + 2)
+    assert np.array_equal(ic.census, hist[:-1])  # the sentinel bin is dropped
     assert check_gpg_axioms(ic).alphas == tuple(np.flatnonzero(hist[:-1]).tolist())
 
 
@@ -80,6 +80,14 @@ def test_block_census_refuses_blocks_of_unequal_size():
         next(ic.block_census())
     with pytest.raises(ValueError, match="one size"):
         ic.census
+
+
+def test_axiom_ii_refuses_empty_blocks():
+    # blocks of one size, 0: no point lies on any block, so no s = -1
+    with pytest.raises(AxiomViolation) as exc:
+        check_gpg_axioms(_structure([[0, 0, 0], [0, 0, 0]]))
+    assert (exc.value.axiom, exc.value.witness) == ("ii", (0,))
+    assert "the blocks hold no points" in str(exc.value)
 
 
 def test_axiom_i_violation_with_witness():
