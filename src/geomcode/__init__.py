@@ -16,13 +16,11 @@ from .fields import Field, field_from_string
 from .gf2 import BinaryMatrix, RankPrediction, brouwer_predict, rank2
 from .metrics import CycleReport, DistanceBounds, six_cycles, tanner_bounds, tanner_girth
 from .sim import (
-    BerResult,
     ChannelConfig,
     LdpcCode,
     PointStats,
     SumProductDecoder,
     awgn_llrs,
-    ber_sweep,
     noise_sigma,
     random_regular_h,
     simulate_point,

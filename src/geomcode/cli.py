@@ -26,7 +26,7 @@ from .constructions import HyperbolicLabel, IncidenceStructure
 from .fields import field_from_string
 from .gf2 import brouwer_predict, rank2
 from .metrics import six_cycles, tanner_bounds, tanner_girth
-from .sim import BerResult, ChannelConfig, LdpcCode, ber_sweep, simulate_point
+from .sim import ChannelConfig, LdpcCode, PointStats, simulate_point
 from .srpg import (
     AxiomViolation,
     DegenerateStructure,
@@ -80,7 +80,10 @@ def parse_ebno_grid(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ValueError(f"bad Eb/N0 grid {text!r}; expected start:step:stop")
-    values = [float(p) for p in parts]
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"bad Eb/N0 grid {text!r}; values must be numbers") from None
     if not all(map(math.isfinite, values)):
         raise ValueError(f"bad Eb/N0 grid {text!r}; values must be finite")
     if len(values) == 1:
@@ -123,10 +126,10 @@ def build_analysis_report(ic: IncidenceStructure) -> dict:
         failures.append(str(exc))
         params = None
 
-    report["rank2_M"] = rank2(ic.matrix.packbits())
-    dim = ic.n - report["rank2_M"]
-    report["dimension"], report["rate"] = dim, dim / ic.n
-    report["simulable"] = 0 < dim < ic.n
+    code = LdpcCode.from_parity(ic.matrix)
+    report["rank2_M"] = code.n - code.dimension
+    report["dimension"], report["rate"] = code.dimension, code.rate
+    report["simulable"] = code.refusal() is None
     g = tanner_girth(ic)
     report["girth"] = None if math.isinf(g) else int(g)
 
@@ -244,9 +247,9 @@ def _cmd_random_code(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_csv(result: BerResult) -> str:
+def _format_csv(points: list[PointStats]) -> str:
     lines = ["ebn0_db,frames,bit_errors,frame_errors,ber,fer,mean_iters,ci_low,ci_high"]
-    for p in result.points:
+    for p in points:
         lines.append(
             f"{p.ebn0_db:.6g},{p.frames},{p.bit_errors},{p.frame_errors},"
             f"{p.ber:.6g},{p.fer:.6g},{p.mean_iterations:.6g},"
@@ -257,8 +260,12 @@ def _format_csv(result: BerResult) -> str:
 
 def _resolve_threads(value: int | None) -> int:
     """--threads, else GEOMCODE_THREADS, else every core; at least 1."""
-    if value is None and os.environ.get("GEOMCODE_THREADS"):
-        value = int(os.environ["GEOMCODE_THREADS"])
+    env = os.environ.get("GEOMCODE_THREADS")
+    if value is None and env:
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(f"GEOMCODE_THREADS must be an integer, got {env!r}") from None
     if value is None:
         return os.cpu_count() or 1
     if value < 1:
@@ -267,42 +274,34 @@ def _resolve_threads(value: int | None) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    h = read_alist(args.infile)
-    code = LdpcCode.from_parity(h)
-    if code.dimension < 1:
-        print(f"refusing to simulate: parity-check matrix has full column rank "
-              f"(rank {h.cols - code.dimension} = n = {h.cols}), the code is {{0}}",
-              file=sys.stderr)
-        return 2
-    if code.dimension == h.cols:
-        print(f"refusing to simulate: parity-check matrix has rank 0, "
-              f"the code is all of GF(2)^{h.cols}", file=sys.stderr)
-        return 2
     grid = parse_ebno_grid(args.ebno)
     cfg = ChannelConfig(
         ebn0_db_list=grid,
-        rate=code.rate,
         max_iterations=args.max_iters,
         min_frame_errors=args.min_frame_errors,
         max_frames=args.max_frames,
         seed=args.seed,
     )
-    threads = _resolve_threads(args.threads)
-    if threads > 1 and len(grid) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(grid))) as pool:
-            points = tuple(pool.map(functools.partial(simulate_point, code, cfg),
-                                    range(len(grid))))
-        result = BerResult(config=cfg, points=points)
+    workers = min(_resolve_threads(args.threads), len(grid))
+    code = LdpcCode.from_parity(read_alist(args.infile))
+    reason = code.refusal()
+    if reason is not None:
+        print(f"refusing to simulate: {reason}", file=sys.stderr)
+        return 2
+    sweep = functools.partial(simulate_point, code, cfg)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            points = list(pool.map(sweep, range(len(grid))))
     else:
-        result = ber_sweep(code, cfg)
+        points = list(map(sweep, range(len(grid))))
     out = Path(args.out)
-    out.write_text(_format_csv(result), encoding="utf-8")
+    out.write_text(_format_csv(points), encoding="utf-8")
     _write_manifest(out, "simulate", {
         "in": args.infile, "ebno": args.ebno, "seed": args.seed,
         "max_iters": args.max_iters, "min_frame_errors": args.min_frame_errors,
         "max_frames": args.max_frames,
     })
-    print(f"wrote {len(result.points)} BER points to {out}")
+    print(f"wrote {len(points)} BER points to {out}")
     return 0
 
 

@@ -49,6 +49,15 @@ class LdpcCode:
     def rate(self) -> float:
         return self.dimension / self.n
 
+    def refusal(self) -> str | None:
+        """Why the code cannot be simulated, or None when 0 < dimension < n."""
+        if self.dimension == 0:
+            return (f"parity-check matrix has full column rank "
+                    f"(rank {self.n} = n = {self.n}), the code is {{0}}")
+        if self.dimension == self.n:
+            return f"parity-check matrix has rank 0, the code is all of GF(2)^{self.n}"
+        return None
+
     @classmethod
     def from_parity(cls, h: BinaryMatrix) -> "LdpcCode":
         return cls(h=h, dimension=h.cols - rank2(h.packbits()))
@@ -199,15 +208,12 @@ def random_regular_h(m: int, n: int, w_col: int, w_row: int, seed: int) -> LdpcC
 @dataclass(frozen=True)
 class ChannelConfig:
     ebn0_db_list: tuple[float, ...]
-    rate: float
     max_iterations: int = 1000
     min_frame_errors: int = 100
     max_frames: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.rate < 1:
-            raise ValueError(f"rate {self.rate} outside (0, 1)")
         if self.max_iterations < 1 or self.min_frame_errors < 1 or self.max_frames < 1:
             raise ValueError("iteration and stop-rule parameters must be positive")
 
@@ -225,12 +231,6 @@ class PointStats:
     ci_high: float
 
 
-@dataclass(frozen=True)
-class BerResult:
-    config: ChannelConfig
-    points: tuple[PointStats, ...]
-
-
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials == 0:
@@ -245,17 +245,17 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 def simulate_point(code: LdpcCode, cfg: ChannelConfig, point_index: int) -> PointStats:
     """Monte Carlo at one Eb/N0 point: all-zero codeword, frame-keyed RNG."""
-    if code.dimension < 1:
-        raise ValueError("code has dimension 0 (parity-check matrix has full column rank); "
-                         "nothing to simulate")
+    reason = code.refusal()
+    if reason is not None:
+        raise ValueError(f"refusing to simulate: {reason}")
     decoder = SumProductDecoder(code)
-    ebn0 = cfg.ebn0_db_list[point_index]
+    ebn0, rate = cfg.ebn0_db_list[point_index], code.rate
     zeros = np.zeros(code.n, dtype=np.uint8)
     frames = bit_errors = frame_errors = 0
     iter_sum = 0
     while frames < cfg.max_frames and frame_errors < cfg.min_frame_errors:
         rng = np.random.default_rng([cfg.seed, point_index, frames])
-        llrs = awgn_llrs(zeros, ebn0, cfg.rate, rng)
+        llrs = awgn_llrs(zeros, ebn0, rate, rng)
         hard, iters, _ = decoder.decode(llrs, cfg.max_iterations)
         errs = int(hard.sum())
         bit_errors += errs
@@ -275,9 +275,3 @@ def simulate_point(code: LdpcCode, cfg: ChannelConfig, point_index: int) -> Poin
         ci_low=lo,
         ci_high=hi,
     )
-
-
-def ber_sweep(code: LdpcCode, cfg: ChannelConfig) -> BerResult:
-    """Sequential sweep over all configured Eb/N0 points."""
-    points = tuple(simulate_point(code, cfg, i) for i in range(len(cfg.ebn0_db_list)))
-    return BerResult(config=cfg, points=points)

@@ -239,10 +239,10 @@ def test_criterion_13b_deep_noise_coin_flip(geo_code):
     # products of 23 tanh factors and vanish, so no frame converges and the
     # decoded decisions are the channel's.  The coin is fair (0.5) only as
     # EbN0 -> -infinity (Q(1/sigma) is 0.447 at -20 dB).
-    cfg = ChannelConfig(ebn0_db_list=(-10.0,), rate=geo_code.rate,
+    cfg = ChannelConfig(ebn0_db_list=(-10.0,),
                         max_iterations=20, min_frame_errors=1000, max_frames=100, seed=13)
     pt = simulate_point(geo_code, cfg, 0)
-    sigma = math.sqrt(1.0 / (2.0 * cfg.rate * 10.0 ** (cfg.ebn0_db_list[0] / 10.0)))
+    sigma = math.sqrt(1.0 / (2.0 * geo_code.rate * 10.0 ** (cfg.ebn0_db_list[0] / 10.0)))
     analytic = 0.5 * math.erfc(1.0 / (sigma * math.sqrt(2.0)))
     assert pt.fer == 1.0, f"{pt.frame_errors} of {pt.frames} frames had errors"
     assert pt.mean_iterations == cfg.max_iterations, \
@@ -256,7 +256,7 @@ def test_criterion_13b_deep_noise_coin_flip(geo_code):
 
 def test_criterion_13c_waterfall_monotone(geo_code):
     t0 = time.perf_counter()
-    cfg = ChannelConfig(ebn0_db_list=(1.0, 2.0, 3.0, 4.0, 5.0), rate=geo_code.rate,
+    cfg = ChannelConfig(ebn0_db_list=(1.0, 2.0, 3.0, 4.0, 5.0),
                         max_iterations=30, min_frame_errors=40, max_frames=4000, seed=21)
     points = [simulate_point(geo_code, cfg, i) for i in range(5)]
     for lo, hi in zip(points, points[1:]):
@@ -273,9 +273,9 @@ def test_criterion_13d_geometry_vs_random(geo_code):
     grid = (4.0, 4.5, 5.0)
     geo_pts, rnd_pts = [], []
     for i in range(len(grid)):
-        cfg_g = ChannelConfig(ebn0_db_list=grid, rate=geo_code.rate, max_iterations=40,
+        cfg_g = ChannelConfig(ebn0_db_list=grid, max_iterations=40,
                               min_frame_errors=100, max_frames=40000, seed=77)
-        cfg_r = ChannelConfig(ebn0_db_list=grid, rate=rnd_code.rate, max_iterations=40,
+        cfg_r = ChannelConfig(ebn0_db_list=grid, max_iterations=40,
                               min_frame_errors=100, max_frames=40000, seed=78)
         geo_pts.append(simulate_point(geo_code, cfg_g, i))
         rnd_pts.append(simulate_point(rnd_code, cfg_r, i))

@@ -28,6 +28,9 @@ def test_ebno_grid_rejects_empty_and_nonfinite():
     for text in ("nan", "inf", "1:nan:3", "-inf:1:3", "1:1:nan"):
         with pytest.raises(ValueError, match="finite"):
             parse_ebno_grid(text)
+    for text in ("3:x:5", "x", "1::3"):
+        with pytest.raises(ValueError, match=f"bad Eb/N0 grid '{text}'"):
+            parse_ebno_grid(text)
 
 
 def test_simulate_rejects_bad_ebno_grid(tmp_path, capsys):
@@ -200,6 +203,44 @@ def test_simulate_refuses_zero_matrix(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["hyperbolic-3", "conic-5", "zero"])
+def test_simulable_iff_simulate_runs(tmp_path, source):
+    # one decision on the code: the report's "simulable" and simulate's refusal agree
+    alist = tmp_path / "h.alist"
+    if source == "zero":
+        alist.write_text(ZERO_ALIST)
+    else:
+        family, field = source.split("-")
+        assert run(["construct", "--family", family, "--field", field, "--out", alist]) == 0
+    run(["analyze", "--in", alist, "--out", tmp_path / "r.json"])
+    simulable = json.loads((tmp_path / "r.json").read_text())["simulable"]
+    out = tmp_path / "ber.csv"
+    status = run(["simulate", "--in", alist, "--ebno", "3", "--max-iters", 5,
+                  "--max-frames", 2, "--threads", 1, "--out", out])
+    assert (status == 0) == simulable and status in (0, 2)
+    assert out.exists() == simulable
+    assert (tmp_path / "ber.csv.manifest.json").exists() == simulable
+    assert simulable == (source == "hyperbolic-3")
+
+
+@pytest.mark.parametrize("bad", [["--max-iters", 0], ["--max-frames", 0],
+                                 ["--min-frame-errors", 0], ["--ebno", "5:1:3"],
+                                 ["--threads", 0]],
+                         ids=lambda bad: bad[0].lstrip("-"))
+def test_simulate_validates_before_reading(tmp_path, monkeypatch, capsys, bad):
+    # the grid, the channel config and the thread count need no code, so they
+    # are checked before the alist is read and its rank eliminated
+    def unread(path):
+        raise AssertionError(f"read_alist({path}) called")
+
+    monkeypatch.setattr("geomcode.cli.read_alist", unread)
+    # argparse keeps the last of a repeated option, so `bad` overrides --ebno 3
+    assert run(["simulate", "--in", tmp_path / "h.alist", "--ebno", "3",
+                "--out", tmp_path / "ber.csv", *bad]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "ber.csv").exists()
+
+
 def test_simulate_threads_do_not_change_output(tmp_path):
     alist = tmp_path / "h.alist"
     run(["construct", "--family", "hyperbolic", "--field", "3", "--out", alist])
@@ -233,7 +274,7 @@ def test_construct_extension_field(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
+def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
     from geomcode.cli import _resolve_threads
 
     monkeypatch.setenv("GEOMCODE_THREADS", "3")
@@ -250,6 +291,15 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     run(["construct", "--family", "hyperbolic", "--field", "3", "--out", alist])
     assert run(["simulate", "--in", alist, "--ebno", "3", "--threads", -5,
                 "--out", tmp_path / "ber.csv"]) == 2
+    monkeypatch.setenv("GEOMCODE_THREADS", "abc")
+    with pytest.raises(ValueError, match="GEOMCODE_THREADS must be an integer, got 'abc'"):
+        _resolve_threads(None)
+    assert _resolve_threads(2) == 2
+    capsys.readouterr()
+    assert run(["simulate", "--in", alist, "--ebno", "3",
+                "--out", tmp_path / "ber.csv"]) == 2
+    assert "error: GEOMCODE_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "ber.csv").exists()
 
 
 def test_outputs_are_deterministic(tmp_path):

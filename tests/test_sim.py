@@ -8,7 +8,6 @@ from geomcode.sim import (
     LdpcCode,
     SumProductDecoder,
     awgn_llrs,
-    ber_sweep,
     noise_sigma,
     random_regular_h,
     simulate_point,
@@ -174,17 +173,23 @@ def test_wilson_interval_basics():
 
 
 def test_simulate_point_refuses_trivial_code():
-    eye = matrix([[1 if i == j else 0 for j in range(4)] for i in range(4)])
-    code = LdpcCode.from_parity(eye)
-    cfg = ChannelConfig(ebn0_db_list=(2.0,), rate=0.5)
-    with pytest.raises(ValueError, match="dimension 0"):
-        simulate_point(code, cfg, 0)
+    # the refusal comes from the code alone: full column rank (dimension 0)
+    # and rank 0 (dimension n)
+    cfg = ChannelConfig(ebn0_db_list=(2.0,))
+    eye = LdpcCode.from_parity(matrix(np.eye(4, dtype=np.uint8)))
+    assert eye.dimension == 0
+    with pytest.raises(ValueError, match=r"full column rank \(rank 4 = n = 4\)"):
+        simulate_point(eye, cfg, 0)
+    zero = LdpcCode.from_parity(matrix(np.zeros((2, 3), dtype=np.uint8)))
+    assert zero.dimension == zero.n == 3
+    with pytest.raises(ValueError, match=r"rank 0, the code is all of GF\(2\)\^3"):
+        simulate_point(zero, cfg, 0)
 
 
 def test_ber_deep_noise_matches_channel_decisions(geo_code):
     # far below the waterfall the check messages vanish (tanh products over
     # 23 edges), so decoded BER equals the raw decision probability Q(1/sigma)
-    cfg = ChannelConfig(ebn0_db_list=(-10.0,), rate=geo_code.rate,
+    cfg = ChannelConfig(ebn0_db_list=(-10.0,),
                         max_iterations=20, min_frame_errors=100, max_frames=60, seed=2)
     pt = simulate_point(geo_code, cfg, 0)
     sigma = noise_sigma(-10.0, geo_code.rate)
@@ -194,25 +199,24 @@ def test_ber_deep_noise_matches_channel_decisions(geo_code):
 
 
 def test_ber_sweep_deterministic(geo_code):
-    cfg = ChannelConfig(ebn0_db_list=(3.0, 4.0), rate=geo_code.rate,
+    cfg = ChannelConfig(ebn0_db_list=(3.0, 4.0),
                         max_iterations=15, min_frame_errors=5, max_frames=40, seed=11)
-    a = ber_sweep(geo_code, cfg)
-    b = ber_sweep(geo_code, cfg)
-    assert a == b
+    for i in range(len(cfg.ebn0_db_list)):
+        assert simulate_point(geo_code, cfg, i) == simulate_point(geo_code, cfg, i)
 
 
 def test_point_stats_independent_of_grid_position(geo_code):
     # the RNG stream is keyed by (seed, point index, frame), so a point's
     # result does not depend on what other points are in the grid
-    cfg1 = ChannelConfig(ebn0_db_list=(3.0,), rate=geo_code.rate,
+    cfg1 = ChannelConfig(ebn0_db_list=(3.0,),
                          max_iterations=15, min_frame_errors=5, max_frames=30, seed=4)
-    cfg2 = ChannelConfig(ebn0_db_list=(3.0, 5.0), rate=geo_code.rate,
+    cfg2 = ChannelConfig(ebn0_db_list=(3.0, 5.0),
                          max_iterations=15, min_frame_errors=5, max_frames=30, seed=4)
     assert simulate_point(geo_code, cfg1, 0) == simulate_point(geo_code, cfg2, 0)
 
 
 def test_high_snr_no_errors(geo_code):
-    cfg = ChannelConfig(ebn0_db_list=(8.0,), rate=geo_code.rate,
+    cfg = ChannelConfig(ebn0_db_list=(8.0,),
                         max_iterations=30, min_frame_errors=100, max_frames=300, seed=3)
     pt = simulate_point(geo_code, cfg, 0)
     assert pt.bit_errors == 0 and pt.frames == 300
