@@ -9,6 +9,7 @@ so a run can be reproduced and verified byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -29,7 +30,6 @@ from .metrics import six_cycles, tanner_bounds, tanner_girth
 from .sim import ChannelConfig, LdpcCode, PointStats, simulate_point
 from .srpg import (
     AxiomViolation,
-    DegenerateStructure,
     check_gpg_axioms,
     check_strongly_regular,
     feasibility_check,
@@ -106,91 +106,88 @@ def parse_ebno_grid(text: str) -> tuple[float, ...]:
 
 def build_analysis_report(ic: IncidenceStructure) -> dict:
     """Run every structural check and collect the results in one document."""
+    code = LdpcCode.from_parity(ic.matrix)
+    girth = tanner_girth(ic)
     report: dict = {
         "family": ic.family,
         "q": ic.field.q if ic.field is not None else None,
         "v": ic.v,
         "n": ic.n,
         "degenerate": ic.degenerate,
+        "rank2_M": code.n - code.dimension,
+        "dimension": code.dimension, "rate": code.rate,
+        "simulable": code.refusal() is None,
+        "girth": None if math.isinf(girth) else int(girth),
     }
-    failures: list[str] = []
+    report["failures"] = _file_stages(ic, report)
+    report["checks_passed"] = not report["failures"]
+    return report
 
+
+def _file_stages(ic: IncidenceStructure, report: dict) -> list[str]:
+    """File the result of each stage of the analysis in `report`, in
+    dependency order, and return the failures.  A stage runs once its inputs
+    are established: the pass ends at a failure that leaves a later stage
+    without its input."""
     try:
         params = check_gpg_axioms(ic)
-        report["axioms"] = {"pass": True}
-        report["s"], report["t"] = params.s, params.t
-        report["alphas"] = list(params.alphas)
-        report["grade"] = params.grade
     except AxiomViolation as exc:
         report["axioms"] = {"pass": False, "violated": exc.axiom, "witness": list(exc.witness)}
-        failures.append(str(exc))
-        params = None
+        return [str(exc)]
+    report["axioms"] = {"pass": True}
+    report["s"], report["t"] = params.s, params.t
+    report["alphas"] = list(params.alphas)
+    report["grade"] = params.grade
+    if ic.degenerate:
+        report["notice"] = ("structure is degenerate (edgeless point graph); "
+                            "strong-regularity analysis skipped")
+        return []
 
-    code = LdpcCode.from_parity(ic.matrix)
-    report["rank2_M"] = code.n - code.dimension
-    report["dimension"], report["rate"] = code.dimension, code.rate
-    report["simulable"] = code.refusal() is None
-    g = tanner_girth(ic)
-    report["girth"] = None if math.isinf(g) else int(g)
+    try:
+        v, k, lam, mu = check_strongly_regular(ic)
+    except ValueError as exc:
+        report["srg"] = {"error": str(exc)}
+        return [str(exc)]
+    report["srg"] = {"k": k, "lambda": lam, "mu": mu}
+    params = dataclasses.replace(params, lambda_=lam, mu=mu)
+    failures = []
 
-    if params is not None:
-        if ic.degenerate:
-            report["notice"] = ("structure is degenerate (edgeless point graph); "
-                                "strong-regularity analysis skipped")
-        else:
-            try:
-                v, k, lam, mu = check_strongly_regular(ic)
-                params.lambda_, params.mu = lam, mu
-                report["srg"] = {"k": k, "lambda": lam, "mu": mu}
-                spec = spectrum(v, k, lam, mu, params.s, params.t)
-                report["spectrum"] = {
-                    "delta": spec.delta, "u1": spec.u1, "u2": spec.u2,
-                    "f1": spec.f1, "f2": spec.f2,
-                    "theta0": spec.theta0, "theta1": spec.theta1, "theta2": spec.theta2,
-                }
-                feas = feasibility_check(params)
-                report["feasibility"] = [
-                    {"condition": name, "pass": ok, "detail": detail}
-                    for name, ok, detail in feas.conditions
-                ]
-                if not feas.all_ok:
-                    failures.append("feasibility conditions failed")
+    # the axioms hold, so M M^T = A + (t+1)I: mod 2, A with t+1 on the diagonal
+    parity = np.packbits(ic.adjacency, axis=1)
+    if params.t % 2 == 0:
+        i = np.arange(v)
+        parity[i, i >> 3] |= (0x80 >> (i & 7)).astype(np.uint8)
+    report["rank2_MMT"] = rank2(parity)
+    cyc = six_cycles(ic, params)
+    report["six_cycles"] = {"formula": cyc.six_cycle_formula,
+                            "enumerated": cyc.six_cycle_enumerated}
+    if cyc.six_cycle_formula != cyc.six_cycle_enumerated:
+        failures.append("six-cycle formula disagrees with enumeration")
 
-                # the axioms hold, so M M^T = A + (t+1)I: mod 2, A with t+1 on the diagonal
-                parity = ic.adjacency | np.eye(ic.v, dtype=bool) & (params.t % 2 == 0)
-                report["rank2_MMT"] = rank2(np.packbits(parity, axis=1))
-                pred = brouwer_predict(spec)
-                report["rank_prediction"] = {
-                    "kind": pred.kind, "value": pred.value, "case": pred.case_tag,
-                }
-                if pred.kind == "exact" and pred.value != report["rank2_MMT"]:
-                    failures.append(
-                        f"rank prediction {pred.value} != eliminated rank {report['rank2_MMT']}")
+    feas = feasibility_check(params)
+    report["feasibility"] = [{"condition": name, "pass": ok, "detail": detail}
+                             for name, ok, detail in feas.conditions]
+    if not feas.all_ok:
+        failed = ", ".join(name for name, ok, _ in feas.conditions if not ok)
+        return [*failures, f"feasibility conditions failed: {failed}"]
 
-                # spectrum() accepted mu > 0: diameter 2, so the point graph is connected
-                bounds = tanner_bounds(params.n, params.s + 1, params.t + 1,
-                                       spec.theta0, spec.theta1)
-                report["distance_bounds"] = {
-                    "bit_oriented": str(bounds.bit_oriented),
-                    "parity_oriented": str(bounds.parity_oriented),
-                    "effective": bounds.effective,
-                    "vacuous": bounds.vacuous,
-                }
-
-                cyc = six_cycles(ic, params)
-                report["six_cycles"] = {
-                    "formula": cyc.six_cycle_formula,
-                    "enumerated": cyc.six_cycle_enumerated,
-                }
-                if cyc.six_cycle_formula != cyc.six_cycle_enumerated:
-                    failures.append("six-cycle formula disagrees with enumeration")
-            except (DegenerateStructure, ValueError) as exc:
-                report["srg"] = {"error": str(exc)}
-                failures.append(str(exc))
-
-    report["failures"] = failures
-    report["checks_passed"] = not failures
-    return report
+    # feasible: the multiplicities are integral and mu > 0
+    spec = spectrum(v, k, lam, mu, params.s, params.t)
+    report["spectrum"] = {key: getattr(spec, key) for key in
+                          ("delta", "u1", "u2", "f1", "f2", "theta0", "theta1", "theta2")}
+    pred = brouwer_predict(spec)
+    report["rank_prediction"] = {"kind": pred.kind, "value": pred.value, "case": pred.case_tag}
+    if pred.kind == "exact" and pred.value != report["rank2_MMT"]:
+        failures.append(f"rank prediction {pred.value} != eliminated rank {report['rank2_MMT']}")
+    # mu > 0 gives diameter 2, so the point graph is connected and theta0 > theta1
+    bounds = tanner_bounds(params.n, params.s + 1, params.t + 1, spec.theta0, spec.theta1)
+    report["distance_bounds"] = {
+        "bit_oriented": str(bounds.bit_oriented),
+        "parity_oriented": str(bounds.parity_oriented),
+        "effective": bounds.effective,
+        "vacuous": bounds.vacuous,
+    }
+    return failures
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -259,17 +256,18 @@ def _format_csv(points: list[PointStats]) -> str:
 
 
 def _resolve_threads(value: int | None) -> int:
-    """--threads, else GEOMCODE_THREADS, else every core; at least 1."""
-    env = os.environ.get("GEOMCODE_THREADS")
+    """--threads, else GEOMCODE_THREADS, else every core; a bad value is named by its source."""
+    source, env = "thread count", os.environ.get("GEOMCODE_THREADS")
     if value is None and env:
+        source = "GEOMCODE_THREADS"
         try:
             value = int(env)
         except ValueError:
-            raise ValueError(f"GEOMCODE_THREADS must be an integer, got {env!r}") from None
+            raise ValueError(f"{source} must be an integer, got {env!r}") from None
     if value is None:
         return os.cpu_count() or 1
     if value < 1:
-        raise ValueError(f"thread count must be at least 1, got {value}")
+        raise ValueError(f"{source} must be at least 1, got {value}")
     return value
 
 

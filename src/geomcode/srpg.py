@@ -40,7 +40,7 @@ class DegenerateStructure(ValueError):
     """Structure has no usable point graph (edgeless, complete, or mu = 0)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SrpgParams:
     s: int
     t: int
@@ -177,7 +177,8 @@ def spectrum(v: int, k: int, lambda_: int, mu: int, s: int, t: int) -> SrgSpectr
     """Closed-form eigenvalues/multiplicities of A and the shifted Gram
     eigenvalues theta_i = u_i + (t+1), theta_0 = (s+1)(t+1)."""
     if mu <= 0:
-        raise DegenerateStructure("mu = 0: spectrum undefined for a disconnected-complement case")
+        raise DegenerateStructure("mu = 0: the point graph is a disjoint union of cliques, "
+                                  "its complement connected; the closed form needs mu > 0")
     delta = (lambda_ - mu) ** 2 + 4 * (k - mu)
     r = math.isqrt(delta)
     if r * r != delta:

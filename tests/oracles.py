@@ -1,9 +1,10 @@
 """Scalar reference geometry of PG(2,q) and PG(3,q) over odd fields, which
 the closed-form builds in geomcode.constructions are checked against, and
 the dense views of a BinaryMatrix and its integer Gram matrix, which the
-point graph and the other derived views are checked against, and the
-per-line alist writer and reader, which the whole-array ones in
-geomcode.alist are checked against.
+point graph and the other derived views are checked against, the dense
+integer analysis report (:func:`report`), which the CLI's analysis report
+is checked against key for key, and the per-line alist writer and reader,
+which the whole-array ones in geomcode.alist are checked against.
 
 Coordinates are field element codes (see geomcode.fields) and points are
 plain coordinate tuples, normalized so the first nonzero coordinate is
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import deque
 from itertools import chain
 from pathlib import Path
 
@@ -25,7 +28,9 @@ import numpy as np
 
 from geomcode.constructions import HyperbolicLabel
 from geomcode.fields import Field
-from geomcode.gf2 import BinaryMatrix
+from geomcode.gf2 import BinaryMatrix, brouwer_predict
+from geomcode.metrics import tanner_bounds
+from geomcode.srpg import SrpgParams, feasibility_check, spectrum
 
 Point = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -344,6 +349,167 @@ def gram_counts(m: BinaryMatrix) -> np.ndarray:
         out[lo:lo + step] += out[:, lo:lo + step].T
     out[np.diag_indices(v)] = m.row_weights()
     return out
+
+
+def dense_rank_mod2(a: np.ndarray) -> int:
+    """Independent column-sweep elimination oracle."""
+    a = a.copy().astype(np.uint8) % 2
+    r = 0
+    for c in range(a.shape[1]):
+        piv = np.nonzero(a[r:, c])[0]
+        if piv.size == 0:
+            continue
+        p = piv[0] + r
+        a[[r, p]] = a[[p, r]]
+        rows = np.nonzero(a[:, c])[0]
+        rows = rows[rows != r]
+        a[rows] ^= a[r]
+        r += 1
+        if r == a.shape[0]:
+            break
+    return r
+
+
+def tanner_girth_bfs(d: np.ndarray) -> float:
+    """Shortest cycle of the Tanner graph of the 0/1 array d (math.inf for a
+    forest), by a breadth-first search from every row node: every cycle runs
+    through one, and the search from a node on a shortest cycle closes it."""
+    v, n = d.shape
+    # nodes: rows 0..v-1, columns v..v+n-1
+    nbrs = [(np.flatnonzero(d[i]) + v).tolist() for i in range(v)]
+    nbrs += [np.flatnonzero(d[:, j]).tolist() for j in range(n)]
+    best = math.inf
+    for root in range(v):
+        dist, parent = {root: 0}, {root: -1}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in nbrs[u]:
+                if w not in dist:
+                    dist[w], parent[w] = dist[u] + 1, u
+                    queue.append(w)
+                elif w != parent[u]:
+                    best = min(best, dist[u] + dist[w] + 1)
+    return best
+
+
+def hexagons(d: np.ndarray) -> int:
+    """Number of 6-cycles of the Tanner graph of the 0/1 array d.
+
+    A 6-cycle is three points a, b, c with three distinct blocks, one on
+    each pair.  With G = M M^T less its diagonal, trace(G^3) / 6 counts the
+    block choices over the point triples; inclusion-exclusion takes out the
+    choices that repeat a block, all of which lie on blocks holding the whole
+    triple: a block of w points holds w - 2 triples through each of its pairs."""
+    d = d.astype(np.int64)
+    g = d @ d.T
+    np.fill_diagonal(g, 0)
+    w = d.sum(axis=0)
+    pair_sums = np.einsum("px,pq,qx->x", d, g, d) // 2  # per block, G summed over its pairs
+    repeats = int(((w - 2) * pair_sums).sum()) - 2 * int((w * (w - 1) * (w - 2) // 6).sum())
+    return int(np.trace(g @ g @ g)) // 6 - repeats
+
+
+def _first(mask: np.ndarray) -> tuple[int, int]:
+    """The first True entry of a 2-D mask in row-major order."""
+    return tuple(int(x) for x in np.unravel_index(np.argmax(mask), mask.shape))
+
+
+def report(m: BinaryMatrix) -> dict:
+    """The analysis report of `m` read as a structure from a file, from a
+    dense integer analysis: the axioms off the integer M M^T and the weights,
+    the alpha census over all (point, block) pairs, k, lambda and mu off the
+    integer A^2, the ranks by Gaussian elimination, the girth by
+    breadth-first search and the 6-cycles by a trace.  The closed-form
+    sections come from the package's feasibility_check, spectrum,
+    brouwer_predict and tanner_bounds."""
+    d = dense(m).astype(np.int64)
+    v, n = d.shape
+    gram = d @ d.T
+    rank_m = dense_rank_mod2(d)
+    girth = tanner_girth_bfs(d)
+    col_w, row_w = d.sum(axis=0), d.sum(axis=1)
+    rep = {
+        "family": "file", "q": None, "v": v, "n": n, "degenerate": bool(col_w.max() <= 1),
+        "rank2_M": rank_m, "dimension": n - rank_m, "rate": (n - rank_m) / n,
+        "simulable": 0 < rank_m < n, "girth": None if math.isinf(girth) else girth,
+    }
+
+    def failed(*failures: str) -> dict:
+        rep["failures"] = list(failures)
+        rep["checks_passed"] = not failures
+        return rep
+
+    def violated(axiom: str, witness: tuple, message: str) -> dict:
+        rep["axioms"] = {"pass": False, "violated": axiom, "witness": list(witness)}
+        return failed(f"axiom ({axiom}) violated: {message} (witness {witness})")
+
+    off = gram - np.diag(np.diag(gram))
+    if (off > 1).any():
+        i, j = _first(off > 1)
+        return violated("i", (i, j), f"points share {off[i, j]} blocks")
+    if (col_w != col_w[0]).any():
+        j = int(np.argmax(col_w != col_w[0]))
+        return violated("ii", (j,), f"block sizes differ: {col_w[0]} vs {col_w[j]}")
+    if col_w[0] == 0:
+        return violated("ii", (0,), "the blocks hold no points")
+    if (row_w != row_w[0]).any():
+        i = int(np.argmax(row_w != row_w[0]))
+        return violated("iii", (i,), f"point degrees differ: {row_w[0]} vs {row_w[i]}")
+    a = (off > 0).astype(np.int64)
+    s, t = int(col_w[0]) - 1, int(row_w[0]) - 1
+    alphas = sorted(set((a @ d)[d == 0].tolist()))
+    rep.update(axioms={"pass": True}, s=s, t=t, alphas=alphas, grade=len(alphas))
+    if rep["degenerate"]:
+        rep["notice"] = ("structure is degenerate (edgeless point graph); "
+                         "strong-regularity analysis skipped")
+        return failed()
+
+    a2 = a @ a
+    k = int(a2[0, 0])
+    assert (np.diag(a2) == k).all()  # axioms (i)-(iii) make the graph s(t+1)-regular
+    if k == v - 1:
+        rep["srg"] = {"error": "point graph is complete"}
+        return failed("point graph is complete")
+    nonadj = (a == 0) & ~np.eye(v, dtype=bool)
+    values = {}
+    for name, mask in (("lambda", a == 1), ("mu", nonadj)):
+        first = a2[_first(mask)]
+        if (bad := mask & (a2 != first)).any():
+            i, j = _first(bad)
+            error = f"{name} not constant: pair {(i, j)} has {a2[i, j]}, expected {first}"
+            rep["srg"] = {"error": error}
+            return failed(error)
+        values[name] = int(first)
+    lam, mu = values["lambda"], values["mu"]
+    rep["srg"] = {"k": k, "lambda": lam, "mu": mu}
+    failures = []
+
+    rep["rank2_MMT"] = dense_rank_mod2(gram)
+    cycles = hexagons(d)
+    rep["six_cycles"] = {"formula": n * s * (s + 1) * (lam - s + 1) // 6, "enumerated": cycles}
+    if rep["six_cycles"]["formula"] != cycles:
+        failures.append("six-cycle formula disagrees with enumeration")
+    feas = feasibility_check(SrpgParams(s, t, tuple(alphas), v, n, lam, mu))
+    rep["feasibility"] = [{"condition": name, "pass": ok, "detail": detail}
+                          for name, ok, detail in feas.conditions]
+    if not feas.all_ok:
+        names = ", ".join(name for name, ok, _ in feas.conditions if not ok)
+        return failed(*failures, f"feasibility conditions failed: {names}")
+
+    spec = spectrum(v, k, lam, mu, s, t)
+    rep["spectrum"] = {key: getattr(spec, key) for key in
+                       ("delta", "u1", "u2", "f1", "f2", "theta0", "theta1", "theta2")}
+    pred = brouwer_predict(spec)
+    rep["rank_prediction"] = {"kind": pred.kind, "value": pred.value, "case": pred.case_tag}
+    if pred.kind == "exact" and pred.value != rep["rank2_MMT"]:
+        failures.append(f"rank prediction {pred.value} != eliminated rank {rep['rank2_MMT']}")
+    bounds = tanner_bounds(n, s + 1, t + 1, spec.theta0, spec.theta1)
+    rep["distance_bounds"] = {
+        "bit_oriented": str(bounds.bit_oriented), "parity_oriented": str(bounds.parity_oriented),
+        "effective": bounds.effective, "vacuous": bounds.vacuous,
+    }
+    return failed(*failures)
 
 
 def _index_lines(index: np.ndarray, weights: list[int]) -> list[str]:

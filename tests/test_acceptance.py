@@ -1,6 +1,7 @@
 """Acceptance suite: one test per numbered criterion, each printing a
 PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`)."""
 
+import dataclasses
 import json
 import math
 import os
@@ -45,8 +46,7 @@ def geo_code(hyp3):
 def _verified(ic):
     params = check_gpg_axioms(ic)
     _, _, lam, mu = check_strongly_regular(ic)
-    params.lambda_, params.mu = lam, mu
-    return params
+    return dataclasses.replace(params, lambda_=lam, mu=mu)
 
 
 def test_criterion_01_conic_structure_shape():

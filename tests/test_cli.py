@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from geomcode.alist import read_alist
+from geomcode.alist import read_alist, write_alist
 from geomcode.cli import main, parse_ebno_grid
+from oracles import matrix
 
 
 def run(args):
@@ -119,6 +120,39 @@ def test_analyze_random_code_fails_srg(tmp_path):
     assert run(["analyze", "--in", alist, "--out", out]) == 1
     rep = json.loads(out.read_text())
     assert not rep["checks_passed"] and rep["failures"]
+
+
+# two strongly regular graphs whose parameters fail feasibility: the pentagon
+# srg(5, 2, 0, 1), a conference graph, and two disjoint triangles srg(6, 2, 1, 0);
+# the blocks are the edges
+SRG_INFEASIBLE = {
+    "pentagon": ([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 5,
+                 {"k": 2, "lambda": 0, "mu": 1}, ["multiplicities-integral"], 4, 0),
+    "two-triangles": ([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], 6,
+                      {"k": 2, "lambda": 1, "mu": 0}, ["mu-positive", "multiplicities-integral"],
+                      4, 2),
+}
+
+
+@pytest.mark.parametrize("name", SRG_INFEASIBLE)
+def test_analyze_infeasible_srg_keeps_parameters(tmp_path, capsys, name):
+    # the srg stage files k, lambda and mu; only the feasibility stage fails
+    edges, v, srg, failed, rank, hexagons = SRG_INFEASIBLE[name]
+    alist, out = tmp_path / "g.alist", tmp_path / "g.json"
+    write_alist(matrix([[int(p in e) for e in edges] for p in range(v)]), alist)
+    assert run(["analyze", "--in", alist, "--out", out]) == 1
+    rep = json.loads(out.read_text())
+    assert rep["srg"] == srg
+    assert [c["condition"] for c in rep["feasibility"]] == [
+        "mu-positive" if srg["mu"] == 0 else "mu-divides-k(k-lambda-1)",
+        "s+1-divides-v(t+1)", "multiplicities-integral"]
+    assert [c["condition"] for c in rep["feasibility"] if not c["pass"]] == failed
+    assert rep["rank2_MMT"] == rank
+    assert rep["six_cycles"] == {"formula": hexagons, "enumerated": hexagons}
+    assert not {"spectrum", "rank_prediction", "distance_bounds"} & rep.keys()
+    message = f"feasibility conditions failed: {', '.join(failed)}"
+    assert rep["failures"] == [message] and not rep["checks_passed"]
+    assert capsys.readouterr().err == json.dumps([message]) + "\n"
 
 
 def test_analyze_requires_input(tmp_path, capsys):
@@ -282,15 +316,22 @@ def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
     assert _resolve_threads(2) == 2
     monkeypatch.delenv("GEOMCODE_THREADS")
     assert _resolve_threads(None) >= 1
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ValueError, match="^thread count must be at least 1, got -5$"):
         _resolve_threads(-5)
     monkeypatch.setenv("GEOMCODE_THREADS", "0")
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ValueError, match="^GEOMCODE_THREADS must be at least 1, got 0$"):
         _resolve_threads(None)
+    # a flag value overrides the variable, so its error names the flag's count
+    with pytest.raises(ValueError, match="^thread count must be at least 1, got -5$"):
+        _resolve_threads(-5)
     alist = tmp_path / "h.alist"
     run(["construct", "--family", "hyperbolic", "--field", "3", "--out", alist])
+    capsys.readouterr()
+    assert run(["simulate", "--in", alist, "--ebno", "3", "--out", tmp_path / "ber.csv"]) == 2
+    assert capsys.readouterr().err == "error: GEOMCODE_THREADS must be at least 1, got 0\n"
     assert run(["simulate", "--in", alist, "--ebno", "3", "--threads", -5,
                 "--out", tmp_path / "ber.csv"]) == 2
+    assert capsys.readouterr().err == "error: thread count must be at least 1, got -5\n"
     monkeypatch.setenv("GEOMCODE_THREADS", "abc")
     with pytest.raises(ValueError, match="GEOMCODE_THREADS must be an integer, got 'abc'"):
         _resolve_threads(None)

@@ -16,31 +16,12 @@ from geomcode.gf2 import (
     rank2,
 )
 from geomcode.srpg import SrgSpectrum
-from oracles import dense, gram_counts, matrix
+from oracles import dense, dense_rank_mod2, gram_counts, matrix
 
 
 def gram_mod2(m):
     """M M^T mod 2, as the analysis report forms it."""
     return matrix(gram_counts(m) & 1)
-
-
-def dense_rank_mod2(a: np.ndarray) -> int:
-    """Independent column-sweep elimination oracle."""
-    a = a.copy().astype(np.uint8) % 2
-    r = 0
-    for c in range(a.shape[1]):
-        piv = np.nonzero(a[r:, c])[0]
-        if piv.size == 0:
-            continue
-        p = piv[0] + r
-        a[[r, p]] = a[[p, r]]
-        rows = np.nonzero(a[:, c])[0]
-        rows = rows[rows != r]
-        a[rows] ^= a[r]
-        r += 1
-        if r == a.shape[0]:
-            break
-    return r
 
 
 def random_matrix(rng, nrows, ncols, density=0.4):

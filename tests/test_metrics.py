@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -172,8 +173,7 @@ def test_no_four_cycles_in_verified_structures(conic5, conic7, hyp3):
 def _verified_params(ic):
     params = check_gpg_axioms(ic)
     _, _, lam, mu = check_strongly_regular(ic)
-    params.lambda_, params.mu = lam, mu
-    return params
+    return dataclasses.replace(params, lambda_=lam, mu=mu)
 
 
 def test_six_cycles_conic_q5(conic5):

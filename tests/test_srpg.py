@@ -231,6 +231,16 @@ def test_spectrum_mu_zero_rejected():
         spectrum(4, 0, 0, 0, 0, 0)
 
 
+def test_spectrum_mu_zero_names_disjoint_cliques():
+    # two disjoint triangles: srg(6, 2, 1, 0), whose complement K_{3,3} is connected
+    ic = _graph([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], 6)
+    assert check_strongly_regular(ic) == (6, 2, 1, 0)
+    with pytest.raises(DegenerateStructure,
+                       match=r"^mu = 0: the point graph is a disjoint union of cliques, "
+                             r"its complement connected; the closed form needs mu > 0$"):
+        spectrum(6, 2, 1, 0, 1, 1)
+
+
 def test_feasibility_passes():
     good = SrpgParams(s=2, t=2, alphas=(0, 1, 2), v=16, n=16, lambda_=2, mu=2)
     assert feasibility_check(good).all_ok
@@ -247,9 +257,8 @@ def test_feasibility_fabricated_failure():
 
 
 def test_alpha_profiles_hyperbolic_q3(hyp3):
-    params = check_gpg_axioms(hyp3)
     v, k, lam, mu = check_strongly_regular(hyp3)
-    params.lambda_, params.mu = lam, mu
+    params = dataclasses.replace(check_gpg_axioms(hyp3), lambda_=lam, mu=mu)
     prof = alpha_profiles(hyp3, params)
     assert prof.p_constant and prof.l_constant
     assert sum(prof.p_counts) == 23
@@ -259,9 +268,8 @@ def test_alpha_profiles_hyperbolic_q3(hyp3):
 
 
 def test_alpha_profiles_conic_q5(conic5):
-    params = check_gpg_axioms(conic5)
     v, k, lam, mu = check_strongly_regular(conic5)
-    params.lambda_, params.mu = lam, mu
+    params = dataclasses.replace(check_gpg_axioms(conic5), lambda_=lam, mu=mu)
     prof = alpha_profiles(conic5, params)
     # the per-pair identities hold (mu = 2 over t+1 = 3 blocks), but the
     # non-adjacent profile vector varies from pair to pair here
@@ -278,9 +286,8 @@ def test_alpha_profiles_need_lambda_mu(conic5):
 
 
 def _verified_params(ic):
-    params = check_gpg_axioms(ic)
-    _, _, params.lambda_, params.mu = check_strongly_regular(ic)
-    return params
+    _, _, lam, mu = check_strongly_regular(ic)
+    return dataclasses.replace(check_gpg_axioms(ic), lambda_=lam, mu=mu)
 
 
 # the full census, witnesses included, as the per-pair loop over all v^2
