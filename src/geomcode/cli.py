@@ -9,7 +9,6 @@ so a run can be reproduced and verified byte for byte.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -56,7 +55,10 @@ def _write_manifest(out: Path, command: str, params: dict) -> None:
 def _parse_modulus(text: str | None) -> list[int] | None:
     if text is None:
         return None
-    return [int(x) for x in text.split(",")]
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"bad modulus {text!r}; expected comma-separated integers") from None
 
 
 # family -> the names in .constructions of its builder and of its label
@@ -75,7 +77,8 @@ def _build_structure(family: str, field_spec: str, modulus: str | None) -> Incid
 def parse_ebno_grid(text: str) -> tuple[float, ...]:
     """Grid string "start:step:stop", inclusive of stop within half a step.
 
-    Rejects non-finite values and grids with no point.
+    Rejects non-finite values, grids with no point, and grids whose points
+    repeat once rounded (each point keys its own RNG stream).
     """
     parts = text.split(":")
     if len(parts) not in (1, 3):
@@ -98,6 +101,10 @@ def parse_ebno_grid(text: str) -> tuple[float, ...]:
         if x > stop + step / 2:
             break
         vals.append(round(x, 9))
+        # rounding keeps the order, so a repeat is the point before it: stop
+        # there rather than after the 10^10 points of a grid like 0:1e-10:1
+        if len(vals) > 1 and vals[-1] == vals[-2]:
+            raise ValueError(f"bad Eb/N0 grid {text!r}; points repeat after rounding to 9 decimals")
         i += 1
     if not vals:
         raise ValueError(f"Eb/N0 grid {text!r} is empty: stop lies below start")
@@ -149,7 +156,6 @@ def _file_stages(ic: IncidenceStructure, report: dict) -> list[str]:
         report["srg"] = {"error": str(exc)}
         return [str(exc)]
     report["srg"] = {"k": k, "lambda": lam, "mu": mu}
-    params = dataclasses.replace(params, lambda_=lam, mu=mu)
     failures = []
 
     # the axioms hold, so M M^T = A + (t+1)I: mod 2, A with t+1 on the diagonal
@@ -158,13 +164,13 @@ def _file_stages(ic: IncidenceStructure, report: dict) -> list[str]:
         i = np.arange(v)
         parity[i, i >> 3] |= (0x80 >> (i & 7)).astype(np.uint8)
     report["rank2_MMT"] = rank2(parity)
-    cyc = six_cycles(ic, params)
+    cyc = six_cycles(ic, params, lam)
     report["six_cycles"] = {"formula": cyc.six_cycle_formula,
                             "enumerated": cyc.six_cycle_enumerated}
     if cyc.six_cycle_formula != cyc.six_cycle_enumerated:
         failures.append("six-cycle formula disagrees with enumeration")
 
-    feas = feasibility_check(params)
+    feas = feasibility_check(v, k, lam, mu, params.s, params.t)
     report["feasibility"] = [{"condition": name, "pass": ok, "detail": detail}
                              for name, ok, detail in feas.conditions]
     if not feas.all_ok:

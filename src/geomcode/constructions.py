@@ -27,6 +27,7 @@ matrices are bit-for-bit reproducible.  The builds emit index arrays only;
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -148,6 +149,15 @@ class IncidenceStructure:
         return f"IncidenceStructure({self.family}, {self.v}x{self.n})"
 
 
+def _refuse_oversize(family: str, field: Field, peak: int) -> None:
+    """Raise ValueError, before the first large array, if a build's peak
+    (in bytes, closed form) exceeds the host's physical memory."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if peak > physical:
+        raise ValueError(f"the {family} build over {field!r} needs about {peak / 2**30:,.1f} GiB, "
+                         f"more than the {physical / 2**30:,.1f} GiB of physical memory")
+
+
 def build_conic_structure(field: Field) -> IncidenceStructure:
     """Incidence of type-I points with the conics through e1,e2,e3.
 
@@ -156,6 +166,7 @@ def build_conic_structure(field: Field) -> IncidenceStructure:
     """
     f = field
     q1 = f.q - 1
+    _refuse_oversize("conic", f, 81 * q1 ** 3)  # about 81 B per (a, b, x) cell
     a, b, x = np.indices((q1, q1, q1)) + 1
     s = f.add_table[b, x]
     on = s != 0
@@ -203,6 +214,7 @@ def build_hyperbolic_structure(field: Field) -> IncidenceStructure:
     """
     f = field
     q = f.q
+    _refuse_oversize("hyperbolic", f, 64 * q ** 5 * (q * q - 1))  # about 64 B per (N, B) pair
     add, mul, neg = f.add_table, f.mul_table, f.neg_table
     b = _canonical_b(f)[:, None, :]
     n = np.indices((q,) * 4).reshape(4, -1, 1)  # the lines N in lex order

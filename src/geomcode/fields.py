@@ -113,8 +113,9 @@ class Field:
 
 def field_from_string(spec: str, modulus: Sequence[int] | None = None) -> Field:
     """Parse a field specification string like ``"5"`` or ``"3^2"``."""
-    spec = spec.strip()
-    if "^" in spec:
-        p_str, k_str = spec.split("^", 1)
-        return Field(int(p_str), int(k_str), modulus)
-    return Field(int(spec), 1, modulus)
+    p, caret, k = spec.strip().partition("^")
+    try:
+        p, k = int(p), int(k) if caret else 1
+    except ValueError:
+        raise ValueError(f"bad field {spec!r}; expected p or p^k") from None
+    return Field(p, k, modulus)

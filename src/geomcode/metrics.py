@@ -111,15 +111,13 @@ def _pair_completions(ic: IncidenceStructure) -> int:
     return int(hist @ (c * (c - 1) // 2))
 
 
-def six_cycles(ic: IncidenceStructure, params: SrpgParams) -> CycleReport:
+def six_cycles(ic: IncidenceStructure, params: SrpgParams, lambda_: int) -> CycleReport:
     """6-cycle count: n*s*(s+1)*(lambda-s+1)/6 against direct enumeration,
     the pair-completion count of the block census divided by 3, which does
     not read the A^2 that gave lambda.  `params` comes from
     check_gpg_axioms, so axioms (i)-(iii) hold."""
-    if params.lambda_ is None:
-        raise ValueError("six-cycle census needs a verified lambda")
-    s, lam, n = params.s, params.lambda_, params.n
-    formula_num = n * s * (s + 1) * (lam - s + 1)
+    s, n = params.s, params.n
+    formula_num = n * s * (s + 1) * (lambda_ - s + 1)
     if formula_num % 6 != 0:
         raise ValueError(f"formula value {formula_num}/6 is not an integer")
     formula = formula_num // 6

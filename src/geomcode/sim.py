@@ -20,7 +20,7 @@ frame order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ MAX_RETRIES = 200     # redraws of a band permutation that makes a 4-cycle
 WILSON_Z = 1.959964   # the 97.5% normal quantile, for 95% intervals
 
 
-@dataclass
+@dataclass(frozen=True)
 class LdpcCode:
     h: BinaryMatrix
     dimension: int
@@ -200,9 +200,8 @@ def random_regular_h(m: int, n: int, w_col: int, w_row: int, seed: int) -> LdpcC
         groups.append(g)
 
     rows = np.concatenate([band * rpb + g for band, g in enumerate(groups)])
-    code = LdpcCode.from_parity(BinaryMatrix(rows, np.tile(np.arange(n), w_col), (m, n)))
-    code.four_cycle_free = clean
-    return code
+    h = BinaryMatrix(rows, np.tile(np.arange(n), w_col), (m, n))
+    return replace(LdpcCode.from_parity(h), four_cycle_free=clean)
 
 
 @dataclass(frozen=True)

@@ -42,13 +42,14 @@ class DegenerateStructure(ValueError):
 
 @dataclass(frozen=True)
 class SrpgParams:
+    """What the axioms determine: s, t, the alpha set, v and n.  Strong
+    regularity adds lambda and mu, passed to the functions that use them."""
+
     s: int
     t: int
     alphas: tuple[int, ...]
     v: int
     n: int
-    lambda_: int | None = None
-    mu: int | None = None
 
     @property
     def k(self) -> int:
@@ -214,30 +215,26 @@ class FeasibilityReport:
         return all(ok for _, ok, _ in self.conditions)
 
 
-def feasibility_check(params: SrpgParams) -> FeasibilityReport:
+def feasibility_check(v: int, k: int, lambda_: int, mu: int, s: int, t: int) -> FeasibilityReport:
     """Divisibility and multiplicity-integrality conditions on parameters."""
-    if params.lambda_ is None or params.mu is None:
-        raise ValueError("feasibility check needs lambda and mu")
-    k, v, lam, mu = params.k, params.v, params.lambda_, params.mu
-    s, t = params.s, params.t
     conds = []
     if mu <= 0:
         conds.append(("mu-positive", False, "mu = 0"))
     else:
-        div1 = k * (k - lam - 1) % mu == 0
+        div1 = k * (k - lambda_ - 1) % mu == 0
         conds.append(("mu-divides-k(k-lambda-1)", div1,
-                      f"{mu} | {k * (k - lam - 1)}"))
+                      f"{mu} | {k * (k - lambda_ - 1)}"))
     div2 = v * (t + 1) % (s + 1) == 0
     conds.append(("s+1-divides-v(t+1)", div2, f"{s + 1} | {v * (t + 1)}"))
     try:
-        spec = spectrum(v, k, lam, mu, s, t)
+        spec = spectrum(v, k, lambda_, mu, s, t)
         conds.append(("multiplicities-integral", True, f"f1={spec.f1}, f2={spec.f2}"))
     except (ValueError, DegenerateStructure) as exc:
         conds.append(("multiplicities-integral", False, str(exc)))
     return FeasibilityReport(tuple(conds))
 
 
-def alpha_profiles(ic: IncidenceStructure, params: SrpgParams) -> AlphaProfile:
+def alpha_profiles(ic: IncidenceStructure, params: SrpgParams, lambda_: int, mu: int) -> AlphaProfile:
     """Census the block-type profile of every ordered point pair.
 
     The counting identities are enforced per pair: an adjacent pair must
@@ -247,10 +244,7 @@ def alpha_profiles(ic: IncidenceStructure, params: SrpgParams) -> AlphaProfile:
     vectors across pairs is reported, not required.  The profiles of all
     pairs at once are products of the block census with M.
     """
-    if params.lambda_ is None or params.mu is None:
-        raise ValueError("profile census needs verified lambda and mu")
-    alphas = params.alphas
-    s, t, lam, mu = params.s, params.t, params.lambda_, params.mu
+    alphas, s, t = params.alphas, params.s, params.t
     # prof[i, P, Q]: blocks on P avoiding Q with alphas[i] points joined to Q
     prof = np.zeros((len(alphas), ic.v, ic.v), dtype=np.float32)
     for blocks, counts in ic.block_census():
@@ -262,7 +256,7 @@ def alpha_profiles(ic: IncidenceStructure, params: SrpgParams) -> AlphaProfile:
     adj = ic.adjacency
     size = prof.sum(axis=0)
     weighted = np.tensordot(np.array(alphas, dtype=np.float32), prof, axes=1)
-    bad = np.where(adj, (size != t) | (weighted - size + (s - 1) != lam),
+    bad = np.where(adj, (size != t) | (weighted - size + (s - 1) != lambda_),
                    (size != t + 1) | (weighted != mu))
     np.fill_diagonal(bad, False)
 
@@ -274,7 +268,7 @@ def alpha_profiles(ic: IncidenceStructure, params: SrpgParams) -> AlphaProfile:
         (p, q), vec = pair(np.argmax(bad))
         if adj[p, q]:
             size_name, size_want = "t", t
-            name, rec, want = "lambda", sum((al - 1) * x for al, x in zip(alphas, vec)) + s - 1, lam
+            name, rec, want = "lambda", sum((al - 1) * x for al, x in zip(alphas, vec)) + s - 1, lambda_
         else:
             size_name, size_want = "t+1", t + 1
             name, rec, want = "mu", sum(al * x for al, x in zip(alphas, vec)), mu
@@ -302,5 +296,5 @@ def alpha_profiles(ic: IncidenceStructure, params: SrpgParams) -> AlphaProfile:
         alphas=alphas, p_counts=p_vec, l_counts=l_vec,
         p_constant=p_witness is None, l_constant=l_witness is None,
         p_witness=p_witness, l_witness=l_witness,
-        lambda_=lam, mu=mu,
+        lambda_=lambda_, mu=mu,
     )

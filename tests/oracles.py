@@ -30,7 +30,7 @@ from geomcode.constructions import HyperbolicLabel
 from geomcode.fields import Field
 from geomcode.gf2 import BinaryMatrix, brouwer_predict
 from geomcode.metrics import tanner_bounds
-from geomcode.srpg import SrpgParams, feasibility_check, spectrum
+from geomcode.srpg import feasibility_check, spectrum
 
 Point = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -490,7 +490,7 @@ def report(m: BinaryMatrix) -> dict:
     rep["six_cycles"] = {"formula": n * s * (s + 1) * (lam - s + 1) // 6, "enumerated": cycles}
     if rep["six_cycles"]["formula"] != cycles:
         failures.append("six-cycle formula disagrees with enumeration")
-    feas = feasibility_check(SrpgParams(s, t, tuple(alphas), v, n, lam, mu))
+    feas = feasibility_check(v, k, lam, mu, s, t)
     rep["feasibility"] = [{"condition": name, "pass": ok, "detail": detail}
                           for name, ok, detail in feas.conditions]
     if not feas.all_ok:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -32,17 +33,26 @@ def test_ebno_grid_rejects_empty_and_nonfinite():
     for text in ("3:x:5", "x", "1::3"):
         with pytest.raises(ValueError, match=f"bad Eb/N0 grid '{text}'"):
             parse_ebno_grid(text)
+    # each point keys its own RNG stream, so a repeated point is refused, at
+    # the first repeat: 0:1e-10:1 would otherwise list 10^10 points first
+    for text in ("0:1e-10:2e-10", "0:1e-10:1"):
+        with pytest.raises(ValueError) as exc:
+            parse_ebno_grid(text)
+        assert str(exc.value) == f"bad Eb/N0 grid '{text}'; points repeat after rounding to 9 decimals"
 
 
 def test_simulate_rejects_bad_ebno_grid(tmp_path, capsys):
     h = tmp_path / "h3.alist"
     assert run(["construct", "--family", "hyperbolic", "--field", "3", "--out", h]) == 0
-    for grid in ("5:1:3", "nan"):
+    for grid in ("5:1:3", "nan", "0:1e-10:2e-10"):
         out = tmp_path / "ber.csv"
         assert run(["simulate", "--in", h, "--ebno", grid, "--max-frames", "1",
                     "--threads", "1", "--out", out]) == 2
         assert "error:" in capsys.readouterr().err
-        assert not out.exists()
+        assert not out.exists() and not (tmp_path / "ber.csv.manifest.json").exists()
+    assert run(["simulate", "--in", h, "--ebno", "0:1e-10:2e-10", "--out", out]) == 2
+    assert capsys.readouterr().err == ("error: bad Eb/N0 grid '0:1e-10:2e-10'; "
+                                       "points repeat after rounding to 9 decimals\n")
 
 
 def test_construct_writes_alist_and_manifest(tmp_path, hyp3):
@@ -57,6 +67,33 @@ def test_construct_writes_alist_and_manifest(tmp_path, hyp3):
 def test_construct_rejects_even_field(tmp_path):
     assert run(["construct", "--family", "conic", "--field", "4",
                 "--out", tmp_path / "x.alist"]) == 2
+
+
+def test_construct_names_bad_field_and_modulus(tmp_path, capsys):
+    out = tmp_path / "x.alist"
+    for args, err in [
+        (["--field", "3^x"], "error: bad field '3^x'; expected p or p^k\n"),
+        (["--field", "x"], "error: bad field 'x'; expected p or p^k\n"),
+        (["--field", "3^2", "--modulus", "1,,1"],
+         "error: bad modulus '1,,1'; expected comma-separated integers\n"),
+    ]:
+        assert run(["construct", "--family", "conic", *args, "--out", out]) == 2
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("family,field", [("conic", "4093"), ("hyperbolic", "31")])
+def test_construct_refuses_builds_past_physical_memory(tmp_path, capsys, family, field):
+    # the closed-form peak is compared with physical memory before any large
+    # array is allocated; no host holds these (conic q=4093 asks for TiBs)
+    out = tmp_path / "x.alist"
+    t0 = time.perf_counter()
+    assert run(["construct", "--family", family, "--field", field, "--out", out]) == 2
+    assert time.perf_counter() - t0 < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the {family} build over GF({field}) needs about ")
+    assert err.endswith(" GiB of physical memory\n")
+    assert not out.exists() and not (tmp_path / "x.alist.manifest.json").exists()
 
 
 def test_analyze_hyperbolic_q3(tmp_path):

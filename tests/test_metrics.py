@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -171,27 +170,21 @@ def test_no_four_cycles_in_verified_structures(conic5, conic7, hyp3):
 
 
 def _verified_params(ic):
-    params = check_gpg_axioms(ic)
-    _, _, lam, mu = check_strongly_regular(ic)
-    return dataclasses.replace(params, lambda_=lam, mu=mu)
+    """The axioms' parameters and lambda, the arguments of six_cycles."""
+    _, _, lam, _ = check_strongly_regular(ic)
+    return check_gpg_axioms(ic), lam
 
 
 def test_six_cycles_conic_q5(conic5):
-    rep = six_cycles(conic5, _verified_params(conic5))
+    rep = six_cycles(conic5, *_verified_params(conic5))
     assert rep.six_cycle_formula == rep.six_cycle_enumerated == 16
 
 
 def test_six_cycles_conic_q7(conic7):
-    rep = six_cycles(conic7, _verified_params(conic7))
+    rep = six_cycles(conic7, *_verified_params(conic7))
     assert rep.six_cycle_formula == rep.six_cycle_enumerated == 840
 
 
 def test_six_cycles_hyperbolic_q3(hyp3):
-    rep = six_cycles(hyp3, _verified_params(hyp3))
+    rep = six_cycles(hyp3, *_verified_params(hyp3))
     assert rep.six_cycle_formula == rep.six_cycle_enumerated == 16848
-
-
-def test_six_cycles_needs_lambda(conic5):
-    params = check_gpg_axioms(conic5)
-    with pytest.raises(ValueError, match="lambda"):
-        six_cycles(conic5, params)

@@ -3,12 +3,16 @@
 import itertools
 import json
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from geomcode.cli import build_analysis_report
 from geomcode.constructions import IncidenceStructure
+from geomcode.fields import Field
 from geomcode.gf2 import BinaryMatrix
 from oracles import matrix
 
@@ -33,6 +37,16 @@ def _gq22() -> BinaryMatrix:
     return matrix([[int(d in syn) for syn in synthemes] for d in duads])
 
 
+def _pg2(q: int) -> BinaryMatrix:
+    """PG(2,q) from the scalar geometry: the points in lex order, and for
+    each pair of points the line of every point collinear with both."""
+    f = Field(q)
+    points = oracles.enumerate_points(f, 2)
+    lines = {tuple(r for r, x in enumerate(points) if oracles.collinear(f, p, p2, x))
+             for p, p2 in itertools.combinations(points, 2)}
+    return _blocks(sorted(lines), len(points))
+
+
 def _moved(m: BinaryMatrix) -> BinaryMatrix:
     """m with its first one moved, within its column, to the first row off
     that column."""
@@ -52,6 +66,9 @@ SMALL = {
     "gq22": (_gq22, None),
     "fano": (lambda: _blocks([(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
                               (2, 3, 6), (2, 4, 5)], 7), "srg"),
+    # every two points are collinear: the point graph is complete
+    "pg2-3": (lambda: _pg2(3), "srg"),
+    "pg2-5": (lambda: _pg2(5), "srg"),
 }
 
 
@@ -87,12 +104,32 @@ def test_family_report_matches_oracle(request, fixture):
     assert rep["checks_passed"]
 
 
-@pytest.mark.parametrize("fixture,axiom", [("hyp3", "i"), ("conic5", "iii")])
-def test_moved_incidence_report_matches_oracle(request, fixture, axiom):
-    m = _moved(request.getfixturevalue(fixture).matrix)
+@pytest.mark.parametrize("source,axiom", [("hyp3", "i"), ("conic5", "iii"),
+                                          ("fano", "i"), ("gq22", "i")])
+def test_moved_incidence_report_matches_oracle(request, source, axiom):
+    # a family build is a fixture, a small structure an entry of SMALL
+    m = _moved(SMALL[source][0]() if source in SMALL else request.getfixturevalue(source).matrix)
     rep = build_analysis_report(IncidenceStructure("file", None, m))
     _assert_same(rep, oracles.report(m))
     assert rep["axioms"]["violated"] == axiom
+
+
+@st.composite
+def incidence_matrices(draw):
+    """0/1 matrices up to 8 x 13 whose columns are drawn, with repeats, from
+    a random set: empty rows and columns, irregular weights and repeated
+    blocks all occur."""
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 13)))
+    values = draw(st.sampled_from([(0,), (0, 0, 1), (0, 1), (1,)]))
+    base = draw(hnp.arrays(np.uint8, shape, elements=st.sampled_from(values)))
+    return base[:, draw(st.lists(st.integers(0, shape[1] - 1), min_size=1, max_size=13))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(incidence_matrices())
+def test_property_report_matches_oracle(d):
+    m = matrix(d)
+    _assert_same(build_analysis_report(IncidenceStructure("file", None, m)), oracles.report(m))
 
 
 def test_oracle_counts_hexagons_by_brute_force():

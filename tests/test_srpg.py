@@ -15,7 +15,6 @@ from geomcode.srpg import (
     AlphaProfile,
     AxiomViolation,
     DegenerateStructure,
-    SrpgParams,
     alpha_profiles,
     check_gpg_axioms,
     check_strongly_regular,
@@ -242,15 +241,14 @@ def test_spectrum_mu_zero_names_disjoint_cliques():
 
 
 def test_feasibility_passes():
-    good = SrpgParams(s=2, t=2, alphas=(0, 1, 2), v=16, n=16, lambda_=2, mu=2)
-    assert feasibility_check(good).all_ok
-    good2 = SrpgParams(s=2, t=23, alphas=(1, 2, 3), v=81, n=648, lambda_=27, mu=30)
-    assert feasibility_check(good2).all_ok
+    # conic q=5: srg(16, 6, 2, 2), s = t = 2
+    assert feasibility_check(v=16, k=6, lambda_=2, mu=2, s=2, t=2).all_ok
+    # hyperbolic q=3: srg(81, 48, 27, 30), s = 2, t = 23
+    assert feasibility_check(v=81, k=48, lambda_=27, mu=30, s=2, t=23).all_ok
 
 
 def test_feasibility_fabricated_failure():
-    bad = SrpgParams(s=1, t=1, alphas=(1,), v=10, n=10, lambda_=0, mu=1)
-    rep = feasibility_check(bad)
+    rep = feasibility_check(v=10, k=2, lambda_=0, mu=1, s=1, t=1)
     assert not rep.all_ok
     failed = {name for name, ok, _ in rep.conditions if not ok}
     assert "multiplicities-integral" in failed
@@ -258,8 +256,8 @@ def test_feasibility_fabricated_failure():
 
 def test_alpha_profiles_hyperbolic_q3(hyp3):
     v, k, lam, mu = check_strongly_regular(hyp3)
-    params = dataclasses.replace(check_gpg_axioms(hyp3), lambda_=lam, mu=mu)
-    prof = alpha_profiles(hyp3, params)
+    params = check_gpg_axioms(hyp3)
+    prof = alpha_profiles(hyp3, params, lam, mu)
     assert prof.p_constant and prof.l_constant
     assert sum(prof.p_counts) == 23
     assert sum((al - 1) * p for al, p in zip(prof.alphas, prof.p_counts)) == lam - (params.s - 1) == 26
@@ -269,8 +267,7 @@ def test_alpha_profiles_hyperbolic_q3(hyp3):
 
 def test_alpha_profiles_conic_q5(conic5):
     v, k, lam, mu = check_strongly_regular(conic5)
-    params = dataclasses.replace(check_gpg_axioms(conic5), lambda_=lam, mu=mu)
-    prof = alpha_profiles(conic5, params)
+    prof = alpha_profiles(conic5, check_gpg_axioms(conic5), lam, mu)
     # the per-pair identities hold (mu = 2 over t+1 = 3 blocks), but the
     # non-adjacent profile vector varies from pair to pair here
     assert sum(al * l for al, l in zip(prof.alphas, prof.l_counts)) == 2
@@ -279,15 +276,10 @@ def test_alpha_profiles_conic_q5(conic5):
     assert prof.l_witness is not None
 
 
-def test_alpha_profiles_need_lambda_mu(conic5):
-    params = check_gpg_axioms(conic5)
-    with pytest.raises(ValueError, match="lambda and mu"):
-        alpha_profiles(conic5, params)
-
-
 def _verified_params(ic):
+    """The axioms' parameters, lambda and mu: the arguments of alpha_profiles."""
     _, _, lam, mu = check_strongly_regular(ic)
-    return dataclasses.replace(check_gpg_axioms(ic), lambda_=lam, mu=mu)
+    return check_gpg_axioms(ic), lam, mu
 
 
 # the full census, witnesses included, as the per-pair loop over all v^2
@@ -325,7 +317,7 @@ PROFILES = [
 def test_alpha_profiles_pinned(family, field, expected):
     build = build_conic_structure if family == "conic" else build_hyperbolic_structure
     ic = build(Field(*field))
-    assert alpha_profiles(ic, _verified_params(ic)) == expected
+    assert alpha_profiles(ic, *_verified_params(ic)) == expected
 
 
 @pytest.mark.parametrize("change,message", [
@@ -335,10 +327,13 @@ def test_alpha_profiles_pinned(family, field, expected):
     ({"s": 3}, "pair (0, 6): profile (0, 1, 1) reconstructs lambda = 3, expected 2"),
 ])
 def test_alpha_profiles_identity_failure(conic5, change, message):
-    # wrong parameters: the first failing pair in row-major order is the witness
-    params = dataclasses.replace(_verified_params(conic5), **change)
+    # wrong parameters: the first failing pair in row-major order is the
+    # witness; a wrong lambda or mu is an argument, a wrong s or t is in params
+    params, lam, mu = _verified_params(conic5)
+    numbers = {"lambda_": lam, "mu": mu} | change
+    fields = {key: numbers.pop(key) for key in ("s", "t") if key in numbers}
     with pytest.raises(ValueError) as exc:
-        alpha_profiles(conic5, params)
+        alpha_profiles(conic5, dataclasses.replace(params, **fields), **numbers)
     assert str(exc.value) == message
 
 
@@ -347,10 +342,10 @@ def test_alpha_profiles_adjacent_size_failure():
     # the first pair (0, 1) is adjacent
     lines = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8)]
     ic = _structure([[int(i in line) for line in lines] for i in range(9)])
-    params = _verified_params(ic)
-    assert alpha_profiles(ic, params) == AlphaProfile(
+    params, lam, mu = _verified_params(ic)
+    assert alpha_profiles(ic, params, lam, mu) == AlphaProfile(
         alphas=(1,), p_counts=(1,), l_counts=(2,), p_constant=True, l_constant=True,
         p_witness=None, l_witness=None, lambda_=1, mu=2)
     with pytest.raises(ValueError) as exc:
-        alpha_profiles(ic, dataclasses.replace(params, t=2))
+        alpha_profiles(ic, dataclasses.replace(params, t=2), lam, mu)
     assert str(exc.value) == "pair (0, 1): 1 blocks on P avoid Q, expected t = 2"
