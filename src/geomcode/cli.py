@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, constructions
 from .alist import read_alist, write_alist
 from .constructions import HyperbolicLabel, IncidenceStructure
-from .fields import field_from_string
+from .fields import check_field, field_from_string, parse_field_spec
 from .gf2 import brouwer_predict, rank2
 from .metrics import six_cycles, tanner_bounds, tanner_girth
 from .sim import ChannelConfig, LdpcCode, PointStats, simulate_point
@@ -70,15 +70,23 @@ FAMILIES = {
 
 
 def _build_structure(family: str, field_spec: str, modulus: str | None) -> IncidenceStructure:
+    modulus = _parse_modulus(modulus)
+    p, k = parse_field_spec(field_spec)
+    check_field(p, k, modulus)
+    constructions.refuse_oversize(family, p, k)  # before the field's tables are built
     build = getattr(constructions, FAMILIES[family][0])
-    return build(field_from_string(field_spec, _parse_modulus(modulus)))
+    return build(field_from_string(field_spec, modulus))
+
+
+MAX_EBNO_POINTS = 10_000  # a longer grid is refused before it is listed in full
 
 
 def parse_ebno_grid(text: str) -> tuple[float, ...]:
     """Grid string "start:step:stop", inclusive of stop within half a step.
 
-    Rejects non-finite values, grids with no point, and grids whose points
-    repeat once rounded (each point keys its own RNG stream).
+    Rejects non-finite values, grids with no point, grids whose points
+    repeat once rounded (each point keys its own RNG stream), and grids of
+    more than MAX_EBNO_POINTS points.
     """
     parts = text.split(":")
     if len(parts) not in (1, 3):
@@ -105,6 +113,8 @@ def parse_ebno_grid(text: str) -> tuple[float, ...]:
         # there rather than after the 10^10 points of a grid like 0:1e-10:1
         if len(vals) > 1 and vals[-1] == vals[-2]:
             raise ValueError(f"bad Eb/N0 grid {text!r}; points repeat after rounding to 9 decimals")
+        if len(vals) > MAX_EBNO_POINTS:
+            raise ValueError(f"bad Eb/N0 grid {text!r}; more than {MAX_EBNO_POINTS:,} points")
         i += 1
     if not vals:
         raise ValueError(f"Eb/N0 grid {text!r} is empty: stop lies below start")
@@ -113,21 +123,27 @@ def parse_ebno_grid(text: str) -> tuple[float, ...]:
 
 def build_analysis_report(ic: IncidenceStructure) -> dict:
     """Run every structural check and collect the results in one document."""
-    code = LdpcCode.from_parity(ic.matrix)
-    girth = tanner_girth(ic)
     report: dict = {
         "family": ic.family,
         "q": ic.field.q if ic.field is not None else None,
         "v": ic.v,
         "n": ic.n,
         "degenerate": ic.degenerate,
+    }
+    report["failures"] = _file_stages(ic, report)
+    report["checks_passed"] = not report["failures"]
+    # over any field rank(M M^T) <= rank(M) <= min(v, n), so a Gram parity of
+    # rank min(v, n) settles rank_2(M); otherwise M is eliminated
+    gram_rank = report.get("rank2_MMT")
+    code = (LdpcCode(ic.matrix, ic.n - gram_rank) if gram_rank == min(ic.v, ic.n)
+            else LdpcCode.from_parity(ic.matrix))
+    girth = tanner_girth(ic)
+    report.update({
         "rank2_M": code.n - code.dimension,
         "dimension": code.dimension, "rate": code.rate,
         "simulable": code.refusal() is None,
         "girth": None if math.isinf(girth) else int(girth),
-    }
-    report["failures"] = _file_stages(ic, report)
-    report["checks_passed"] = not report["failures"]
+    })
     return report
 
 
@@ -158,7 +174,8 @@ def _file_stages(ic: IncidenceStructure, report: dict) -> list[str]:
     report["srg"] = {"k": k, "lambda": lam, "mu": mu}
     failures = []
 
-    # the axioms hold, so M M^T = A + (t+1)I: mod 2, A with t+1 on the diagonal
+    # the axioms hold, so M M^T = A + (t+1)I: mod 2, A with t+1 on the
+    # diagonal; the report takes rank_2(M) from its rank when that is full
     parity = np.packbits(ic.adjacency, axis=1)
     if params.t % 2 == 0:
         i = np.arange(v)

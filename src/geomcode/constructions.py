@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import Field
+from .fields import Field, field_name
 from .gf2 import BinaryMatrix
 
 
@@ -149,13 +149,18 @@ class IncidenceStructure:
         return f"IncidenceStructure({self.family}, {self.v}x{self.n})"
 
 
-def _refuse_oversize(family: str, field: Field, peak: int) -> None:
-    """Raise ValueError, before the first large array, if a build's peak
-    (in bytes, closed form) exceeds the host's physical memory."""
+def refuse_oversize(family: str, p: int, k: int) -> None:
+    """Raise ValueError if the build of `family` over GF(p^k) would peak
+    above the host's physical memory.  The peak is closed form in q alone,
+    about 81 B per (a, b, x) cell of the conic build and 64 B per (N, B)
+    pair of the hyperbolic build, so it is known before any field table."""
+    q = p ** k
+    peak = 81 * (q - 1) ** 3 if family == "conic" else 64 * q ** 5 * (q * q - 1)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if peak > physical:
-        raise ValueError(f"the {family} build over {field!r} needs about {peak / 2**30:,.1f} GiB, "
-                         f"more than the {physical / 2**30:,.1f} GiB of physical memory")
+        raise ValueError(f"the {family} build over {field_name(p, k)} needs about "
+                         f"{peak / 2**30:,.1f} GiB, more than the "
+                         f"{physical / 2**30:,.1f} GiB of physical memory")
 
 
 def build_conic_structure(field: Field) -> IncidenceStructure:
@@ -166,7 +171,7 @@ def build_conic_structure(field: Field) -> IncidenceStructure:
     """
     f = field
     q1 = f.q - 1
-    _refuse_oversize("conic", f, 81 * q1 ** 3)  # about 81 B per (a, b, x) cell
+    refuse_oversize("conic", f.p, f.k)
     a, b, x = np.indices((q1, q1, q1)) + 1
     s = f.add_table[b, x]
     on = s != 0
@@ -214,7 +219,7 @@ def build_hyperbolic_structure(field: Field) -> IncidenceStructure:
     """
     f = field
     q = f.q
-    _refuse_oversize("hyperbolic", f, 64 * q ** 5 * (q * q - 1))  # about 64 B per (N, B) pair
+    refuse_oversize("hyperbolic", f.p, f.k)
     add, mul, neg = f.add_table, f.mul_table, f.neg_table
     b = _canonical_b(f)[:, None, :]
     n = np.indices((q,) * 4).reshape(4, -1, 1)  # the lines N in lex order

@@ -43,42 +43,50 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_field(p: int, k: int = 1, modulus: Sequence[int] | None = None) -> tuple[int, ...]:
+    """Check that GF(p^k) is supported and return its monic modulus reduced
+    mod p (constant term first), building no table: `Field` checks that the
+    modulus is irreducible once its tables exist."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if p == 2:
+        raise ValueError("characteristic 2 is not supported (odd prime power required)")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"extension degree k = {k} must be a positive integer")
+    if p ** k > 4096:
+        raise ValueError(f"q = {p ** k} exceeds the table-based arithmetic limit (4096)")
+
+    if modulus is None:
+        if k == 1:
+            modulus = (0, 1)  # unused; prime-field arithmetic is plain mod p
+        elif (p, k) in _BUILTIN_MODULI:
+            modulus = _BUILTIN_MODULI[(p, k)]
+        else:
+            raise ValueError(
+                f"no built-in modulus for GF({p}^{k}); supply one "
+                f"(coefficients constant term first, monic, length {k + 1})"
+            )
+    modulus = tuple(c % p for c in modulus)
+    if len(modulus) != k + 1 or modulus[-1] != 1:
+        raise ValueError(f"modulus must be monic of degree {k}, got {modulus}")
+    return modulus
+
+
+def field_name(p: int, k: int) -> str:
+    return f"GF({p})" if k == 1 else f"GF({p}^{k})"
+
+
 class Field:
     """GF(p^k) for odd prime p, with numpy-table arithmetic on int codes."""
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
-        if not isinstance(p, int) or not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if p == 2:
-            raise ValueError("characteristic 2 is not supported (odd prime power required)")
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"extension degree k = {k} must be a positive integer")
-        self.p = p
-        self.k = k
-        self.q = p ** k
-        if self.q > 4096:
-            raise ValueError(f"q = {self.q} exceeds the table-based arithmetic limit (4096)")
-
-        if modulus is None:
-            if k == 1:
-                modulus = (0, 1)  # unused; prime-field arithmetic is plain mod p
-            elif (p, k) in _BUILTIN_MODULI:
-                modulus = _BUILTIN_MODULI[(p, k)]
-            else:
-                raise ValueError(
-                    f"no built-in modulus for GF({p}^{k}); supply one "
-                    f"(coefficients constant term first, monic, length {k + 1})"
-                )
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {k}, got {modulus}")
-        self.modulus = modulus
-
+        self.modulus = check_field(p, k, modulus)
+        self.p, self.k, self.q = p, k, p ** k
         self._build_tables()
         # GF(p)[x]/(modulus) is a field iff it has no zero divisors, and a
         # factorization modulus = g h gives g h = 0 with g, h nonzero
         if (self.mul_table[1:, 1:] == 0).any():
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
+            raise ValueError(f"modulus {self.modulus} is reducible over GF({p})")
 
     # -- table construction ----------------------------------------------
 
@@ -108,14 +116,18 @@ class Field:
         return list(range(1, self.q)) if nonzero_only else list(range(self.q))
 
     def __repr__(self) -> str:
-        return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"
+        return field_name(self.p, self.k)
+
+
+def parse_field_spec(spec: str) -> tuple[int, int]:
+    """(p, k) of a field specification string like ``"5"`` or ``"3^2"``."""
+    p, caret, k = spec.strip().partition("^")
+    try:
+        return int(p), int(k) if caret else 1
+    except ValueError:
+        raise ValueError(f"bad field {spec!r}; expected p or p^k") from None
 
 
 def field_from_string(spec: str, modulus: Sequence[int] | None = None) -> Field:
     """Parse a field specification string like ``"5"`` or ``"3^2"``."""
-    p, caret, k = spec.strip().partition("^")
-    try:
-        p, k = int(p), int(k) if caret else 1
-    except ValueError:
-        raise ValueError(f"bad field {spec!r}; expected p or p^k") from None
-    return Field(p, k, modulus)
+    return Field(*parse_field_spec(spec), modulus)

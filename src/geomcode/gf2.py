@@ -5,12 +5,15 @@ Gram matrices M M^T of strongly regular point graphs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .srpg import SrgSpectrum
+
+
+PACK_CHUNK_BYTES = 1 << 22  # bytes of packed rows per block streamed to rank2
 
 
 class BinaryMatrix:
@@ -68,8 +71,22 @@ class BinaryMatrix:
     def packbits(self) -> np.ndarray:
         """Rows packed into uint8 bytes (bit j % 8 of byte j // 8 is column j),
         straight from the ones: no dense rows x cols array."""
+        return self._pack(0, self.nrows)
+
+    def packed_chunks(self, chunk_bytes: int = PACK_CHUNK_BYTES):
+        """Yield :meth:`packbits` in blocks of consecutive rows, each of about
+        `chunk_bytes` bytes and at least one row, so that no whole packed copy
+        is ever formed."""
+        step = max(1, chunk_bytes // ((self.cols + 7) // 8))
+        for lo in range(0, self.nrows, step):
+            yield self._pack(lo, min(lo + step, self.nrows))
+
+    def _pack(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 packed as :meth:`packbits` packs them."""
         rows, cols = self._ones
-        packed = np.zeros((self.nrows, (self.cols + 7) // 8), dtype=np.uint8)
+        start, stop = np.searchsorted(rows, (lo, hi))
+        rows, cols = rows[start:stop] - lo, cols[start:stop]
+        packed = np.zeros((hi - lo, (self.cols + 7) // 8), dtype=np.uint8)
         np.bitwise_or.at(packed, (rows, cols >> 3), (1 << (cols & 7)).astype(np.uint8))
         return packed
 
@@ -82,23 +99,25 @@ class BinaryMatrix:
         return f"BinaryMatrix({self.nrows}x{self.cols})"
 
 
-def rank2(packed: np.ndarray) -> int:
-    """GF(2) rank of the rows of a 2-D uint8 array of packed bits, such as
+def rank2(packed: np.ndarray | Iterable[np.ndarray]) -> int:
+    """GF(2) rank of rows of packed bits, by forward elimination on the
+    highest set bit.  `packed` is a 2-D uint8 array, such as
     :meth:`BinaryMatrix.packbits` or ``np.packbits(a, axis=1)`` gives (the
-    bit order does not matter), by forward elimination on the highest set bit."""
+    bit order does not matter), or an iterable of such arrays holding the
+    rows a block at a time, as :meth:`BinaryMatrix.packed_chunks` yields
+    them: then only the pivot rows outlive their block."""
     pivots: dict[int, int] = {}
-    rank = 0
-    for row in packed:
-        cur = int.from_bytes(row.tobytes(), "little")
-        while cur:
-            h = cur.bit_length() - 1
-            piv = pivots.get(h)
-            if piv is None:
-                pivots[h] = cur
-                rank += 1
-                break
-            cur ^= piv
-    return rank
+    for chunk in (packed,) if isinstance(packed, np.ndarray) else packed:
+        for row in chunk:
+            cur = int.from_bytes(row.tobytes(), "little")
+            while cur:
+                h = cur.bit_length() - 1
+                piv = pivots.get(h)
+                if piv is None:
+                    pivots[h] = cur
+                    break
+                cur ^= piv
+    return len(pivots)
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ class LdpcCode:
 
     @classmethod
     def from_parity(cls, h: BinaryMatrix) -> "LdpcCode":
-        return cls(h=h, dimension=h.cols - rank2(h.packbits()))
+        return cls(h=h, dimension=h.cols - rank2(h.packed_chunks()))
 
 
 class SumProductDecoder:

@@ -359,6 +359,7 @@ def test_criterion_15b_conic_q49_analysis(tmp_path):
     assert rep["checks_passed"] and rep["failures"] == []
     assert (rep["v"], rep["srg"]) == (2304, {"k": 2162, "lambda": 2026, "mu": 2070})
     assert rep["rank2_MMT"] == rep["rank_prediction"]["value"] == 2304
+    assert rep["rank2_M"] == rep["rank2_MMT"]  # the full-rank Gram settles rank_2(M)
     assert rep["rank_prediction"]["case"] == "all-theta-odd"
     assert rep["six_cycles"] == {"formula": 1644642048, "enumerated": 1644642048}
     assert run["elapsed"] < 20.0 and run["rss_mb"] < 600
@@ -372,6 +373,7 @@ def test_criterion_15c_conic_q81_analysis(tmp_path):
     assert rep["checks_passed"] and rep["failures"] == []
     assert (rep["v"], rep["srg"]) == (6400, {"k": 6162, "lambda": 5930, "mu": 6006})
     assert rep["alphas"] == [76, 77, 78]
+    assert rep["rank2_M"] == rep["rank2_MMT"] == 6400
     assert run["elapsed"] < 40.0 and run["rss_mb"] < 500
     _report("15c", True, f"conic q=81: srg(6400, 6162, 5930, 6006), alphas (76, 77, 78); "
                          f"{run['elapsed']:.1f}s, peak RSS {run['rss_mb']:.0f} MB")

@@ -4,8 +4,11 @@ import time
 
 import pytest
 
+import geomcode.cli
+import geomcode.sim
 from geomcode.alist import read_alist, write_alist
-from geomcode.cli import main, parse_ebno_grid
+from geomcode.cli import MAX_EBNO_POINTS, main, parse_ebno_grid
+from geomcode.gf2 import rank2
 from oracles import matrix
 
 
@@ -39,6 +42,13 @@ def test_ebno_grid_rejects_empty_and_nonfinite():
         with pytest.raises(ValueError) as exc:
             parse_ebno_grid(text)
         assert str(exc.value) == f"bad Eb/N0 grid '{text}'; points repeat after rounding to 9 decimals"
+    # a grid is listed up to the cap and refused past it, so 0:1e-9:1000,
+    # 10^12 distinct points, is refused at once
+    assert len(parse_ebno_grid(f"0:1:{MAX_EBNO_POINTS - 1}")) == MAX_EBNO_POINTS
+    for text in ("0:1e-9:1000", f"0:1:{MAX_EBNO_POINTS}"):
+        with pytest.raises(ValueError) as exc:
+            parse_ebno_grid(text)
+        assert str(exc.value) == f"bad Eb/N0 grid '{text}'; more than 10,000 points"
 
 
 def test_simulate_rejects_bad_ebno_grid(tmp_path, capsys):
@@ -53,6 +63,13 @@ def test_simulate_rejects_bad_ebno_grid(tmp_path, capsys):
     assert run(["simulate", "--in", h, "--ebno", "0:1e-10:2e-10", "--out", out]) == 2
     assert capsys.readouterr().err == ("error: bad Eb/N0 grid '0:1e-10:2e-10'; "
                                        "points repeat after rounding to 9 decimals\n")
+    # the grid is refused before the alist is read, so a missing file is not named
+    t0 = time.perf_counter()
+    assert run(["simulate", "--in", tmp_path / "missing.alist", "--ebno", "0:1e-9:1000",
+                "--out", out]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == "error: bad Eb/N0 grid '0:1e-9:1000'; more than 10,000 points\n"
+    assert not out.exists() and not (tmp_path / "ber.csv.manifest.json").exists()
 
 
 def test_construct_writes_alist_and_manifest(tmp_path, hyp3):
@@ -89,7 +106,9 @@ def test_construct_refuses_builds_past_physical_memory(tmp_path, capsys, family,
     out = tmp_path / "x.alist"
     t0 = time.perf_counter()
     assert run(["construct", "--family", family, "--field", field, "--out", out]) == 2
-    assert time.perf_counter() - t0 < 2.0
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0
+    assert elapsed < 0.5  # also before the field tables: those of GF(4093) alone take longer
     err = capsys.readouterr().err
     assert err.startswith(f"error: the {family} build over GF({field}) needs about ")
     assert err.endswith(" GiB of physical memory\n")
@@ -118,6 +137,27 @@ def test_analyze_conic_q5_not_simulable(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["rank2_M"] == 16 and rep["dimension"] == 0
     assert rep["simulable"] is False
+
+
+@pytest.mark.parametrize("family,field,rank_m,rank_gram,eliminations", [
+    ("conic", "5", 16, 16, 1), ("conic", "5^2", 576, 576, 1), ("hyperbolic", "3", 81, 48, 2)])
+def test_analyze_takes_rank_from_a_full_rank_gram(tmp_path, monkeypatch, family, field,
+                                                  rank_m, rank_gram, eliminations):
+    # rank_2(M M^T) = min(v, n) settles rank_2(M), so the conics eliminate
+    # only the Gram parity; hyperbolic q=3's Gram is deficient, so M is
+    # eliminated too, and has full rank
+    calls = []
+
+    def counted(packed):
+        calls.append(packed)
+        return rank2(packed)
+
+    monkeypatch.setattr(geomcode.cli, "rank2", counted)
+    monkeypatch.setattr(geomcode.sim, "rank2", counted)
+    out = tmp_path / "r.json"
+    assert run(["analyze", "--family", family, "--field", field, "--out", out]) == 0
+    rep = json.loads(out.read_text())
+    assert (rep["rank2_M"], rep["rank2_MMT"], len(calls)) == (rank_m, rank_gram, eliminations)
 
 
 def test_analyze_conic_q3_degenerate_notice(tmp_path):

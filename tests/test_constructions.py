@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from geomcode import constructions
 from geomcode.constructions import (
     ConicLabel,
     HyperbolicLabel,
@@ -281,6 +282,19 @@ def test_construction_determinism():
     g = Field(5)
     c, d = build_conic_structure(g), build_conic_structure(g)
     assert c.matrix == d.matrix
+
+
+def test_builders_refuse_past_physical_memory(monkeypatch, f3):
+    # library callers meet the command line's refusal too: here on a host
+    # that reports no physical memory, past which every build peaks
+    monkeypatch.setattr(constructions.os, "sysconf",
+                        lambda name: 0 if name == "SC_PHYS_PAGES" else 4096)
+    for family, build in (("conic", build_conic_structure),
+                          ("hyperbolic", build_hyperbolic_structure)):
+        with pytest.raises(ValueError) as exc:
+            build(f3)
+        assert str(exc.value).startswith(f"the {family} build over GF(3) needs about ")
+        assert str(exc.value).endswith(", more than the 0.0 GiB of physical memory")
 
 
 def _assert_point_graph_matches_gram(m: BinaryMatrix):

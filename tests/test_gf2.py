@@ -80,6 +80,25 @@ def test_rank_invariances():
         assert np.array_equal(packed, before) and rank2(packed) == r
 
 
+def test_streamed_rank_matches_whole_array():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        d = (rng.random((rng.integers(1, 30), rng.integers(1, 70))) < 0.3).astype(np.uint8)
+        d[rng.random(len(d)) < 0.3] = 0  # empty rows, first and last ones among them
+        d[0] = d[-1] = 0
+        m, width = matrix(d), (d.shape[1] + 7) // 8
+        r = rank2(m.packbits())
+        assert r == dense_rank_mod2(d)
+        # blocks of 1 row (also below one row's bytes), of 3 rows (a final
+        # partial block unless 3 divides the rows), and all rows in one block
+        for chunk_bytes, rows in ((1, 1), (width, 1), (3 * width, 3), (10 ** 9, len(d))):
+            chunks = list(m.packed_chunks(chunk_bytes))
+            assert [len(c) for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
+            assert 1 <= len(chunks[-1]) <= rows
+            assert np.array_equal(np.vstack(chunks), m.packbits())
+            assert rank2(m.packed_chunks(chunk_bytes)) == rank2(iter(chunks)) == r
+
+
 def test_gram2_single_row():
     m = matrix([[1, 1, 0]])
     g = gram_mod2(m)
