@@ -26,7 +26,7 @@ from .constructions import HyperbolicLabel, IncidenceStructure
 from .fields import check_field, field_from_string, parse_field_spec
 from .gf2 import brouwer_predict, rank2
 from .metrics import six_cycles, tanner_bounds, tanner_girth
-from .sim import ChannelConfig, LdpcCode, PointStats, simulate_point
+from .sim import ChannelConfig, LdpcCode, PointStats, noise_sigma, simulate_point
 from .srpg import (
     AxiomViolation,
     check_gpg_axioms,
@@ -309,6 +309,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if reason is not None:
         print(f"refusing to simulate: {reason}", file=sys.stderr)
         return 2
+    for ebn0 in grid:                   # a point with no finite noise fails before any frame
+        noise_sigma(ebn0, code.rate)
     sweep = functools.partial(simulate_point, code, cfg)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -12,7 +12,13 @@ Two contracts hold for the decoder's slab layout (see `SumProductDecoder`).
 Exactness: every floating-point operation and its order are those of the
 row-major tanh-rule decoder (per-check cumulative products left to right
 and right to left, per-variable sums in row-major edge order), so every
-hard decision, iteration count and BER CSV is unchanged by the layout.
+hard decision, iteration count, posterior and BER CSV is unchanged by the
+layout.  The products are formed by a sweep over the slab rows, one
+multiply per row (on narrow slabs by `np.multiply.accumulate`), and the
+sums by gathering each variable's messages through a variable-major
+table and adding its rows in edge order.  The row-major decoder's clamp
+to +-(1 - 1e-15) before artanh is left out, as it never changes a
+clamped message (see the comment in `decode`).
 One decode per frame: `simulate_point` calls `decode` once per frame, in
 frame order.
 """
@@ -27,6 +33,8 @@ import numpy as np
 from .gf2 import BinaryMatrix, rank2
 
 LLR_CLAMP = 30.0
+SWEEP_MIN_CHECKS = 128  # slab width from which the row sweep beats accumulate
+CLIP_MIN_SIZE = 8192    # array size from which np.clip beats two ufunc calls
 MAX_RETRIES = 200     # redraws of a band permutation that makes a 4-cycle
 WILSON_Z = 1.959964   # the 97.5% normal quantile, for 95% intervals
 
@@ -68,37 +76,71 @@ class SumProductDecoder:
 
     Messages live in a check-slot-major slab of shape (max_dc, m): the k-th
     edge of check c (edges in row-major order) is cell k*m + c, so column c
-    holds check c's edges in row order, and its leave-one-out tanh products
-    are the running products down the column from the top and from the
-    bottom.  Cells past a check's degree are pads: they read variable n, an
-    extra posterior entry held at 0, and their tanh is set to 1.0.  The
-    buffers are allocated once and reused by every `decode`, so a decoder
-    is not shared between threads; the hard decisions it returns are always
-    a fresh array.
+    holds check c's edges in row order.  Cells past a check's degree are
+    pads: they read variable n, an extra posterior entry held at 0, and
+    their tanh is set to 1.0.
+
+    Check update: forward row k is forward row k-1 times tanh row k-1, and
+    backward row k is backward row k+1 times tanh row k+1; forward row 0
+    and backward row max_dc-1 hold 1.0 for good.  These are the
+    left-to-right and right-to-left running products of each check's tanh
+    values, and the leave-one-out product of a cell is forward times
+    backward.  A slab at least SWEEP_MIN_CHECKS wide is swept by rows, one
+    `np.multiply` per row on row views bound here; a narrower one by
+    `np.multiply.accumulate` down axis 0, which walks each column as a
+    strided chain, cheaper than a call per row while rows are short.  Both
+    form the same products in the same order.
+
+    Variable update, variable-major sums: `table` (max_dv, n) lists each
+    variable's slab cells in row-major edge order, and pads point at one
+    extra message cell held at 0.0.  A posterior is +0.0 plus the gathered
+    rows in table order, then plus the channel LLR: the sums, in the order,
+    of a `bincount` over the edges.
+
+    The buffers are allocated once and reused by every `decode`, so a
+    decoder is not shared between threads; the hard decisions it returns
+    are always a fresh array.
     """
 
     def __init__(self, code: LdpcCode):
         n, m = code.n, code.m
         # edges in row-major order: the order of the floating-point sums below
-        edge_check, self.edge_var = code.h.nonzero()
+        edge_check, edge_var = code.h.nonzero()
         self.n = n
 
         degrees = np.bincount(edge_check, minlength=m)
         md = max(int(degrees.max(initial=0)), 1)
         slot = np.arange(len(edge_check)) - (np.cumsum(degrees) - degrees)[edge_check]
-        self.cell = slot * m + edge_check                     # slab cell of each edge
+        cell = slot * m + edge_check                          # slab cell of each edge
         var_of = np.full(md * m, n, dtype=np.intp)
-        var_of[self.cell] = self.edge_var
+        var_of[cell] = edge_var
         self.var_of = var_of.reshape(md, m)
         self.pad = np.flatnonzero(var_of == n)
 
+        # each variable's edges in row-major order (a stable sort of 16-bit
+        # keys is a radix sort); row v of by_var: v's cells, then the zero cell
+        col_degrees = np.bincount(edge_var, minlength=n)
+        dv = max(int(col_degrees.max(initial=0)), 1)
+        order = np.argsort(edge_var.astype(np.uint16) if n <= 1 << 16 else edge_var,
+                           kind="stable")
+        by_var = np.full((n, dv), md * m, dtype=np.intp)
+        by_var[np.arange(dv) < col_degrees[:, None]] = cell[order]
+        self.table = np.ascontiguousarray(by_var.T)
+
         self._vc = np.empty((md, m))        # variable-to-check messages, then their tanh
-        self._cv = np.empty((md, m))        # forward products, then check-to-variable messages
+        self._fwd = np.empty((md, m))       # forward products
         self._bwd = np.empty((md, m))       # backward products
+        self._fwd[0] = self._bwd[-1] = 1.0
+        self._cv_cells = np.zeros(md * m + 1)   # check-to-variable messages, then the zero cell
+        self._cv = self._cv_cells[:-1].reshape(md, m)
+        self._gathered = np.empty((dv, n))
+        self._total = np.empty(n)
         self._bits = np.empty((md, m), dtype=bool)
-        self._edge_cv = np.empty(len(self.cell))
         self._post = np.zeros(n + 1)        # posteriors; entry n stays 0 for the pads
-        self._neg = np.zeros(n + 1, dtype=bool)
+        vc, fwd, bwd = self._vc, self._fwd, self._bwd
+        self._sweep = None if m < SWEEP_MIN_CHECKS else (
+            [(fwd[k - 1], vc[k - 1], fwd[k]) for k in range(1, md)]
+            + [(bwd[k + 1], vc[k + 1], bwd[k]) for k in range(md - 2, -1, -1)])
 
     def decode(self, llrs: np.ndarray, max_iter: int) -> tuple[np.ndarray, int, bool]:
         """Returns (hard decisions, iterations used, syndrome-zero flag)."""
@@ -107,57 +149,79 @@ class SumProductDecoder:
             raise ValueError(f"expected {self.n} LLRs, got {llrs.shape}")
         if np.isnan(llrs).any():
             raise ValueError("LLRs contain NaN")
-        n, ev, cell, var_of, pad = self.n, self.edge_var, self.cell, self.var_of, self.pad
-        vc, cv, bwd, bits = self._vc, self._cv, self._bwd, self._bits
-        cv_flat, vc_flat, edge_cv = cv.reshape(-1), vc.reshape(-1), self._edge_cv
-        post, neg = self._post, self._neg
-        posterior, hard = post[:n], neg[:n]
+        n, var_of, pad, table, sweep = self.n, self.var_of, self.pad, self.table, self._sweep
+        vc, fwd, bwd, cv, bits = self._vc, self._fwd, self._bwd, self._cv, self._bits
+        cv_cells, gathered, total, post = self._cv_cells, self._gathered, self._total, self._post
+        vc_flat, posterior = vc.reshape(-1), post[:n]
+        multiply = np.multiply
 
+        # the clamp commutes with the gather: n clamps per frame, not one per cell
         posterior[:] = llrs
-        np.less(llrs, 0.0, out=hard)
+        _clamp(posterior, LLR_CLAMP)
         # every index is in range; mode="clip" spares take a checked copy of out
         post.take(var_of, out=vc, mode="clip")
-        _clamp(vc, LLR_CLAMP)
-        for it in range(1, max_iter + 1):
-            # check update: leave-one-out tanh products down each slab column
-            np.multiply(vc, 0.5, out=vc)
-            np.tanh(vc, out=vc)
-            vc_flat[pad] = 1.0                                # the product's identity
-            cv[0] = 1.0
-            np.multiply.accumulate(vc[:-1], axis=0, out=cv[1:])
-            bwd[-1] = 1.0
-            np.multiply.accumulate(vc[:0:-1], axis=0, out=bwd[:-1][::-1])
-            np.multiply(cv, bwd, out=cv)
-            _clamp(cv, 1.0 - 1e-15)
-            np.arctanh(cv, out=cv)
-            np.multiply(cv, 2.0, out=cv)
-            _clamp(cv, LLR_CLAMP)
+        with np.errstate(divide="ignore"):
+            for it in range(1, max_iter + 1):
+                # check update: leave-one-out tanh products down each slab column
+                multiply(vc, 0.5, vc)
+                np.tanh(vc, out=vc)
+                vc_flat[pad] = 1.0                            # the product's identity
+                if sweep is None:
+                    np.multiply.accumulate(vc[:-1], axis=0, out=fwd[1:])
+                    np.multiply.accumulate(vc[:0:-1], axis=0, out=bwd[:-1][::-1])
+                else:
+                    for a, b, out in sweep:
+                        multiply(a, b, out)
+                multiply(fwd, bwd, cv)
+                # no clamp to +-(1 - 1e-15) first, yet the same messages: every
+                # tanh is at most tanh(15) < 1 in magnitude, so |cv| < 1 unless
+                # the product is empty (a degree-1 check, or a pad of an empty
+                # check), where 2 artanh(1.0) = inf is clamped to 30; and any
+                # |cv| > 1 - 1e-15 has 2 artanh(|cv|) > 35.2, clamped to 30 as well
+                np.arctanh(cv, out=cv)
+                multiply(cv, 2.0, cv)
+                _clamp(cv, LLR_CLAMP)
 
-            # variable update: sums in row-major edge order, then decisions
-            cv_flat.take(cell, out=edge_cv, mode="clip")
-            np.add(llrs, np.bincount(ev, weights=edge_cv, minlength=n), out=posterior)
-            np.less(posterior, 0.0, out=hard)
-            neg.take(var_of, out=bits, mode="clip")           # each column XORs to its syndrome bit
-            # a zero posterior is a coin toss, not a decision: never declare
-            # convergence off the back of one
-            if not np.bitwise_xor.reduce(bits, axis=0).any() and np.count_nonzero(posterior) == n:
-                return hard.astype(np.uint8), it, True
-            post.take(var_of, out=vc, mode="clip")
-            np.subtract(vc, cv, out=vc)
-            _clamp(vc, LLR_CLAMP)
-        return hard.astype(np.uint8), max_iter, False
+                # variable update: sums in row-major edge order, then decisions
+                cv_cells.take(table, out=gathered, mode="clip")
+                np.add(gathered[0], 0.0, out=total)
+                for row in gathered[1:]:
+                    np.add(total, row, out=total)
+                np.add(llrs, total, out=posterior)
+                post.take(var_of, out=vc, mode="clip")
+                np.less(vc, 0.0, out=bits)                    # each column XORs to its syndrome bit
+                # a zero posterior is a coin toss, not a decision: never declare
+                # convergence off the back of one
+                if (not np.bitwise_xor.reduce(bits, axis=0).any()
+                        and np.count_nonzero(posterior) == n):
+                    return np.less(posterior, 0.0).view(np.uint8), it, True
+                np.subtract(vc, cv, out=vc)
+                _clamp(vc, LLR_CLAMP)
+        return np.less(posterior, 0.0).view(np.uint8), max_iter, False
 
 
 def _clamp(x: np.ndarray, bound: float) -> None:
-    """np.clip(x, -bound, bound, out=x) without its wrapper's overhead; x holds no NaN."""
-    np.maximum(x, -bound, out=x)
-    np.minimum(x, bound, out=x)
+    """np.clip(x, -bound, bound, out=x); x holds no NaN.  Below CLIP_MIN_SIZE
+    elements two ufunc calls beat np.clip's wrapper, above it its single pass."""
+    if x.size >= CLIP_MIN_SIZE:
+        np.clip(x, -bound, bound, out=x)
+    else:
+        np.maximum(x, -bound, out=x)
+        np.minimum(x, bound, out=x)
 
 
 def noise_sigma(ebn0_db: float, rate: float) -> float:
+    """The noise deviation at one Eb/N0 point; a ValueError unless finite and positive."""
     if rate <= 0:
         raise ValueError("rate must be positive")
-    return math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0)))
+    try:
+        sigma = math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):
+        sigma = math.nan
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"Eb/N0 {ebn0_db:g} dB gives no finite positive noise sigma "
+                         f"at rate {rate:g}")
+    return sigma
 
 
 def awgn_llrs(bits: np.ndarray, ebn0_db: float, rate: float,
@@ -184,6 +248,8 @@ def random_regular_h(m: int, n: int, w_col: int, w_row: int, seed: int) -> LdpcC
         raise ValueError(f"weight equation fails: {m}*{w_row} != {n}*{w_col}")
     if m % w_col != 0:
         raise ValueError(f"rows {m} not divisible into {w_col} bands")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rpb = m // w_col  # rows per band; equals n // w_row
     rng = np.random.default_rng(seed)
 
@@ -215,6 +281,8 @@ class ChannelConfig:
     def __post_init__(self):
         if self.max_iterations < 1 or self.min_frame_errors < 1 or self.max_frames < 1:
             raise ValueError("iteration and stop-rule parameters must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,11 @@ def hyp3(f3):
 
 
 @pytest.fixture(scope="session")
+def hyp5(f5):
+    return build_hyperbolic_structure(f5)
+
+
+@pytest.fixture(scope="session")
 def hyp3_labels(f3):
     """The (points, blocks) labels of hyp3, in row and column order."""
     return hyperbolic_labels(f3)

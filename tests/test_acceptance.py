@@ -33,11 +33,6 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def hyp5():
-    return build_hyperbolic_structure(Field(5))
-
-
-@pytest.fixture(scope="module")
 def geo_code(hyp3):
     return LdpcCode.from_parity(hyp3.matrix)
 

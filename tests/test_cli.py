@@ -271,6 +271,33 @@ def test_random_code_rejects_nonpositive_sizes(tmp_path, capsys, rows, cols, wco
     assert not (tmp_path / "x.alist").exists()
 
 
+def test_random_code_rejects_negative_seed(tmp_path, capsys):
+    assert run(["random-code", "--rows", 81, "--cols", 648, "--wcol", 3, "--wrow", 24,
+                "--seed", -1, "--out", tmp_path / "x.alist"]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert not (tmp_path / "x.alist").exists()
+
+
+@pytest.mark.parametrize("grid,threads,point", [("4000", 1, "4000"), ("-4000", 1, "-4000"),
+                                                ("3000:1000:4000", 2, "4000"),
+                                                ("-3100", 1, "-3100")])
+def test_simulate_refuses_points_without_finite_noise(tmp_path, monkeypatch, capsys, hyp3,
+                                                      grid, threads, point):
+    # every point is checked against the code's rate before any frame or pool
+    def never(*args, **kwargs):
+        raise AssertionError("a frame or a pool was started")
+
+    monkeypatch.setattr("geomcode.cli.simulate_point", never)
+    monkeypatch.setattr("geomcode.cli.ProcessPoolExecutor", never)
+    alist, out = tmp_path / "h3.alist", tmp_path / "ber.csv"
+    write_alist(hyp3.matrix, alist)
+    assert run(["simulate", "--in", alist, "--ebno", grid, "--threads", threads,
+                "--out", out]) == 2
+    assert capsys.readouterr().err == (f"error: Eb/N0 {point} dB gives no finite positive "
+                                       f"noise sigma at rate 0.875\n")
+    assert not out.exists() and not (tmp_path / "ber.csv.manifest.json").exists()
+
+
 def test_simulate_writes_csv(tmp_path):
     alist = tmp_path / "h.alist"
     run(["construct", "--family", "hyperbolic", "--field", "3", "--out", alist])
@@ -336,7 +363,7 @@ def test_simulable_iff_simulate_runs(tmp_path, source):
 
 @pytest.mark.parametrize("bad", [["--max-iters", 0], ["--max-frames", 0],
                                  ["--min-frame-errors", 0], ["--ebno", "5:1:3"],
-                                 ["--threads", 0]],
+                                 ["--threads", 0], ["--seed", -1]],
                          ids=lambda bad: bad[0].lstrip("-"))
 def test_simulate_validates_before_reading(tmp_path, monkeypatch, capsys, bad):
     # the grid, the channel config and the thread count need no code, so they

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from geomcode.sim import (
+    SWEEP_MIN_CHECKS,
     ChannelConfig,
     LdpcCode,
     SumProductDecoder,
@@ -104,6 +106,17 @@ def test_awgn_determinism():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("ebn0,rate", [(4000.0, 0.875), (-4000.0, 0.875), (-3100.0, 0.875),
+                                       (3080.0, 1.0)])
+def test_noise_sigma_refuses_points_without_finite_noise(ebn0, rate):
+    # 10^(x/10) overflows at 4000 dB and underflows to 0 at -4000 dB; at
+    # -3100 dB it is subnormal and 1/(2 R 10^(x/10)) overflows to inf; at
+    # 3080 dB and rate 1, 2 R 10^(x/10) overflows and sigma would be 0
+    with pytest.raises(ValueError, match=f"Eb/N0 {ebn0:g} dB gives no finite positive noise sigma"):
+        noise_sigma(ebn0, rate)
+    assert 0.0 < noise_sigma(3000.0, 0.875) < noise_sigma(-3000.0, 0.875) < math.inf
+
+
 def test_awgn_llr_moments():
     # at 0 dB and rate 1/2 the noise deviation is exactly 1
     assert abs(noise_sigma(0.0, 0.5) - 1.0) < 1e-12
@@ -140,6 +153,13 @@ def test_random_regular_infeasible():
         random_regular_h(81, 648, 3, 25, seed=0)
     with pytest.raises(ValueError, match="bands"):
         random_regular_h(7, 14, 2, 4, seed=0)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        random_regular_h(81, 648, 3, 24, seed=-1)
+
+
+def test_channel_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+        ChannelConfig(ebn0_db_list=(3.0,), seed=-3)
 
 
 def _columns_share_two_rows(h):
@@ -224,7 +244,8 @@ def test_high_snr_no_errors(geo_code):
 
 class _RowMajorDecoder:
     """Frozen oracle: the row-major sum-product decoder the slab kernel must
-    match bit for bit (per-check cumprods, gather/scatter, bincount sums)."""
+    match bit for bit (per-check cumprods, gather/scatter, bincount sums).
+    `posterior` keeps the last iteration's posteriors."""
 
     def __init__(self, code):
         n, m = code.n, code.m
@@ -262,6 +283,7 @@ class _RowMajorDecoder:
             hard = (posterior < 0).astype(np.uint8)
             syndrome = np.bincount(ec, weights=hard[ev].astype(np.float64),
                                    minlength=self.m).astype(np.int64) & 1
+            self.posterior = posterior
             if not syndrome.any() and (posterior != 0.0).all():
                 return hard, it, True
             m_vc = np.clip(posterior[ev] - m_cv, -clamp, clamp)
@@ -305,43 +327,75 @@ def _frame_corpus(code, seed):
 
 
 @pytest.fixture(scope="module")
-def oracle_codes(geo_code, conic7):
+def wide_code(hyp5):
+    """Hyperbolic q=5: a 120 x 625 slab, 15,000 variables."""
+    return LdpcCode.from_parity(hyp5.matrix)
+
+
+@pytest.fixture(scope="module")
+def oracle_codes(geo_code, conic7, wide_code):
     return {
         "hyperbolic q=3": geo_code,
         "gallager (3,24) seed 1": random_regular_h(81, 648, 3, 24, seed=1),
         "conic q=7": LdpcCode.from_parity(conic7.matrix),
         "irregular": _irregular_code(),
+        "hyperbolic q=5": wide_code,
     }
 
 
+def test_oracle_codes_straddle_the_sweep_width(oracle_codes):
+    # both product paths, accumulate and row sweep, meet the oracle
+    assert oracle_codes["hyperbolic q=3"].m < SWEEP_MIN_CHECKS <= oracle_codes["hyperbolic q=5"].m
+
+
 @pytest.mark.parametrize("name", ["hyperbolic q=3", "gallager (3,24) seed 1", "conic q=7",
-                                  "irregular"])
+                                  "irregular", "hyperbolic q=5"])
 def test_decode_matches_row_major_oracle(oracle_codes, name):
     code = oracle_codes[name]
     decoder, oracle = SumProductDecoder(code), _RowMajorDecoder(code)
+    corpus = _frame_corpus(code, seed=len(name))
+    if code.n > 10_000:
+        corpus = corpus[::3]        # the wide code: every third frame keeps the suite quick
     outcomes = set()
-    for i, (llrs, max_iter) in enumerate(_frame_corpus(code, seed=len(name))):
-        hard, iters, ok = decoder.decode(llrs, max_iter)
+    for i, (llrs, max_iter) in enumerate(corpus):
+        # an empty leave-one-out product (the irregular code's degree-1
+        # check) must reach the clamp without a floating-point warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hard, iters, ok = decoder.decode(llrs, max_iter)
         want_hard, want_iters, want_ok = oracle.decode(llrs, max_iter)
         assert hard.dtype == np.uint8
         assert np.array_equal(hard, want_hard), f"{name}: frame {i} hard decisions differ"
         assert (iters, ok) == (want_iters, want_ok), f"{name}: frame {i}"
+        # the same sums in the same order: the last posteriors agree bit for bit
+        assert decoder._post[:code.n].tobytes() == oracle.posterior.tobytes(), \
+            f"{name}: frame {i} posteriors differ"
         outcomes.add(ok)
     # the corpus exercises both exits
     assert outcomes == {True, False}
 
 
 def test_decoder_reuse_matches_fresh_decoders(geo_code):
-    zeros = np.zeros(geo_code.n, dtype=np.uint8)
-    a = awgn_llrs(zeros, 2.5, geo_code.rate, np.random.default_rng(1))
-    b = awgn_llrs(zeros, 4.0, geo_code.rate, np.random.default_rng(2))
-    decoder = SumProductDecoder(geo_code)
+    _check_decoder_reuse(geo_code)
+
+
+def test_wide_decoder_reuse_matches_fresh_decoders(wide_code):
+    _check_decoder_reuse(wide_code)
+
+
+def _check_decoder_reuse(code):
+    # A, B, A on one decoder equals fresh decoders, so the row views of the
+    # sweep stay tied to each decoder's own buffers
+    zeros = np.zeros(code.n, dtype=np.uint8)
+    a = awgn_llrs(zeros, 2.5, code.rate, np.random.default_rng(1))
+    b = awgn_llrs(zeros, 4.0, code.rate, np.random.default_rng(2))
+    decoder = SumProductDecoder(code)
     first = decoder.decode(a, 60)
     kept = first[0].copy()
     second = decoder.decode(b, 60)
     third = decoder.decode(a, 60)
     for got, llrs in ((first, a), (second, b), (third, a)):
-        want = SumProductDecoder(geo_code).decode(llrs, 60)
+        want = SumProductDecoder(code).decode(llrs, 60)
         assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
     # a returned array is the caller's: later calls never write into it
     assert np.array_equal(first[0], kept)
