@@ -26,7 +26,8 @@ from .constructions import HyperbolicLabel, IncidenceStructure
 from .fields import check_field, field_from_string, parse_field_spec
 from .gf2 import brouwer_predict, rank2
 from .metrics import six_cycles, tanner_bounds, tanner_girth
-from .sim import ChannelConfig, LdpcCode, PointStats, noise_sigma, simulate_point
+from .sim import (ChannelConfig, LdpcCode, PointStats, SumProductDecoder, noise_sigma,
+                  simulate_point)
 from .srpg import (
     AxiomViolation,
     check_gpg_axioms,
@@ -69,11 +70,15 @@ FAMILIES = {
 }
 
 
-def _build_structure(family: str, field_spec: str, modulus: str | None) -> IncidenceStructure:
+def _build_structure(family: str, field_spec: str, modulus: str | None,
+                     analyze: bool = False) -> IncidenceStructure:
     modulus = _parse_modulus(modulus)
     p, k = parse_field_spec(field_spec)
     check_field(p, k, modulus)
     constructions.refuse_oversize(family, p, k)  # before the field's tables are built
+    if analyze:
+        q = p ** k
+        constructions.refuse_analysis(q ** 4 if family == "hyperbolic" else (q - 1) ** 2)
     build = getattr(constructions, FAMILIES[family][0])
     return build(field_from_string(field_spec, modulus))
 
@@ -232,10 +237,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.infile:
-        ic = IncidenceStructure("file", None, read_alist(args.infile))
+        h = read_alist(args.infile)
+        constructions.refuse_analysis(h.nrows)  # before the point graph
+        ic = IncidenceStructure("file", None, h)
         params_for_manifest = {"in": args.infile}
     else:
-        ic = _build_structure(args.family, args.field, args.modulus)
+        ic = _build_structure(args.family, args.field, args.modulus, analyze=True)
         params_for_manifest = {
             "family": args.family, "field": args.field, "modulus": args.modulus,
         }
@@ -304,7 +311,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     workers = min(_resolve_threads(args.threads), len(grid))
-    code = LdpcCode.from_parity(read_alist(args.infile))
+    h = read_alist(args.infile)
+    # each worker builds one decoder; refused before the elimination of h
+    constructions.refuse_peak(workers * SumProductDecoder.peak_bytes(h),
+                              f"decoding the {h.nrows:,} x {h.cols:,} code in {workers} worker(s)")
+    code = LdpcCode.from_parity(h)
     reason = code.refusal()
     if reason is not None:
         print(f"refusing to simulate: {reason}", file=sys.stderr)

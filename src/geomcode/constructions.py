@@ -140,13 +140,34 @@ class IncidenceStructure:
     def census(self) -> np.ndarray:
         """Histogram of the block census off the blocks: bin c counts the
         (point, block) pairs, the point off the block, with c of the block's
-        points joined to the point, for c = 0..w; the sentinel bin goes."""
-        bins = self.matrix.column_weights()[0] + 2
-        hist = sum(np.bincount(counts.ravel(), minlength=bins) for _, counts in self.block_census())
-        return hist[:-1]
+        points joined to the point, for c = 0..w.  Each chunk is read in its
+        own dtype, no widened copy: once for its minimum, then once per count
+        c from there up (`counts == c`) until the bins hold its cells off the
+        blocks, so the sentinel is never scanned.  Counts spanning a..b cost
+        b - a + 2 passes per chunk: at most w + 2, when they span 0..w."""
+        w = self.matrix.column_weights()[0]
+        hist = np.zeros(w + 1, dtype=np.intp)
+        for blocks, counts in self.block_census():
+            left = len(blocks) * (self.v - w)
+            c = int(counts.min())
+            while left:
+                found = np.count_nonzero(counts == c)
+                hist[c] += found
+                left -= found
+                c += 1
+        return hist
 
     def __repr__(self) -> str:
         return f"IncidenceStructure({self.family}, {self.v}x{self.n})"
+
+
+def refuse_peak(peak: int, what: str) -> None:
+    """Raise ValueError if `what` would peak at `peak` bytes, a closed form
+    known before its first large array, above the host's physical memory."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if peak > physical:
+        raise ValueError(f"{what} needs about {peak / 2**30:,.1f} GiB, more than the "
+                         f"{physical / 2**30:,.1f} GiB of physical memory")
 
 
 def refuse_oversize(family: str, p: int, k: int) -> None:
@@ -155,12 +176,15 @@ def refuse_oversize(family: str, p: int, k: int) -> None:
     about 81 B per (a, b, x) cell of the conic build and 64 B per (N, B)
     pair of the hyperbolic build, so it is known before any field table."""
     q = p ** k
-    peak = 81 * (q - 1) ** 3 if family == "conic" else 64 * q ** 5 * (q * q - 1)
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if peak > physical:
-        raise ValueError(f"the {family} build over {field_name(p, k)} needs about "
-                         f"{peak / 2**30:,.1f} GiB, more than the "
-                         f"{physical / 2**30:,.1f} GiB of physical memory")
+    refuse_peak(81 * (q - 1) ** 3 if family == "conic" else 64 * q ** 5 * (q * q - 1),
+                f"the {family} build over {field_name(p, k)}")
+
+
+def refuse_analysis(v: int) -> None:
+    """Raise ValueError if the dense analysis of v points would peak above
+    the host's physical memory: 11 v^2 bytes, the bool point graph, the
+    float32 A and A^2 and the two bool masks of the strong-regularity check."""
+    refuse_peak(11 * v * v, f"the analysis of {v:,} points")
 
 
 def build_conic_structure(field: Field) -> IncidenceStructure:

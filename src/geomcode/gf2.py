@@ -68,21 +68,17 @@ class BinaryMatrix:
     def column_weights(self) -> list[int]:
         return np.bincount(self._ones[1], minlength=self.cols).tolist()
 
-    def packbits(self) -> np.ndarray:
-        """Rows packed into uint8 bytes (bit j % 8 of byte j // 8 is column j),
-        straight from the ones: no dense rows x cols array."""
-        return self._pack(0, self.nrows)
-
     def packed_chunks(self, chunk_bytes: int = PACK_CHUNK_BYTES):
-        """Yield :meth:`packbits` in blocks of consecutive rows, each of about
-        `chunk_bytes` bytes and at least one row, so that no whole packed copy
-        is ever formed."""
+        """Yield the rows packed into uint8 bytes (bit j % 8 of byte j // 8 is
+        column j), straight from the ones, in blocks of consecutive rows, each
+        of about `chunk_bytes` bytes and at least one row, so that no whole
+        packed copy is ever formed."""
         step = max(1, chunk_bytes // ((self.cols + 7) // 8))
         for lo in range(0, self.nrows, step):
             yield self._pack(lo, min(lo + step, self.nrows))
 
     def _pack(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi-1 packed as :meth:`packbits` packs them."""
+        """Rows lo..hi-1 packed as :meth:`packed_chunks` packs them."""
         rows, cols = self._ones
         start, stop = np.searchsorted(rows, (lo, hi))
         rows, cols = rows[start:stop] - lo, cols[start:stop]
@@ -102,10 +98,10 @@ class BinaryMatrix:
 def rank2(packed: np.ndarray | Iterable[np.ndarray]) -> int:
     """GF(2) rank of rows of packed bits, by forward elimination on the
     highest set bit.  `packed` is a 2-D uint8 array, such as
-    :meth:`BinaryMatrix.packbits` or ``np.packbits(a, axis=1)`` gives (the
-    bit order does not matter), or an iterable of such arrays holding the
-    rows a block at a time, as :meth:`BinaryMatrix.packed_chunks` yields
-    them: then only the pivot rows outlive their block."""
+    ``np.packbits(a, axis=1)`` gives (the bit order does not matter), or an
+    iterable of such arrays holding the rows a block at a time, as
+    :meth:`BinaryMatrix.packed_chunks` yields them: then only the pivot rows
+    outlive their block."""
     pivots: dict[int, int] = {}
     for chunk in (packed,) if isinstance(packed, np.ndarray) else packed:
         for row in chunk:

@@ -142,6 +142,15 @@ class SumProductDecoder:
             [(fwd[k - 1], vc[k - 1], fwd[k]) for k in range(1, md)]
             + [(bwd[k + 1], vc[k + 1], bwd[k]) for k in range(md - 2, -1, -1)])
 
+    @staticmethod
+    def peak_bytes(h: BinaryMatrix) -> int:
+        """Bytes `__init__` allocates for h: 50 per cell of the (max check
+        degree x m) slab (cell index, pads, four message slabs, bits, a mask)
+        and 25 per cell of the (max column degree x n) table (table, its
+        transposed copy, gathered messages, a mask)."""
+        md, dv = (max(int(np.bincount(i).max(initial=0)), 1) for i in h.nonzero())
+        return 50 * md * h.nrows + 25 * dv * h.cols
+
     def decode(self, llrs: np.ndarray, max_iter: int) -> tuple[np.ndarray, int, bool]:
         """Returns (hard decisions, iterations used, syndrome-zero flag)."""
         llrs = np.asarray(llrs, dtype=np.float64)
@@ -211,7 +220,8 @@ def _clamp(x: np.ndarray, bound: float) -> None:
 
 
 def noise_sigma(ebn0_db: float, rate: float) -> float:
-    """The noise deviation at one Eb/N0 point; a ValueError unless finite and positive."""
+    """The noise deviation at one Eb/N0 point; a ValueError unless it is
+    finite and positive and the LLR scale 2/sigma^2 of `awgn_llrs` is finite."""
     if rate <= 0:
         raise ValueError("rate must be positive")
     try:
@@ -221,6 +231,11 @@ def noise_sigma(ebn0_db: float, rate: float) -> float:
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"Eb/N0 {ebn0_db:g} dB gives no finite positive noise sigma "
                          f"at rate {rate:g}")
+    # where this can overflow, sigma < 1e-150 and y = +-1 + sigma z rounds to
+    # exactly +-1, so 2y/sigma^2 in awgn_llrs is finite iff 2/sigma^2 is
+    if 2.0 / (sigma * sigma) == math.inf:
+        raise ValueError(f"Eb/N0 {ebn0_db:g} dB gives noise sigma {sigma:g}, whose LLR scale "
+                         f"2/sigma^2 overflows at rate {rate:g}")
     return sigma
 
 

@@ -1,8 +1,10 @@
 """Scalar reference geometry of PG(2,q) and PG(3,q) over odd fields, which
 the closed-form builds in geomcode.constructions are checked against, and
-the dense views of a BinaryMatrix and its integer Gram matrix, which the
-point graph and the other derived views are checked against, the dense
-integer analysis report (:func:`report`), which the CLI's analysis report
+the dense views of a BinaryMatrix (its packed rows among them) and its
+integer Gram matrix, which the point graph and the other derived views are
+checked against, the histogram of the block census by bincount, which
+IncidenceStructure.census is checked against, the dense integer analysis
+report (:func:`report`), which the CLI's analysis report
 is checked against key for key, and the per-line alist writer and reader,
 which the whole-array ones in geomcode.alist are checked against.
 
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from geomcode.constructions import HyperbolicLabel
+from geomcode.constructions import HyperbolicLabel, IncidenceStructure
 from geomcode.fields import Field
 from geomcode.gf2 import BinaryMatrix, brouwer_predict
 from geomcode.metrics import tanner_bounds
@@ -326,6 +328,19 @@ def dense(m: BinaryMatrix) -> np.ndarray:
     out = np.zeros((m.nrows, m.cols), dtype=np.uint8)
     out[m.nonzero()] = 1
     return out
+
+
+def packbits(m: BinaryMatrix) -> np.ndarray:
+    """The rows packed into uint8 bytes, bit j % 8 of byte j // 8 holding
+    column j: the packing of BinaryMatrix.packed_chunks, from the dense array."""
+    return np.packbits(dense(m), axis=1, bitorder="little")
+
+
+def census_by_bincount(ic: IncidenceStructure) -> np.ndarray:
+    """The histogram of the block census by one intp bincount per chunk,
+    the sentinel bin dropped: IncidenceStructure.census must equal it."""
+    bins = ic.matrix.column_weights()[0] + 2
+    return sum(np.bincount(counts.ravel(), minlength=bins) for _, counts in ic.block_census())[:-1]
 
 
 def gram_counts(m: BinaryMatrix) -> np.ndarray:

@@ -22,7 +22,7 @@ from geomcode.gf2 import brouwer_predict, rank2
 from geomcode.metrics import six_cycles, tanner_bounds, tanner_girth
 from geomcode.sim import ChannelConfig, LdpcCode, SumProductDecoder, random_regular_h, simulate_point
 from geomcode.srpg import check_gpg_axioms, check_strongly_regular, spectrum
-from oracles import gram_counts, scalar
+from oracles import gram_counts, packbits, scalar
 
 CONIC_FIELDS = {5: (5, 1), 7: (7, 1), 9: (3, 2)}
 
@@ -127,11 +127,11 @@ def test_criterion_05_hyperbolic_srg(hyp3):
 def test_criterion_06_ranks(hyp3, hyp5):
     details = []
     for q, (p, k) in CONIC_FIELDS.items():
-        r = rank2(build_conic_structure(Field(p, k)).matrix.packbits())
+        r = rank2(packbits(build_conic_structure(Field(p, k)).matrix))
         assert r == (q - 1) ** 2, f"conic q={q}: rank {r}"
         details.append(f"rank2(M1,q={q})={r}")
     t0 = time.perf_counter()
-    r3, r5 = rank2(hyp3.matrix.packbits()), rank2(hyp5.matrix.packbits())
+    r3, r5 = rank2(packbits(hyp3.matrix)), rank2(packbits(hyp5.matrix))
     elapsed = time.perf_counter() - t0
     assert (r3, r5) == (81, 625)
     assert elapsed < 60.0
@@ -198,7 +198,7 @@ def test_criterion_10_girth(conic5, conic7, conic9, hyp3):
 
 
 def test_criterion_11_code_rate(hyp3):
-    dim = hyp3.n - rank2(hyp3.matrix.packbits())
+    dim = hyp3.n - rank2(packbits(hyp3.matrix))
     assert hyp3.n == 648 and dim == 567 and dim / hyp3.n == 0.875
     _report("11", True, "length 648, dimension 567, rate 0.875")
 

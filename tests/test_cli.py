@@ -1,14 +1,17 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import geomcode.cli
 import geomcode.sim
+from geomcode import constructions
 from geomcode.alist import read_alist, write_alist
 from geomcode.cli import MAX_EBNO_POINTS, main, parse_ebno_grid
-from geomcode.gf2 import rank2
+from geomcode.gf2 import BinaryMatrix, rank2
 from oracles import matrix
 
 
@@ -113,6 +116,64 @@ def test_construct_refuses_builds_past_physical_memory(tmp_path, capsys, family,
     assert err.startswith(f"error: the {family} build over GF({field}) needs about ")
     assert err.endswith(" GiB of physical memory\n")
     assert not out.exists() and not (tmp_path / "x.alist.manifest.json").exists()
+
+
+def _traced_run(args):
+    """Exit status, wall seconds and tracemalloc peak in bytes of one command."""
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        status = run(args)
+        return status, time.perf_counter() - t0, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_analyze_refuses_inputs_past_physical_memory(tmp_path, capsys):
+    # a 1.6 MB file, v = n = 60,000 with blocks of 2 (a 60,000-cycle): its
+    # dense analysis needs 11 v^2 bytes, about 37 GiB, refused from the shape
+    v = 60_000
+    b = np.arange(v)
+    alist, out = tmp_path / "ring.alist", tmp_path / "ring.json"
+    write_alist(BinaryMatrix(np.r_[b, (b + 1) % v], np.r_[b, b], (v, v)), alist)
+    status, elapsed, peak = _traced_run(["analyze", "--in", alist, "--out", out])
+    assert status == 2 and elapsed < 1.0 and peak < 48 * 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("error: the analysis of 60,000 points needs about ")
+    assert err.endswith(" GiB of physical memory\n")
+    assert not out.exists() and not (tmp_path / "ring.json.manifest.json").exists()
+
+
+def test_simulate_refuses_decoders_past_physical_memory(tmp_path, capsys):
+    # 40,000 x 40,000, one check of degree 40,000 and the rest of degree 2:
+    # the padded slab alone is 40,000^2 cells, refused before the elimination
+    n = 40_000
+    c = np.arange(1, n)
+    alist, out = tmp_path / "heavy.alist", tmp_path / "heavy.csv"
+    write_alist(BinaryMatrix(np.r_[np.zeros(n, int), c, c], np.r_[np.arange(n), c - 1, c],
+                             (n, n)), alist)
+    status, elapsed, peak = _traced_run(["simulate", "--in", alist, "--ebno", "3",
+                                         "--threads", 1, "--out", out])
+    assert status == 2 and elapsed < 1.0 and peak < 48 * 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("error: decoding the 40,000 x 40,000 code in 1 worker(s) needs about ")
+    assert err.endswith(" GiB of physical memory\n")
+    assert not out.exists() and not (tmp_path / "heavy.csv.manifest.json").exists()
+
+
+def test_analyze_refuses_family_builds_past_physical_memory(tmp_path, monkeypatch, capsys):
+    # on an 8 GiB host hyperbolic q=13 builds (about 3.7 GiB) but its dense
+    # analysis (11 x 28,561^2 bytes, about 8.4 GiB) is refused before the build
+    monkeypatch.setattr(constructions.os, "sysconf",
+                        lambda name: 2 ** 21 if name == "SC_PHYS_PAGES" else 4096)
+    constructions.refuse_oversize("hyperbolic", 13, 1)
+    out = tmp_path / "h13.json"
+    t0 = time.perf_counter()
+    assert run(["analyze", "--family", "hyperbolic", "--field", 13, "--out", out]) == 2
+    assert time.perf_counter() - t0 < 0.5
+    assert capsys.readouterr().err == ("error: the analysis of 28,561 points needs about "
+                                       "8.4 GiB, more than the 8.0 GiB of physical memory\n")
+    assert not out.exists()
 
 
 def test_analyze_hyperbolic_q3(tmp_path):
@@ -295,6 +356,20 @@ def test_simulate_refuses_points_without_finite_noise(tmp_path, monkeypatch, cap
                 "--out", out]) == 2
     assert capsys.readouterr().err == (f"error: Eb/N0 {point} dB gives no finite positive "
                                        f"noise sigma at rate 0.875\n")
+    assert not out.exists() and not (tmp_path / "ber.csv.manifest.json").exists()
+
+
+def test_simulate_refuses_points_whose_llr_scale_overflows(tmp_path, monkeypatch, capsys, hyp3):
+    # at 3079 dB and rate 0.875 sigma is finite and positive, but 2/sigma^2 is not
+    def never(*args, **kwargs):
+        raise AssertionError("a frame was started")
+
+    monkeypatch.setattr("geomcode.cli.simulate_point", never)
+    alist, out = tmp_path / "h3.alist", tmp_path / "ber.csv"
+    write_alist(hyp3.matrix, alist)
+    assert run(["simulate", "--in", alist, "--ebno", 3079, "--threads", 1, "--out", out]) == 2
+    assert capsys.readouterr().err == ("error: Eb/N0 3079 dB gives noise sigma 8.48166e-155, "
+                                       "whose LLR scale 2/sigma^2 overflows at rate 0.875\n")
     assert not out.exists() and not (tmp_path / "ber.csv.manifest.json").exists()
 
 

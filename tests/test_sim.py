@@ -117,6 +117,17 @@ def test_noise_sigma_refuses_points_without_finite_noise(ebn0, rate):
     assert 0.0 < noise_sigma(3000.0, 0.875) < noise_sigma(-3000.0, 0.875) < math.inf
 
 
+def test_noise_sigma_refuses_points_whose_llr_scale_overflows():
+    # sigma = 8.5e-155 is finite and positive, but 2/sigma^2 overflows; the
+    # points accepted just below give finite LLRs, with no overflow warning
+    with pytest.raises(ValueError, match=r"Eb/N0 3079 dB gives noise sigma 8.48166e-155, "
+                                         r"whose LLR scale 2/sigma\^2 overflows at rate 0.875"):
+        noise_sigma(3079.0, 0.875)
+    bits = np.zeros(100, dtype=np.uint8)
+    with np.errstate(over="raise"):
+        assert np.isfinite(awgn_llrs(bits, 3077.0, 0.875, np.random.default_rng(0))).all()
+
+
 def test_awgn_llr_moments():
     # at 0 dB and rate 1/2 the noise deviation is exactly 1
     assert abs(noise_sigma(0.0, 0.5) - 1.0) < 1e-12

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from geomcode import constructions
 from geomcode.constructions import (
     IncidenceStructure,
     build_conic_structure,
@@ -21,7 +22,7 @@ from geomcode.srpg import (
     feasibility_check,
     spectrum,
 )
-from oracles import dense, gram_counts, matrix
+from oracles import census_by_bincount, dense, gram_counts, matrix
 
 
 def _structure(bit_rows):
@@ -52,11 +53,17 @@ def test_alphas_of_blocks_past_uint8():
     ic = IncidenceStructure("test", None, BinaryMatrix(pts, pts // 256, (512, 2)))
     params = check_gpg_axioms(ic)
     assert (params.s, params.t, params.alphas) == (255, 0, (0,))
+    _, counts = next(ic.block_census())
+    assert counts.dtype == np.uint16 and counts.min() == 0
+    assert np.array_equal(ic.census, census_by_bincount(ic))
 
 
-@pytest.mark.parametrize("family,field", [
+SMALL_FAMILIES = pytest.mark.parametrize("family,field", [
     ("hyperbolic", (3, 1)), ("conic", (7, 1)), ("conic", (3, 2)), ("conic", (11, 1)),
 ])
+
+
+@SMALL_FAMILIES
 def test_block_census_matches_direct_definition(family, field):
     build = build_conic_structure if family == "conic" else build_hyperbolic_structure
     ic = build(Field(*field))
@@ -70,6 +77,27 @@ def test_block_census_matches_direct_definition(family, field):
     hist = np.bincount(direct.ravel(), minlength=w + 2)
     assert np.array_equal(ic.census, hist[:-1])  # the sentinel bin is dropped
     assert check_gpg_axioms(ic).alphas == tuple(np.flatnonzero(hist[:-1]).tolist())
+
+
+@SMALL_FAMILIES
+def test_census_of_one_block_chunks_matches_bincount_oracle(monkeypatch, family, field):
+    monkeypatch.setattr(constructions, "_CENSUS_CELLS", 1)
+    build = build_conic_structure if family == "conic" else build_hyperbolic_structure
+    ic = build(Field(*field))
+    assert all(len(blocks) == 1 for blocks, _ in ic.block_census())
+    assert np.array_equal(ic.census, census_by_bincount(ic))
+
+
+def test_census_matches_bincount_oracle(hyp5):
+    # hyperbolic q=5 streams 18 chunks; in the cyclic blocks {b, ..., b+3, b+5}
+    # mod 40, point b+4 is joined to all 5 points of block b, a far one to none
+    b = np.arange(40)
+    rows = (b[:, None] + [0, 1, 2, 3, 5]).ravel() % 40
+    spread = IncidenceStructure("test", None, BinaryMatrix(rows, np.repeat(b, 5), (40, 40)))
+    assert len(list(hyp5.block_census())) == 18
+    assert np.flatnonzero(census_by_bincount(spread)).tolist() == [0, 1, 2, 3, 4, 5]
+    for ic in (hyp5, spread):
+        assert np.array_equal(ic.census, census_by_bincount(ic))
 
 
 def test_block_census_refuses_blocks_of_unequal_size():
