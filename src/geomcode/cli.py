@@ -24,7 +24,7 @@ from . import __version__, constructions
 from .alist import read_alist, write_alist
 from .constructions import HyperbolicLabel, IncidenceStructure
 from .fields import check_field, field_from_string, parse_field_spec
-from .gf2 import brouwer_predict, rank2
+from .gf2 import brouwer_predict, character_ranks, rank2
 from .metrics import six_cycles, tanner_bounds, tanner_girth
 from .sim import (ChannelConfig, LdpcCode, PointStats, SumProductDecoder, noise_sigma,
                   simulate_point)
@@ -135,13 +135,17 @@ def build_analysis_report(ic: IncidenceStructure) -> dict:
         "n": ic.n,
         "degenerate": ic.degenerate,
     }
-    report["failures"] = _file_stages(ic, report)
+    # a translation structure has both ranks by a character count
+    ranks = None if (tr := ic.translation) is None else character_ranks(tr.p, tr.e, tr.subgroups)
+    report["failures"] = _file_stages(ic, report, ranks)
     report["checks_passed"] = not report["failures"]
     # over any field rank(M M^T) <= rank(M) <= min(v, n), so a Gram parity of
     # rank min(v, n) settles rank_2(M); otherwise M is eliminated
     gram_rank = report.get("rank2_MMT")
-    code = (LdpcCode(ic.matrix, ic.n - gram_rank) if gram_rank == min(ic.v, ic.n)
-            else LdpcCode.from_parity(ic.matrix))
+    if ranks is not None or gram_rank == min(ic.v, ic.n):
+        code = LdpcCode(ic.matrix, ic.n - (gram_rank if ranks is None else ranks[0]))
+    else:
+        code = LdpcCode.from_parity(ic.matrix)
     girth = tanner_girth(ic)
     report.update({
         "rank2_M": code.n - code.dimension,
@@ -152,11 +156,13 @@ def build_analysis_report(ic: IncidenceStructure) -> dict:
     return report
 
 
-def _file_stages(ic: IncidenceStructure, report: dict) -> list[str]:
+def _file_stages(ic: IncidenceStructure, report: dict,
+                 ranks: tuple[int, int] | None) -> list[str]:
     """File the result of each stage of the analysis in `report`, in
     dependency order, and return the failures.  A stage runs once its inputs
     are established: the pass ends at a failure that leaves a later stage
-    without its input."""
+    without its input.  `ranks` holds rank_2 M and rank_2 M M^T when known,
+    else the Gram parity is eliminated."""
     try:
         params = check_gpg_axioms(ic)
     except AxiomViolation as exc:
@@ -181,11 +187,14 @@ def _file_stages(ic: IncidenceStructure, report: dict) -> list[str]:
 
     # the axioms hold, so M M^T = A + (t+1)I: mod 2, A with t+1 on the
     # diagonal; the report takes rank_2(M) from its rank when that is full
-    parity = np.packbits(ic.adjacency, axis=1)
-    if params.t % 2 == 0:
-        i = np.arange(v)
-        parity[i, i >> 3] |= (0x80 >> (i & 7)).astype(np.uint8)
-    report["rank2_MMT"] = rank2(parity)
+    if ranks is None:
+        parity = np.packbits(ic.adjacency, axis=1)
+        if params.t % 2 == 0:
+            i = np.arange(v)
+            parity[i, i >> 3] |= (0x80 >> (i & 7)).astype(np.uint8)
+        report["rank2_MMT"] = rank2(parity)
+    else:
+        report["rank2_MMT"] = ranks[1]
     cyc = six_cycles(ic, params, lam)
     report["six_cycles"] = {"formula": cyc.six_cycle_formula,
                             "enumerated": cyc.six_cycle_enumerated}

@@ -27,6 +27,7 @@ matrices are bit-for-bit reproducible.  The builds emit index arrays only;
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,6 +50,27 @@ class HyperbolicLabel(NamedTuple):
 
 
 _CENSUS_CELLS = 1 << 19  # (block, point) cells per census chunk
+
+
+class Translation(NamedTuple):
+    """Blocks that are the cosets of subgroups W_i of GF(p)^e, each listed once."""
+
+    p: int
+    e: int
+    subgroups: np.ndarray    # r x w: W_1..W_r, the blocks through point 0, ascending
+    base_counts: np.ndarray  # per block B, |B ∩ N(0)|: its points joined to point 0
+
+
+def _digit_sub(p: int, e: int):
+    """x - y digit by digit mod p, on indices of e >= 2 base-p digits: one
+    table of differences for each half of the digits."""
+    low, tables = p ** (e // 2), []
+    for h in (e // 2, e - e // 2):
+        place = p ** np.arange(h)
+        digits = np.arange(p ** h)[:, None] // place % p
+        tables.append((digits[:, None] - digits[None, :]) % p @ place)
+    lo, hi = tables
+    return lambda x, y: hi[x // low, y // low] * low + lo[x % low, y % low]
 
 
 @dataclass
@@ -111,7 +133,45 @@ class IncidenceStructure:
 
     @property
     def four_cycle(self) -> tuple[tuple[int, int], int] | None:
-        return self._point_graph[1]
+        return None if self.translation is not None else self._point_graph[1]
+
+    @cached_property
+    def translation(self) -> Translation | None:
+        """The structure as a translation structure, or None.  It is one when
+        v = p^e for an odd prime p and e >= 2, and the blocks are the cosets
+        of subgroups W_1..W_r under the digit-by-digit addition mod p of the
+        point indices (e base-p digits), each listed once: then every count
+        of the analysis is v times that of point 0.  The tests are exact, in
+        O(n w): the blocks through point 0, the W_i, meet only in 0 and are
+        closed under subtraction; every block P, ascending, has P - P[0] in
+        the W_i holding P[1] - P[0]; the pairs (i, P[0]) are distinct and
+        number n = r v / w."""
+        v, m = self.v, self.matrix
+        p = next((d for d in range(3, math.isqrt(v) + 1, 2) if v % d == 0), 0) if v % 2 else 0
+        e = round(math.log(v, p)) if p else 0
+        if not p or p ** e != v:
+            return None
+        rows, cols = m.nonzero()
+        weights = np.bincount(cols, minlength=self.n)
+        w = int(weights[0])
+        if w < 2 or (weights != w).any():
+            return None
+        blocks = m.by_column()[0].reshape(self.n, w)
+        subgroups = blocks[cols[:np.searchsorted(rows, 1)]]
+        r = len(subgroups)
+        if self.n * w != r * v or np.bincount(subgroups[:, 1:].ravel()).max() > 1:
+            return None
+        owner, cls = np.full(v, -1), np.arange(r)[:, None]
+        owner[subgroups[:, 1:]] = cls
+        sub = _digit_sub(p, e)
+        for d in range(1, w):  # x - y for every ordered pair of distinct points of each W_i
+            if (owner[sub(subgroups, np.roll(subgroups, d, axis=1))] != cls).any():
+                return None
+        cls = owner[sub(blocks[:, 1:], blocks[:, :1])]
+        keys = np.sort(cls[:, 0] * v + blocks[:, 0])
+        if ((cls != cls[:, :1]) | (cls < 0)).any() or (keys[1:] == keys[:-1]).any():
+            return None
+        return Translation(p, e, subgroups, np.count_nonzero(owner[blocks] >= 0, axis=1))
 
     def block_census(self):
         """Yield (blocks, counts) for consecutive chunks of blocks, all of w
@@ -146,6 +206,10 @@ class IncidenceStructure:
         blocks, so the sentinel is never scanned.  Counts spanning a..b cost
         b - a + 2 passes per chunk: at most w + 2, when they span 0..w."""
         w = self.matrix.column_weights()[0]
+        if (tr := self.translation) is not None:
+            hist = np.bincount(tr.base_counts, minlength=w + 1)
+            hist[w - 1] -= len(tr.subgroups)  # the blocks through point 0, w - 1 each
+            return self.v * hist
         hist = np.zeros(w + 1, dtype=np.intp)
         for blocks, counts in self.block_census():
             left = len(blocks) * (self.v - w)

@@ -372,3 +372,22 @@ def test_criterion_15c_conic_q81_analysis(tmp_path):
     assert run["elapsed"] < 40.0 and run["rss_mb"] < 500
     _report("15c", True, f"conic q=81: srg(6400, 6162, 5930, 6006), alphas (76, 77, 78); "
                          f"{run['elapsed']:.1f}s, peak RSS {run['rss_mb']:.0f} MB")
+
+
+def test_criterion_15d_hyperbolic_q9_analysis(tmp_path):
+    # a translation structure: its counts are read from point 0 and its ranks
+    # from a character count, with no point graph
+    run, rep = _analyze_in_subprocess(tmp_path, "hyperbolic", "3^2")
+    assert rep["checks_passed"] and rep["failures"] == []
+    assert (rep["v"], rep["srg"]) == (6561, {"k": 5760, "lambda": 5049, "mu": 5112})
+    assert rep["alphas"] == [7, 8, 9]
+    assert rep["rank2_MMT"] == rep["rank_prediction"]["value"] == 5760
+    assert rep["rank_prediction"]["kind"] == "exact"
+    assert rep["rank2_M"] == 6561
+    assert rep["girth"] == 6
+    assert rep["six_cycles"] == {"formula": 31757339520, "enumerated": 31757339520}
+    assert run["elapsed"] < 15.0 and run["rss_mb"] < 500
+    _report("15d", True, f"hyperbolic GF(9): srg(6561, 5760, 5049, 5112), alphas (7, 8, 9), "
+                         f"rank2(MM^T) = 5760 exact, rank2(M) = 6561, girth 6, "
+                         f"31757339520 6-cycles; "
+                         f"{run['elapsed']:.1f}s, peak RSS {run['rss_mb']:.0f} MB")

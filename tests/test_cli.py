@@ -201,12 +201,13 @@ def test_analyze_conic_q5_not_simulable(tmp_path):
 
 
 @pytest.mark.parametrize("family,field,rank_m,rank_gram,eliminations", [
-    ("conic", "5", 16, 16, 1), ("conic", "5^2", 576, 576, 1), ("hyperbolic", "3", 81, 48, 2)])
+    ("conic", "5", 16, 16, 1), ("conic", "5^2", 576, 576, 1), ("hyperbolic", "3", 81, 48, 0)])
 def test_analyze_takes_rank_from_a_full_rank_gram(tmp_path, monkeypatch, family, field,
                                                   rank_m, rank_gram, eliminations):
     # rank_2(M M^T) = min(v, n) settles rank_2(M), so the conics eliminate
-    # only the Gram parity; hyperbolic q=3's Gram is deficient, so M is
-    # eliminated too, and has full rank
+    # only the Gram parity; hyperbolic q=3 is a translation structure, whose
+    # two ranks come from a character count (its dense path eliminates both:
+    # test_report.test_translation_report_matches_dense)
     calls = []
 
     def counted(packed):

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomcode.alist import read_alist, write_alist
+from geomcode.constructions import IncidenceStructure
 from geomcode.gf2 import (
     BinaryMatrix,
     RankPrediction,
     brouwer_predict,
+    character_ranks,
     rank2,
 )
 from geomcode.srpg import SrgSpectrum
@@ -137,6 +139,19 @@ def _spec(v, f1, f2, mu, theta0, theta1, theta2):
     return SrgSpectrum(v=v, k=0, lambda_=0, mu=mu, delta=0, sqrt_delta=0,
                        u1=0, u2=0, f1=f1, f2=f2,
                        theta0=theta0, theta1=theta1, theta2=theta2)
+
+
+@pytest.mark.parametrize("drop", [0, 1, 5, 23])
+def test_character_ranks_match_elimination(hyp3, drop):
+    # without the cosets of its first `drop` subgroups (27 columns each),
+    # hyperbolic q=3 is still a translation structure, of 24 - drop subgroups
+    rows, cols = hyp3.matrix.nonzero()
+    keep = cols >= 27 * drop
+    m = BinaryMatrix(rows[keep], cols[keep] - 27 * drop, (81, 648 - 27 * drop))
+    tr = IncidenceStructure("file", None, m).translation
+    assert len(tr.subgroups) == 24 - drop
+    assert character_ranks(tr.p, tr.e, tr.subgroups) == (rank2(packbits(m)),
+                                                          rank2(packbits(gram_mod2(m))))
 
 
 def test_brouwer_cases():

@@ -9,11 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geomcode.cli
+import geomcode.sim
 import oracles
+from geomcode.alist import read_alist, write_alist
 from geomcode.cli import build_analysis_report
 from geomcode.constructions import IncidenceStructure
 from geomcode.fields import Field
-from geomcode.gf2 import BinaryMatrix
+from geomcode.gf2 import BinaryMatrix, rank2
+from geomcode.sim import random_regular_h
 from oracles import matrix
 
 
@@ -112,6 +116,68 @@ def test_moved_incidence_report_matches_oracle(request, source, axiom):
     rep = build_analysis_report(IncidenceStructure("file", None, m))
     _assert_same(rep, oracles.report(m))
     assert rep["axioms"]["violated"] == axiom
+
+
+def _swapped(m: BinaryMatrix) -> BinaryMatrix:
+    """m with points 1 and 2 swapped: the same structure, but no longer one
+    whose blocks are cosets under the digit addition of the point indices."""
+    rows, cols = m.nonzero()
+    perm = np.arange(m.nrows)
+    perm[[1, 2]] = 2, 1
+    return BinaryMatrix(perm[rows], cols, (m.nrows, m.cols))
+
+
+@pytest.mark.parametrize("read_back", [False, True], ids=["build", "alist"])
+@pytest.mark.parametrize("fixture", ["hyp3", "hyp5"])
+def test_translation_report_matches_dense(request, tmp_path, monkeypatch, fixture, read_back):
+    # the dense path is the oracle: with points 1 and 2 swapped the structure
+    # is refused certification, and its report must be byte-identical
+    built = request.getfixturevalue(fixture)
+    family, field, m = built.family, built.field, built.matrix
+    if read_back:
+        write_alist(m, tmp_path / "h.alist")
+        family, field, m = "file", None, read_alist(tmp_path / "h.alist")
+    ic = IncidenceStructure(family, field, m)
+    swapped = IncidenceStructure(family, field, _swapped(m))
+    assert ic.translation is not None and swapped.translation is None
+    calls = []
+
+    def counted(packed):
+        calls.append(packed)
+        return rank2(packed)
+
+    monkeypatch.setattr(geomcode.cli, "rank2", counted)
+    monkeypatch.setattr(geomcode.sim, "rank2", counted)
+    rep = build_analysis_report(ic)
+    assert "_point_graph" not in ic.__dict__ and not calls  # no v x v array, no elimination
+    dense = build_analysis_report(swapped)
+    assert len(calls) == 2  # the Gram parity, then M, whose rank the Gram's does not settle
+    assert rep["checks_passed"]
+    assert (json.dumps(rep, indent=2, sort_keys=True)
+            == json.dumps(dense, indent=2, sort_keys=True))
+
+
+@pytest.mark.parametrize("name", ["hyp5-moved", "random-81x648", "conic5"])
+def test_translation_refused(request, name):
+    # one incidence moved; blocks through point 0 that are not subgroups; v = 16 = 2^4
+    m = {"hyp5-moved": lambda: _moved(request.getfixturevalue("hyp5").matrix),
+         "random-81x648": lambda: random_regular_h(81, 648, 3, 24, 7).h,
+         "conic5": lambda: request.getfixturevalue("conic5").matrix}[name]()
+    assert IncidenceStructure("file", None, m).translation is None
+
+
+def test_translation_lambda_failure_matches_oracle(hyp3):
+    # without the 27 cosets of its first subgroup, hyperbolic q=3 is still a
+    # translation structure, but lambda is not constant: the dense check
+    # runs and files its witness
+    rows, cols = hyp3.matrix.nonzero()
+    keep = cols >= 27
+    m = BinaryMatrix(rows[keep], cols[keep] - 27, (81, 621))
+    ic = IncidenceStructure("file", None, m)
+    assert ic.translation is not None
+    rep = build_analysis_report(ic)
+    _assert_same(rep, oracles.report(m))
+    assert rep["failures"] == ["lambda not constant: pair (0, 13) has 25, expected 23"]
 
 
 @st.composite
