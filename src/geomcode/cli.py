@@ -76,9 +76,8 @@ def _build_structure(family: str, field_spec: str, modulus: str | None,
     p, k = parse_field_spec(field_spec)
     check_field(p, k, modulus)
     constructions.refuse_oversize(family, p, k)  # before the field's tables are built
-    if analyze:
-        q = p ** k
-        constructions.refuse_analysis(q ** 4 if family == "hyperbolic" else (q - 1) ** 2)
+    if analyze and family == "conic":  # a conic analysis is dense: refused before the build
+        constructions.refuse_analysis((p ** k - 1) ** 2)
     build = getattr(constructions, FAMILIES[family][0])
     return build(field_from_string(field_spec, modulus))
 
@@ -246,15 +245,15 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.infile:
-        h = read_alist(args.infile)
-        constructions.refuse_analysis(h.nrows)  # before the point graph
-        ic = IncidenceStructure("file", None, h)
+        ic = IncidenceStructure("file", None, read_alist(args.infile))
         params_for_manifest = {"in": args.infile}
     else:
         ic = _build_structure(args.family, args.field, args.modulus, analyze=True)
         params_for_manifest = {
             "family": args.family, "field": args.field, "modulus": args.modulus,
         }
+    if ic.translation is None:  # the dense path, refused before the point graph
+        constructions.refuse_analysis(ic.v)
     report = build_analysis_report(ic)
     out = Path(args.out)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -17,7 +17,11 @@ invertible and C symmetric, taken up to scalar: the first nonzero entry of
 B is 1, which picks one matrix per class.  A line (N I2) lies in a
 block iff B^T N^T + N B + C = 0, i.e. iff C = -(NB + (NB)^T).  So each
 point lies on exactly one block per canonical B, and its row of the
-matrix is that C for each of the q(q^2-1) canonical B.
+matrix is that C for each of the q(q^2-1) canonical B.  Row x of N gives
+row x B of NB, so c00 = -2 (NB)_00 depends on N's first row alone, c11 =
+-2 (NB)_11 on its second, and c01 = -((NB)_01 + (NB)_10) on one entry
+from each: the build tables x B for the q^2 rows x and then reads every
+(first row, second row, B) once, already in row-major order.
 
 All orderings are lexicographic on the label code tuples, so the emitted
 matrices are bit-for-bit reproducible.  The builds emit index arrays only;
@@ -94,7 +98,7 @@ class IncidenceStructure:
     @property
     def degenerate(self) -> bool:
         """No block holds two points, i.e. the point graph is edgeless."""
-        return max(self.matrix.column_weights()) <= 1
+        return bool(self.matrix.column_weights().max() <= 1)
 
     @cached_property
     def _point_graph(self) -> tuple[np.ndarray, tuple | None]:
@@ -112,7 +116,7 @@ class IncidenceStructure:
         v, m = self.v, self.matrix
         pts, cols = m.by_column()  # the points of block 0, then of block 1, ...; ascending in each
         adj = np.zeros((v, v), dtype=bool)
-        for d in range(1, max(m.column_weights())):
+        for d in range(1, int(m.column_weights().max())):
             same = cols[d:] == cols[:-d]
             i, j = pts[:-d][same], pts[d:][same]
             adj[i, j] = adj[j, i] = True
@@ -180,10 +184,10 @@ class IncidenceStructure:
         their adjacency rows), or the sentinel w + 1 if p lies on b, in the
         narrowest unsigned dtype that holds it."""
         weights = self.matrix.column_weights()
-        if min(weights) != max(weights):
+        w = int(weights[0])
+        if (weights != w).any():
             raise ValueError("the block census needs blocks of one size")
         rows, _ = self.matrix.by_column()
-        w = weights[0]
         blocks = rows.reshape(self.n, w)
         a = self.adjacency.view(np.uint8)
         dtype = np.min_scalar_type(w + 1)
@@ -205,7 +209,7 @@ class IncidenceStructure:
         c from there up (`counts == c`) until the bins hold its cells off the
         blocks, so the sentinel is never scanned.  Counts spanning a..b cost
         b - a + 2 passes per chunk: at most w + 2, when they span 0..w."""
-        w = self.matrix.column_weights()[0]
+        w = int(self.matrix.column_weights()[0])
         if (tr := self.translation) is not None:
             hist = np.bincount(tr.base_counts, minlength=w + 1)
             hist[w - 1] -= len(tr.subgroups)  # the blocks through point 0, w - 1 each
@@ -237,10 +241,10 @@ def refuse_peak(peak: int, what: str) -> None:
 def refuse_oversize(family: str, p: int, k: int) -> None:
     """Raise ValueError if the build of `family` over GF(p^k) would peak
     above the host's physical memory.  The peak is closed form in q alone,
-    about 81 B per (a, b, x) cell of the conic build and 64 B per (N, B)
+    about 81 B per (a, b, x) cell of the conic build and 26 B per (N, B)
     pair of the hyperbolic build, so it is known before any field table."""
     q = p ** k
-    refuse_peak(81 * (q - 1) ** 3 if family == "conic" else 64 * q ** 5 * (q * q - 1),
+    refuse_peak(81 * (q - 1) ** 3 if family == "conic" else 26 * q ** 5 * (q * q - 1),
                 f"the {family} build over {field_name(p, k)}")
 
 
@@ -303,21 +307,22 @@ def build_hyperbolic_structure(field: Field) -> IncidenceStructure:
 
     Line N lies on the block (B, -(NB + (NB)^T)) of every canonical B: with
     B of rank r among the canonical B, that is column r q^3 + (c00 q + c01) q
-    + c11, so each row is one lookup per canonical B.
+    + c11.  With x.B0 and x.B1 (B's columns) tabled for the q^2 rows x and
+    every B, c01 is one gather of -(a + b) over (first row, second row, B),
+    c00 and c11 two broadcast adds.  The rows ascend with N and, within a
+    row, the columns with r, so the ones come out in row-major order.
     """
     f = field
     q = f.q
     refuse_oversize("hyperbolic", f.p, f.k)
     add, mul, neg = f.add_table, f.mul_table, f.neg_table
-    b = _canonical_b(f)[:, None, :]
-    n = np.indices((q,) * 4).reshape(4, -1, 1)  # the lines N in lex order
-    # (NB)_rc = N_r0 B_0c + N_r1 B_1c, for every point and every canonical B
-    nb00, nb01, nb10, nb11 = (add[mul[n[r], b[c]], mul[n[r + 1], b[c + 2]]]
-                              for r in (0, 2) for c in (0, 1))
-    c00, c01, c11 = neg[add[nb00, nb00]], neg[add[nb01, nb10]], neg[add[nb11, nb11]]
-    del nb00, nb01, nb10, nb11
-    cols = (np.arange(b.shape[2]) * q ** 3 + (c00 * q + c01) * q + c11).ravel()
-    del c00, c01, c11  # the v x (canonical B) intermediates go before the matrix is built
-    rows = np.repeat(np.arange(q ** 4), b.shape[2])
-    m = BinaryMatrix(rows, cols, (q ** 4, b.shape[2] * q ** 3))
+    b = _canonical_b(f)
+    r = b.shape[1]
+    x = np.indices((q, q)).reshape(2, -1, 1)  # the q^2 rows (x0, x1) in lex order
+    xb0, xb1 = (add[mul[x[0], b[c]], mul[x[1], b[c + 2]]] for c in (0, 1))
+    cols = (neg[add] * q)[xb1[:, None], xb0[None]]  # c01 q: (NB)_01 from row 0, (NB)_10 from row 1
+    cols += (np.arange(r) * q ** 3 + neg[add[xb0, xb0]] * q * q)[:, None]  # r q^3 + c00 q^2
+    cols += neg[add[xb1, xb1]]  # + c11
+    rows = np.repeat(np.arange(q ** 4), r)
+    m = BinaryMatrix(rows, cols.ravel(), (q ** 4, r * q ** 3))
     return IncidenceStructure("hyperbolic", f, m)

@@ -25,11 +25,12 @@ class BinaryMatrix:
     or columns may be empty.  It keeps the indices as two read-only int64 arrays
     in row-major order (rows ascending, columns ascending within a row):
     :meth:`nonzero` returns them and every other view derives from them.
-    :meth:`by_column` gives the same ones in column-major order, sorted once
-    and cached.
+    Indices given strictly ascending in that order are kept as they are, made
+    read-only, with no sort.  :meth:`by_column` gives the same ones in
+    column-major order, sorted once and cached, as are the weights.
     """
 
-    __slots__ = ("nrows", "cols", "_ones", "_by_column")
+    __slots__ = ("nrows", "cols", "_ones", "_by_column", "_weights")
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
         nrows, ncols = shape
@@ -38,16 +39,21 @@ class BinaryMatrix:
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         if rows.shape != cols.shape or rows.ndim != 1:
             raise ValueError("row and column indices must be 1-D arrays of one length")
-        if ((rows < 0) | (rows >= nrows) | (cols < 0) | (cols >= ncols)).any():
+        if rows.size and (rows.min() < 0 or rows.max() >= nrows
+                          or cols.min() < 0 or cols.max() >= ncols):
             raise ValueError(f"index outside the {nrows} x {ncols} matrix")
         linear = rows * ncols + cols
-        linear.sort()
-        linear = linear[np.diff(linear, prepend=-1) != 0]  # drop repeats
-        self._ones = np.divmod(linear, ncols)
+        if (linear[1:] > linear[:-1]).all():  # row-major already, no repeat
+            self._ones = rows, cols
+        else:
+            linear.sort()
+            linear = linear[np.diff(linear, prepend=-1) != 0]  # drop repeats
+            self._ones = np.divmod(linear, ncols)
         for a in self._ones:
             a.flags.writeable = False
         self.nrows, self.cols = nrows, ncols
         self._by_column = None
+        self._weights = [None, None]
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column indices of the ones, in row-major order."""
@@ -63,11 +69,19 @@ class BinaryMatrix:
                 a.flags.writeable = False
         return self._by_column
 
-    def row_weights(self) -> list[int]:
-        return np.bincount(self._ones[0], minlength=self.nrows).tolist()
+    def row_weights(self) -> np.ndarray:
+        """The number of ones in each row: a read-only int64 array, cached."""
+        return self._weight(0, self.nrows)
 
-    def column_weights(self) -> list[int]:
-        return np.bincount(self._ones[1], minlength=self.cols).tolist()
+    def column_weights(self) -> np.ndarray:
+        """The number of ones in each column: a read-only int64 array, cached."""
+        return self._weight(1, self.cols)
+
+    def _weight(self, axis: int, size: int) -> np.ndarray:
+        if self._weights[axis] is None:
+            self._weights[axis] = np.bincount(self._ones[axis], minlength=size)
+            self._weights[axis].flags.writeable = False
+        return self._weights[axis]
 
     def packed_chunks(self, chunk_bytes: int = PACK_CHUNK_BYTES):
         """Yield the rows packed into uint8 bytes (bit j % 8 of byte j // 8 is

@@ -59,7 +59,7 @@ def tanner_girth(ic: IncidenceStructure) -> float:
     if ic.four_cycle is not None:
         return 4
     weights = ic.matrix.column_weights()
-    floor = 8 if min(weights) == max(weights) else 6
+    floor = 8 if (weights == weights[0]).all() else 6
     if floor == 8 and _pair_completions(ic) > 0:
         return 6
     h = ic.matrix

@@ -119,18 +119,20 @@ def check_gpg_axioms(ic: IncidenceStructure) -> SrpgParams:
         raise AxiomViolation("i", pair[0], f"points share {pair[1]} blocks")
 
     col_w = m.column_weights()
-    if min(col_w) != max(col_w):
-        j = next(j for j, w in enumerate(col_w) if w != col_w[0])
-        raise AxiomViolation("ii", (j,), f"block sizes differ: {col_w[0]} vs {col_w[j]}")
+    if (differ := col_w != col_w[0]).any():
+        j = int(np.argmax(differ))
+        raise AxiomViolation("ii", (j,),
+                             f"block sizes differ: {int(col_w[0])} vs {int(col_w[j])}")
     if col_w[0] == 0:
         raise AxiomViolation("ii", (0,), "the blocks hold no points")
-    s = col_w[0] - 1
+    s = int(col_w[0]) - 1
 
     row_w = m.row_weights()
-    if min(row_w) != max(row_w):
-        i = next(i for i, w in enumerate(row_w) if w != row_w[0])
-        raise AxiomViolation("iii", (i,), f"point degrees differ: {row_w[0]} vs {row_w[i]}")
-    t = row_w[0] - 1
+    if (differ := row_w != row_w[0]).any():
+        i = int(np.argmax(differ))
+        raise AxiomViolation("iii", (i,),
+                             f"point degrees differ: {int(row_w[0])} vs {int(row_w[i])}")
+    t = int(row_w[0]) - 1
 
     alphas = tuple(np.flatnonzero(ic.census).tolist())
     return SrpgParams(s=s, t=t, alphas=alphas, v=v, n=n)

@@ -6,7 +6,9 @@ checked against, the histogram of the block census by bincount, which
 IncidenceStructure.census is checked against, the dense integer analysis
 report (:func:`report`), which the CLI's analysis report
 is checked against key for key, and the per-line alist writer and reader,
-which the whole-array ones in geomcode.alist are checked against.
+which the whole-array ones in geomcode.alist are checked against, and the
+hyperbolic incidence matrix by per-pair table gathers, which the row-factorised
+build is checked against.
 
 Coordinates are field element codes (see geomcode.fields) and points are
 plain coordinate tuples, normalized so the first nonzero coordinate is
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from geomcode.constructions import HyperbolicLabel, IncidenceStructure
+from geomcode.constructions import HyperbolicLabel, IncidenceStructure, _canonical_b
 from geomcode.fields import Field
 from geomcode.gf2 import BinaryMatrix, brouwer_predict
 from geomcode.metrics import tanner_bounds
@@ -314,6 +316,22 @@ def hyperbolic_incidence_holds(field: Field, n: tuple[int, int, int, int],
     lhs = _mul2(f, bt, nt)
     rhs = _mul2(f, n, b)
     return all(f.add(f.add(x, y), z) == 0 for x, y, z in zip(lhs, rhs, c))
+
+
+def hyperbolic_by_gathers(field: Field) -> BinaryMatrix:
+    """The hyperbolic incidence matrix by the table gathers of the formula
+    C = -(NB + (NB)^T) over every (N, B) pair, each entry of NB and C one
+    v x q(q^2-1) gather: build_hyperbolic_structure must equal it."""
+    f, q = field, field.q
+    add, mul, neg = f.add_table, f.mul_table, f.neg_table
+    b = _canonical_b(f)[:, None, :]
+    n = np.indices((q,) * 4).reshape(4, -1, 1)  # the lines N in lex order
+    nb00, nb01, nb10, nb11 = (add[mul[n[r], b[c]], mul[n[r + 1], b[c + 2]]]
+                              for r in (0, 2) for c in (0, 1))
+    c00, c01, c11 = neg[add[nb00, nb00]], neg[add[nb01, nb10]], neg[add[nb11, nb11]]
+    cols = (np.arange(b.shape[2]) * q ** 3 + (c00 * q + c01) * q + c11).ravel()
+    return BinaryMatrix(np.repeat(np.arange(q ** 4), b.shape[2]), cols,
+                        (q ** 4, b.shape[2] * q ** 3))
 
 
 def matrix(rows) -> BinaryMatrix:

@@ -391,3 +391,22 @@ def test_criterion_15d_hyperbolic_q9_analysis(tmp_path):
                          f"rank2(MM^T) = 5760 exact, rank2(M) = 6561, girth 6, "
                          f"31757339520 6-cycles; "
                          f"{run['elapsed']:.1f}s, peak RSS {run['rss_mb']:.0f} MB")
+
+
+def test_criterion_15f_hyperbolic_q11_analysis(tmp_path):
+    # 14,641 points and 1,756,920 blocks, end to end: the build from N's two
+    # rows, then counts from point 0 and ranks from a character count
+    run, rep = _analyze_in_subprocess(tmp_path, "hyperbolic", "11")
+    assert rep["checks_passed"] and rep["failures"] == []
+    assert (rep["v"], rep["srg"]) == (14641, {"k": 13200, "lambda": 11891, "mu": 11990})
+    assert rep["alphas"] == [9, 10, 11]
+    assert rep["rank2_MMT"] == rep["rank_prediction"]["value"] == 13200
+    assert rep["rank_prediction"]["kind"] == "exact"
+    assert rep["rank2_M"] == 14641
+    assert rep["girth"] == 6
+    assert rep["six_cycles"] == {"formula": 382721596400, "enumerated": 382721596400}
+    assert run["elapsed"] < 60.0 and run["rss_mb"] < 2560
+    _report("15f", True, f"hyperbolic q=11: srg(14641, 13200, 11891, 11990), alphas (9, 10, 11), "
+                         f"rank2(MM^T) = 13200 exact, rank2(M) = 14641, girth 6, "
+                         f"382721596400 6-cycles; "
+                         f"{run['elapsed']:.1f}s, peak RSS {run['rss_mb']:.0f} MB")

@@ -161,19 +161,41 @@ def test_simulate_refuses_decoders_past_physical_memory(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "heavy.csv.manifest.json").exists()
 
 
-def test_analyze_refuses_family_builds_past_physical_memory(tmp_path, monkeypatch, capsys):
-    # on an 8 GiB host hyperbolic q=13 builds (about 3.7 GiB) but its dense
-    # analysis (11 x 28,561^2 bytes, about 8.4 GiB) is refused before the build
+def _physical_memory_8gib(monkeypatch):
     monkeypatch.setattr(constructions.os, "sysconf",
                         lambda name: 2 ** 21 if name == "SC_PHYS_PAGES" else 4096)
-    constructions.refuse_oversize("hyperbolic", 13, 1)
-    out = tmp_path / "h13.json"
+
+
+def test_analyze_refuses_conic_builds_past_physical_memory(tmp_path, monkeypatch, capsys):
+    # on an 8 GiB host conic q=173 builds (about 0.4 GiB), but its analysis is
+    # dense (11 x 29,584^2 bytes, about 9.0 GiB): refused before the build
+    _physical_memory_8gib(monkeypatch)
+    constructions.refuse_oversize("conic", 173, 1)
+    out = tmp_path / "c173.json"
     t0 = time.perf_counter()
-    assert run(["analyze", "--family", "hyperbolic", "--field", 13, "--out", out]) == 2
+    assert run(["analyze", "--family", "conic", "--field", 173, "--out", out]) == 2
     assert time.perf_counter() - t0 < 0.5
-    assert capsys.readouterr().err == ("error: the analysis of 28,561 points needs about "
-                                       "8.4 GiB, more than the 8.0 GiB of physical memory\n")
-    assert not out.exists()
+    assert capsys.readouterr().err == ("error: the analysis of 29,584 points needs about "
+                                       "9.0 GiB, more than the 8.0 GiB of physical memory\n")
+    assert not out.exists() and not (tmp_path / "c173.json.manifest.json").exists()
+
+
+def test_analyze_builds_hyperbolic_structures_whose_dense_analysis_would_not_fit(
+        tmp_path, monkeypatch):
+    # hyperbolic q=13 on an 8 GiB host: its dense analysis would need about
+    # 8.4 GiB, but a hyperbolic build is a translation structure, analyzed from
+    # point 0, so neither its build nor its analysis is refused before the build
+    _physical_memory_8gib(monkeypatch)
+
+    class Built(Exception):
+        pass
+
+    def build(field):
+        raise Built(field.q)
+
+    monkeypatch.setattr(constructions, "build_hyperbolic_structure", build)
+    with pytest.raises(Built, match="^13$"):
+        run(["analyze", "--family", "hyperbolic", "--field", 13, "--out", tmp_path / "h.json"])
 
 
 def test_analyze_hyperbolic_q3(tmp_path):

@@ -25,6 +25,7 @@ from oracles import (
     dense,
     gram_counts,
     hyperbolic_incidence_holds,
+    hyperbolic_by_gathers,
     hyperbolic_quadric,
     line_in_quadric,
     mat_mul,
@@ -273,6 +274,15 @@ def test_hyperbolic_q5_shape_and_pairwise_rows():
     shared = gram_counts(ic.matrix)
     np.fill_diagonal(shared, 0)
     assert shared.max() <= 1
+
+
+@pytest.mark.parametrize("p,k,modulus", [(3, 1, None), (5, 1, None), (7, 1, None),
+                                          (3, 2, None), (3, 2, [2, 1, 1])])
+def test_hyperbolic_build_matches_per_pair_gathers(p, k, modulus):
+    # the build from N's two rows against every entry of NB and C gathered
+    # per (N, B) pair; GF(9) both over the built-in modulus and over x^2+x+2
+    f = Field(p, k, modulus)
+    assert build_hyperbolic_structure(f).matrix == hyperbolic_by_gathers(f)
 
 
 def test_construction_determinism():

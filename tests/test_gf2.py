@@ -36,8 +36,11 @@ def test_matrix_basics():
     m = matrix([[1, 0, 1], [0, 1, 1]])
     assert m.nrows == 2 and m.cols == 3
     assert dense(m)[0, 0] == 1 and dense(m)[0, 1] == 0
-    assert m.row_weights() == [2, 2]
-    assert m.column_weights() == [1, 1, 2]
+    assert m.row_weights().tolist() == [2, 2]
+    assert m.column_weights().tolist() == [1, 1, 2]
+    # the weights are cached, and read-only so that no caller can change them
+    assert m.column_weights() is m.column_weights()
+    assert not m.row_weights().flags.writeable and not m.column_weights().flags.writeable
     assert [a.tolist() for a in m.by_column()] == [[0, 1, 0, 1], [0, 1, 2, 2]]
 
 
@@ -54,6 +57,21 @@ def test_out_of_range_indices_rejected(row, col, shape):
     # index -1 would wrap to the last column or row
     with pytest.raises(ValueError, match="outside"):
         BinaryMatrix([row], [col], shape)
+
+
+def test_presorted_repeated_and_shuffled_input_give_the_same_ones():
+    # strictly ascending row-major input is kept without a sort; an adjacent
+    # repeat or any other order is sorted and deduplicated, to the same arrays
+    rows, cols = np.array([0, 0, 1, 3, 3, 3]), np.array([1, 4, 0, 0, 2, 5])
+    repeat = np.array([0, 1, 2, 3, 3, 4, 5])  # (3, 0) twice, side by side
+    rng = np.random.default_rng(5)
+    inputs = [(rows, cols), (rows[repeat], cols[repeat])]
+    inputs += [(r[::-1], c[::-1]) for r, c in inputs]
+    inputs += [(r[order], c[order]) for r, c in inputs[:2] for order in [rng.permutation(len(r))]]
+    for r, c in inputs:
+        m = BinaryMatrix(r.copy(), c.copy(), (4, 6))
+        assert [a.tolist() for a in m.nonzero()] == [rows.tolist(), cols.tolist()]
+        assert not any(a.flags.writeable for a in m.nonzero())
 
 
 def test_rank_identity():
@@ -220,8 +238,8 @@ def test_property_views_match_dense(d):
     assert np.array_equal(dense(m), d)
     assert np.array_equal(np.vstack(list(m.packed_chunks())),
                           np.packbits(d, axis=1, bitorder="little"))
-    assert m.column_weights() == d.sum(axis=0).tolist()
-    assert m.row_weights() == d.sum(axis=1).tolist()
+    assert m.column_weights().tolist() == d.sum(axis=0).tolist()
+    assert m.row_weights().tolist() == d.sum(axis=1).tolist()
     # the transpose, its ones given in column-major order
     assert BinaryMatrix(cols, rows, d.shape[::-1]) == _entrywise(d.T)
     di = d.astype(np.int64)
