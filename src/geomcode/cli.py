@@ -76,8 +76,8 @@ def _build_structure(family: str, field_spec: str, modulus: str | None,
     p, k = parse_field_spec(field_spec)
     check_field(p, k, modulus)
     constructions.refuse_oversize(family, p, k)  # before the field's tables are built
-    if analyze and family == "conic":  # a conic analysis is dense: refused before the build
-        constructions.refuse_analysis((p ** k - 1) ** 2)
+    if analyze and family == "conic":  # a conic build certifies its scalings: charged that path
+        constructions.refuse_analysis((p ** k - 1) ** 2, dense=False)
     build = getattr(constructions, FAMILIES[family][0])
     return build(field_from_string(field_spec, modulus))
 
@@ -135,7 +135,7 @@ def build_analysis_report(ic: IncidenceStructure) -> dict:
         "degenerate": ic.degenerate,
     }
     # a translation structure has both ranks by a character count
-    ranks = None if (tr := ic.translation) is None else character_ranks(tr.p, tr.e, tr.subgroups)
+    ranks = None if (tr := ic.translation) is None else character_ranks(*tr.group, tr.through)
     report["failures"] = _file_stages(ic, report, ranks)
     report["checks_passed"] = not report["failures"]
     # over any field rank(M M^T) <= rank(M) <= min(v, n), so a Gram parity of
@@ -252,8 +252,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         params_for_manifest = {
             "family": args.family, "field": args.field, "modulus": args.modulus,
         }
-    if ic.translation is None:  # the dense path, refused before the point graph
-        constructions.refuse_analysis(ic.v)
+    if ic.translation is None:  # refused before the point graph, for the path that runs
+        constructions.refuse_analysis(ic.v, dense=ic.scaling is None)
     report = build_analysis_report(ic)
     out = Path(args.out)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -26,6 +26,13 @@ from each: the build tables x B for the q^2 rows x and then reads every
 All orderings are lexicographic on the label code tuples, so the emitted
 matrices are bit-for-bit reproducible.  The builds emit index arrays only;
 `conic_labels` and `hyperbolic_labels` form the labels, when asked.
+
+A group acts regularly on each structure's points, mapping blocks to
+blocks: the scalings (x, y) -> (αx, βy), taking conic (a, b) to (aβ, bα),
+and the translations of N's digits, whose cosets are the hyperbolic blocks.
+`IncidenceStructure.translation` and `scaling` certify either exactly from
+the matrix, so an alist read back qualifies too; `base_point` then gives
+every count of the analysis from point 0.
 """
 
 from __future__ import annotations
@@ -54,14 +61,16 @@ class HyperbolicLabel(NamedTuple):
 
 
 _CENSUS_CELLS = 1 << 19  # (block, point) cells per census chunk
+_CERTIFY_CELLS = 1 << 20  # (block, point) cells per certification chunk
 
 
-class Translation(NamedTuple):
-    """Blocks that are the cosets of subgroups W_i of GF(p)^e, each listed once."""
+class BasePoint(NamedTuple):
+    """A certified group that acts regularly on the points and maps blocks
+    to blocks: every count of the analysis is v times that of point 0."""
 
-    p: int
-    e: int
-    subgroups: np.ndarray    # r x w: W_1..W_r, the blocks through point 0, ascending
+    group: tuple[int, int] | Field  # (p, e) of GF(p)^e's translations, or the scalings' field
+    through: np.ndarray      # r x w: the blocks through point 0, ascending
+    joined: np.ndarray       # bool, per point: joined to point 0
     base_counts: np.ndarray  # per block B, |B ∩ N(0)|: its points joined to point 0
 
 
@@ -75,6 +84,16 @@ def _digit_sub(p: int, e: int):
         tables.append((digits[:, None] - digits[None, :]) % p @ place)
     lo, hi = tables
     return lambda x, y: hi[x // low, y // low] * low + lo[x % low, y % low]
+
+
+def _builtin_field(q: int) -> Field | None:
+    """GF(q) over its built-in modulus, or None if there is none."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # q's least prime factor
+    k = round(math.log(q, p))
+    try:
+        return Field(p, k) if p ** k == q else None
+    except ValueError:  # p = 2, q past the table limit, or no built-in modulus
+        return None
 
 
 @dataclass
@@ -131,39 +150,66 @@ class IncidenceStructure:
         q = int(np.argmax(shared > 1))
         return adj, ((p, q), int(shared[q]))
 
-    @property
+    @cached_property
     def adjacency(self) -> np.ndarray:
-        return self._point_graph[0]
+        """The bool point graph.  Under certified scalings, the one taking x
+        to point 0 = x0 takes y to (y/x) x0, so A[x, y] = A[0, (y/x) x0]: one
+        v^2 gather through the (q-1) x (q-1) table of those quotients of each
+        coordinate.  x0 = (code 1, code 1) is not the identity once k > 1."""
+        if (sc := self.scaling) is None:
+            return self._point_graph[0]
+        f, q1 = sc.group, sc.group.q - 1
+        nz = np.arange(1, q1 + 1)
+        quot = f.mul_table[f.mul_table[nz, f.inv_table[nz][:, None]], 1] - 1  # [x, y]: (y/x) x0
+        # by_y[a, y1, y2] = A[0, (a, quot[y1, y2])]; A[(x1, y1), (x2, y2)] = by_y[quot[x1, x2], y1, y2]
+        by_y = sc.joined.reshape(q1, q1)[:, quot]
+        return by_y[quot[:, None, :], np.arange(q1)[:, None]].reshape(self.v, self.v)
 
     @property
     def four_cycle(self) -> tuple[tuple[int, int], int] | None:
-        return None if self.translation is not None else self._point_graph[1]
+        return None if self.base_point is not None else self._point_graph[1]
+
+    @property
+    def base_point(self) -> BasePoint | None:
+        """The certified translations, else the certified scalings, or None.
+        Its blocks through point 0 meet only there: no 4-cycle."""
+        return tr if (tr := self.translation) is not None else self.scaling
 
     @cached_property
-    def translation(self) -> Translation | None:
+    def _base(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """(blocks, then BasePoint's through, joined and base_counts) if the
+        blocks all have one size w >= 2 and those through point 0 meet only
+        in 0, else None; blocks[b] holds block b's points, ascending."""
+        m, (rows, cols) = self.matrix, self.matrix.nonzero()
+        w = int(m.column_weights()[0])
+        if w < 2 or (m.column_weights() != w).any():
+            return None
+        blocks = m.by_column()[0].reshape(self.n, w)
+        through = blocks[cols[:np.searchsorted(rows, 1)]]
+        if not len(through) or np.bincount(through[:, 1:].ravel()).max() > 1:
+            return None
+        joined = np.zeros(self.v, dtype=bool)
+        joined[through[:, 1:]] = True
+        return blocks, through, joined, np.count_nonzero(joined[blocks], axis=1)
+
+    @cached_property
+    def translation(self) -> BasePoint | None:
         """The structure as a translation structure, or None.  It is one when
         v = p^e for an odd prime p and e >= 2, and the blocks are the cosets
         of subgroups W_1..W_r under the digit-by-digit addition mod p of the
-        point indices (e base-p digits), each listed once: then every count
-        of the analysis is v times that of point 0.  The tests are exact, in
-        O(n w): the blocks through point 0, the W_i, meet only in 0 and are
-        closed under subtraction; every block P, ascending, has P - P[0] in
-        the W_i holding P[1] - P[0]; the pairs (i, P[0]) are distinct and
-        number n = r v / w."""
-        v, m = self.v, self.matrix
+        point indices (e base-p digits), each listed once.  The tests are
+        exact, in O(n w), streamed over chunks of blocks: the blocks through
+        point 0, the W_i, meet only in 0 and are closed under subtraction;
+        every block P, ascending, has P - P[0] in the W_i holding P[1] - P[0];
+        the pairs (i, P[0]) are distinct and number n = r v / w."""
+        v = self.v
         p = next((d for d in range(3, math.isqrt(v) + 1, 2) if v % d == 0), 0) if v % 2 else 0
         e = round(math.log(v, p)) if p else 0
-        if not p or p ** e != v:
+        if not p or p ** e != v or self._base is None:
             return None
-        rows, cols = m.nonzero()
-        weights = np.bincount(cols, minlength=self.n)
-        w = int(weights[0])
-        if w < 2 or (weights != w).any():
-            return None
-        blocks = m.by_column()[0].reshape(self.n, w)
-        subgroups = blocks[cols[:np.searchsorted(rows, 1)]]
-        r = len(subgroups)
-        if self.n * w != r * v or np.bincount(subgroups[:, 1:].ravel()).max() > 1:
+        blocks, subgroups = self._base[:2]
+        r, w = subgroups.shape
+        if self.n * w != r * v:
             return None
         owner, cls = np.full(v, -1), np.arange(r)[:, None]
         owner[subgroups[:, 1:]] = cls
@@ -171,11 +217,48 @@ class IncidenceStructure:
         for d in range(1, w):  # x - y for every ordered pair of distinct points of each W_i
             if (owner[sub(subgroups, np.roll(subgroups, d, axis=1))] != cls).any():
                 return None
-        cls = owner[sub(blocks[:, 1:], blocks[:, :1])]
-        keys = np.sort(cls[:, 0] * v + blocks[:, 0])
-        if ((cls != cls[:, :1]) | (cls < 0)).any() or (keys[1:] == keys[:-1]).any():
+        first, step = [], max(1, _CERTIFY_CELLS // w)
+        for lo in range(0, self.n, step):  # the int64 temporaries a chunk at a time
+            chunk = blocks[lo:lo + step]
+            cls = owner[sub(chunk[:, 1:], chunk[:, :1])]
+            if ((cls != cls[:, :1]) | (cls < 0)).any():
+                return None
+            first.append(cls[:, 0])
+        keys = np.sort(np.concatenate(first) * v + blocks[:, 0])
+        if (keys[1:] == keys[:-1]).any():
             return None
-        return Translation(p, e, subgroups, np.count_nonzero(owner[blocks] >= 0, axis=1))
+        return BasePoint((p, e), *self._base[1:])
+
+    @cached_property
+    def scaling(self) -> BasePoint | None:
+        """The structure as one on the conic points (1, x, y), point (x-1)(q-1)
+        + (y-1) by nonzero codes, whose blocks the scalings (x, y) -> (ax, by)
+        permute, or None.  The field is the build's, or for a file the
+        built-in GF(q) of q = sqrt(v) + 1.  The tests are exact: the blocks
+        have one size w >= 2; no two start with the same two points, which
+        so name each block; (x, y) -> (gx, y) and (x, y) -> (x, gy), g of
+        order q - 1, map each block, sorted, to the block its first two
+        points name, whole rows compared; the blocks through point 0 meet
+        only in 0.  The scalings then act regularly on the points."""
+        v, q1 = self.v, math.isqrt(self.v)
+        f = None if q1 * q1 != v or self._base is None else self.field or _builtin_field(q1 + 1)
+        if f is None or f.q != q1 + 1:
+            return None
+        blocks = self._base[0]
+        keys, order = np.unique(blocks[:, 0] * v + blocks[:, 1], return_index=True)
+        if len(keys) < self.n:
+            return None
+        mul = f.mul_table.tolist()  # g has order q - 1 iff g^1..g^(q-1) are distinct
+        g = next(g for g in range(1, q1 + 1) if len(set(itertools.accumulate(
+            [g] * q1, lambda x, _: mul[x][g]))) == q1)
+        g = f.mul_table[g, 1:] - 1  # the index of g x, by the index of x
+        points = np.arange(v).reshape(q1, q1)
+        for perm in (points[g].ravel(), points[:, g].ravel()):  # (gx, y) and (x, gy)
+            image = np.sort(perm[blocks], axis=1)
+            at = np.minimum(np.searchsorted(keys, image[:, 0] * v + image[:, 1]), len(keys) - 1)
+            if not np.array_equal(blocks[order[at]], image):
+                return None
+        return BasePoint(f, *self._base[1:])
 
     def block_census(self):
         """Yield (blocks, counts) for consecutive chunks of blocks, all of w
@@ -210,9 +293,9 @@ class IncidenceStructure:
         blocks, so the sentinel is never scanned.  Counts spanning a..b cost
         b - a + 2 passes per chunk: at most w + 2, when they span 0..w."""
         w = int(self.matrix.column_weights()[0])
-        if (tr := self.translation) is not None:
-            hist = np.bincount(tr.base_counts, minlength=w + 1)
-            hist[w - 1] -= len(tr.subgroups)  # the blocks through point 0, w - 1 each
+        if (bp := self.base_point) is not None:
+            hist = np.bincount(bp.base_counts, minlength=w + 1)
+            hist[w - 1] -= len(bp.through)  # the blocks through point 0, w - 1 each
             return self.v * hist
         hist = np.zeros(w + 1, dtype=np.intp)
         for blocks, counts in self.block_census():
@@ -248,11 +331,13 @@ def refuse_oversize(family: str, p: int, k: int) -> None:
                 f"the {family} build over {field_name(p, k)}")
 
 
-def refuse_analysis(v: int) -> None:
-    """Raise ValueError if the dense analysis of v points would peak above
-    the host's physical memory: 11 v^2 bytes, the bool point graph, the
-    float32 A and A^2 and the two bool masks of the strong-regularity check."""
-    refuse_peak(11 * v * v, f"the analysis of {v:,} points")
+def refuse_analysis(v: int, dense: bool = True) -> None:
+    """Raise ValueError if the analysis of v points would peak above the
+    host's physical memory: 11 v^2 bytes if dense (the bool point graph, the
+    float32 A and A^2, two bool masks), 1.6 v^2 under certified scalings (A,
+    its packed parity, the pivot rows; tracemalloc: 1.58, 1.42 and 1.34 v^2
+    at conic 7^2, 3^4 and 11^2)."""
+    refuse_peak((11 if dense else 1.6) * v * v, f"the analysis of {v:,} points")
 
 
 def build_conic_structure(field: Field) -> IncidenceStructure:

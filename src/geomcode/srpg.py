@@ -2,16 +2,17 @@
 for point-block incidence structures.
 
 The point graph joins two points iff they share a block; for a structure
-satisfying the pairwise axiom, M M^T = A + (t+1)I.  A translation
-structure (``IncidenceStructure.translation``) is read from point 0 alone,
-with no v x v array: axiom (i) holds, the census is v times that of point
-0, and lambda and mu come from its A^2 row; a check failing there reruns
-densely, for the dense message and witness.  Any other structure sets its
-bool adjacency A once, straight from the point pairs of each block, and
-tests axiom (i) by counting (``IncidenceStructure.adjacency`` and
-``four_cycle``): no integer M M^T is formed.  A^2 is formed only by the
-strong-regularity check; the tests cross-check both paths against the
-integer Gram matrix and the direct definitions.
+satisfying the pairwise axiom, M M^T = A + (t+1)I.  A structure whose
+translations or conic scalings are certified (``IncidenceStructure.
+base_point``) is read from point 0 alone, with no A^2: axiom (i) holds,
+the census is v times that of point 0, and lambda and mu come from its
+A^2 row; a check failing there reruns densely, for the dense message and
+witness.  Any other structure sets its bool adjacency A once, straight
+from the point pairs of each block, and tests axiom (i) by counting
+(``IncidenceStructure.adjacency`` and ``four_cycle``): no integer M M^T
+is formed.  A^2 is formed only by the dense strong-regularity check; the
+tests cross-check both paths against the integer Gram matrix and the
+direct definitions.
 
 Every count that relates points to blocks comes from one streamed block
 census (``IncidenceStructure.block_census``): for each chunk of blocks,
@@ -144,17 +145,15 @@ def check_strongly_regular(ic: IncidenceStructure) -> tuple[int, int, int, int]:
     Returns (v, k, lambda, mu); raises :class:`DegenerateStructure` for
     edgeless or complete graphs and :class:`AxiomViolation`-style
     ValueError with a witness pair when lambda or mu is not constant.
-    A translation structure that passes is read from the A^2 row of point 0;
-    any other structure, or a failure, takes the dense check below, so every
-    message and witness is the dense one.
+    A certified ``ic.base_point`` that passes is read from the A^2 row of
+    point 0; any other structure, or a failure, takes the dense check below,
+    so every message and witness is the dense one.
     """
-    if (tr := ic.translation) is not None:
+    if (bp := ic.base_point) is not None:
         # the c0[B] = |B ∩ N(0)| of the r blocks B on y sum to A^2[0, y],
         # plus r if y itself is in N(0)
-        (r, w), v = tr.subgroups.shape, ic.v
-        joined = np.zeros(v, dtype=bool)
-        joined[tr.subgroups[:, 1:]] = True
-        a2 = tr.base_counts[ic.matrix.nonzero()[1]].reshape(v, r).sum(axis=1) - r * joined
+        (r, w), v, joined = bp.through.shape, ic.v, bp.joined
+        a2 = bp.base_counts[ic.matrix.nonzero()[1]].reshape(v, r).sum(axis=1) - r * joined
         lam, mu = a2[joined], a2[~joined][1:]  # the pairs (0, y), y != 0
         if r * (w - 1) < v - 1 and (lam == lam[0]).all() and (mu == mu[0]).all():
             return v, r * (w - 1), int(lam[0]), int(mu[0])

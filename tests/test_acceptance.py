@@ -317,17 +317,20 @@ _ANALYZE_SCRIPT = """
 import json, resource, sys, time
 from geomcode.cli import main
 t0 = time.perf_counter()
-status = main(["analyze", "--family", sys.argv[1], "--field", sys.argv[2], "--out", sys.argv[3]])
+status = main(["analyze", "--family", sys.argv[1], "--field", sys.argv[2], "--out", sys.argv[3],
+               *sys.argv[4:]])
 elapsed = time.perf_counter() - t0
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"status": status, "elapsed": elapsed, "rss_mb": rss_mb}))
 """
 
 
-def _analyze_in_subprocess(tmp_path, family, field):
+def _analyze_in_subprocess(tmp_path, family, field, extra=()):
+    """Status, seconds and peak RSS of `analyze --family family --field
+    field`, with the further arguments `extra`, and its report."""
     out = tmp_path / "report.json"
     env = {**os.environ, "PYTHONPATH": str(Path(geomcode.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", _ANALYZE_SCRIPT, family, field, str(out)],
+    proc = subprocess.run([sys.executable, "-c", _ANALYZE_SCRIPT, family, field, str(out), *extra],
                           env=env, capture_output=True, text=True, check=True)
     run = json.loads(proc.stdout.splitlines()[-1])
     assert run["status"] == 0
@@ -390,6 +393,25 @@ def test_criterion_15d_hyperbolic_q9_analysis(tmp_path):
     _report("15d", True, f"hyperbolic GF(9): srg(6561, 5760, 5049, 5112), alphas (7, 8, 9), "
                          f"rank2(MM^T) = 5760 exact, rank2(M) = 6561, girth 6, "
                          f"31757339520 6-cycles; "
+                         f"{run['elapsed']:.1f}s, peak RSS {run['rss_mb']:.0f} MB")
+
+
+def test_criterion_15e_conic_q121_analysis(tmp_path):
+    # 14,400 points: the scalings certified, the counts read from point 0 and
+    # the point graph gathered from its row for the Gram parity's elimination
+    run, rep = _analyze_in_subprocess(tmp_path, "conic", "11^2", ["--modulus", "1,0,1"])
+    assert rep["checks_passed"] and rep["failures"] == []
+    assert (rep["v"], rep["srg"]) == (14400, {"k": 14042, "lambda": 13690, "mu": 13806})
+    assert rep["alphas"] == [116, 117, 118]
+    assert rep["rank2_MMT"] == rep["rank_prediction"]["value"] == 14400
+    assert rep["rank_prediction"]["kind"] == "exact"
+    assert rep["rank2_M"] == 14400
+    assert rep["girth"] == 6
+    assert rep["six_cycles"] == {"formula": 457420958400, "enumerated": 457420958400}
+    assert run["elapsed"] < 4.0 and run["rss_mb"] < 1024
+    _report("15e", True, f"conic q=121: srg(14400, 14042, 13690, 13806), alphas (116, 117, 118), "
+                         f"rank2(MM^T) = rank2(M) = 14400 exact, girth 6, "
+                         f"457420958400 6-cycles; "
                          f"{run['elapsed']:.1f}s, peak RSS {run['rss_mb']:.0f} MB")
 
 

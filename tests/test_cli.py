@@ -166,18 +166,38 @@ def _physical_memory_8gib(monkeypatch):
                         lambda name: 2 ** 21 if name == "SC_PHYS_PAGES" else 4096)
 
 
-def test_analyze_refuses_conic_builds_past_physical_memory(tmp_path, monkeypatch, capsys):
-    # on an 8 GiB host conic q=173 builds (about 0.4 GiB), but its analysis is
-    # dense (11 x 29,584^2 bytes, about 9.0 GiB): refused before the build
+class _Built(Exception):
+    pass
+
+
+def _build_raises(field):
+    raise _Built(field.q)
+
+
+def test_analyze_builds_conic_structures_whose_dense_analysis_would_not_fit(
+        tmp_path, monkeypatch):
+    # conic q=173 on an 8 GiB host: its dense analysis would need about 9.0
+    # GiB, but a conic build certifies its scaling group and is charged that
+    # path's 1.6 v^2 bytes, about 1.3 GiB, so it reaches the builder
     _physical_memory_8gib(monkeypatch)
-    constructions.refuse_oversize("conic", 173, 1)
-    out = tmp_path / "c173.json"
+    monkeypatch.setattr(constructions, "build_conic_structure", _build_raises)
+    with pytest.raises(_Built, match="^173$"):
+        run(["analyze", "--family", "conic", "--field", 173, "--out", tmp_path / "c.json"])
+
+
+def test_analyze_refuses_conic_builds_past_physical_memory(tmp_path, monkeypatch, capsys):
+    # on an 8 GiB host conic q=331 builds (about 2.7 GiB), but even its
+    # certified analysis needs 1.6 x 108,900^2 bytes (v = 330^2), about 17.7 GiB:
+    # refused before the build
+    _physical_memory_8gib(monkeypatch)
+    constructions.refuse_oversize("conic", 331, 1)
+    out = tmp_path / "c331.json"
     t0 = time.perf_counter()
-    assert run(["analyze", "--family", "conic", "--field", 173, "--out", out]) == 2
+    assert run(["analyze", "--family", "conic", "--field", 331, "--out", out]) == 2
     assert time.perf_counter() - t0 < 0.5
-    assert capsys.readouterr().err == ("error: the analysis of 29,584 points needs about "
-                                       "9.0 GiB, more than the 8.0 GiB of physical memory\n")
-    assert not out.exists() and not (tmp_path / "c173.json.manifest.json").exists()
+    assert capsys.readouterr().err == ("error: the analysis of 108,900 points needs about "
+                                       "17.7 GiB, more than the 8.0 GiB of physical memory\n")
+    assert not out.exists() and not (tmp_path / "c331.json.manifest.json").exists()
 
 
 def test_analyze_builds_hyperbolic_structures_whose_dense_analysis_would_not_fit(
@@ -186,15 +206,8 @@ def test_analyze_builds_hyperbolic_structures_whose_dense_analysis_would_not_fit
     # 8.4 GiB, but a hyperbolic build is a translation structure, analyzed from
     # point 0, so neither its build nor its analysis is refused before the build
     _physical_memory_8gib(monkeypatch)
-
-    class Built(Exception):
-        pass
-
-    def build(field):
-        raise Built(field.q)
-
-    monkeypatch.setattr(constructions, "build_hyperbolic_structure", build)
-    with pytest.raises(Built, match="^13$"):
+    monkeypatch.setattr(constructions, "build_hyperbolic_structure", _build_raises)
+    with pytest.raises(_Built, match="^13$"):
         run(["analyze", "--family", "hyperbolic", "--field", 13, "--out", tmp_path / "h.json"])
 
 

@@ -167,8 +167,8 @@ def test_character_ranks_match_elimination(hyp3, drop):
     keep = cols >= 27 * drop
     m = BinaryMatrix(rows[keep], cols[keep] - 27 * drop, (81, 648 - 27 * drop))
     tr = IncidenceStructure("file", None, m).translation
-    assert len(tr.subgroups) == 24 - drop
-    assert character_ranks(tr.p, tr.e, tr.subgroups) == (rank2(packbits(m)),
+    assert len(tr.through) == 24 - drop
+    assert character_ranks(*tr.group, tr.through) == (rank2(packbits(m)),
                                                           rank2(packbits(gram_mod2(m))))
 
 

@@ -14,7 +14,8 @@ import geomcode.sim
 import oracles
 from geomcode.alist import read_alist, write_alist
 from geomcode.cli import build_analysis_report
-from geomcode.constructions import IncidenceStructure
+from geomcode.cli import main as cli_main
+from geomcode.constructions import IncidenceStructure, build_conic_structure
 from geomcode.fields import Field
 from geomcode.gf2 import BinaryMatrix, rank2
 from geomcode.sim import random_regular_h
@@ -178,6 +179,79 @@ def test_translation_lambda_failure_matches_oracle(hyp3):
     rep = build_analysis_report(ic)
     _assert_same(rep, oracles.report(m))
     assert rep["failures"] == ["lambda not constant: pair (0, 13) has 25, expected 23"]
+
+
+CONICS = {"conic5": (5, 1), "conic7": (7, 1), "conic9": (3, 2), "conic25": (5, 2),
+          "conic27": (3, 3)}
+
+
+@pytest.mark.parametrize("read_back", [False, True], ids=["build", "alist"])
+@pytest.mark.parametrize("name", CONICS)
+def test_scaling_report_matches_dense(tmp_path, monkeypatch, name, read_back):
+    # the dense path is the oracle: with points 1 and 2 swapped the scalings
+    # no longer map blocks to blocks, and the report must be byte-identical
+    built = build_conic_structure(Field(*CONICS[name]))
+    family, field, m = built.family, built.field, built.matrix
+    if read_back:  # certified over the built-in field of q = sqrt(v) + 1
+        write_alist(m, tmp_path / "c.alist")
+        family, field, m = "file", None, read_alist(tmp_path / "c.alist")
+    ic = IncidenceStructure(family, field, m)
+    swapped = IncidenceStructure(family, field, _swapped(m))
+    assert ic.scaling is not None and ic.translation is None
+    assert swapped.base_point is None
+    calls = []
+
+    def counted(packed):
+        calls.append(packed)
+        return rank2(packed)
+
+    monkeypatch.setattr(geomcode.cli, "rank2", counted)
+    monkeypatch.setattr(geomcode.sim, "rank2", counted)
+    rep = build_analysis_report(ic)
+    assert "_point_graph" not in ic.__dict__
+    assert len(calls) == 1  # the Gram parity, of full rank, which settles rank_2(M)
+    gram = oracles.gram_counts(m)
+    np.fill_diagonal(gram, 0)
+    assert np.array_equal(ic.adjacency, gram > 0)
+    dense = build_analysis_report(swapped)
+    assert "_point_graph" in swapped.__dict__
+    assert rep["checks_passed"]
+    assert (json.dumps(rep, indent=2, sort_keys=True)
+            == json.dumps(dense, indent=2, sort_keys=True))
+
+
+def test_scaling_patched_off_gives_the_same_report():
+    # the same matrix with the certificate patched off takes the dense path
+    ic = build_conic_structure(Field(5, 2))
+    dense = IncidenceStructure("conic", ic.field, ic.matrix)
+    dense.__dict__["scaling"] = None
+    assert ic.scaling is not None and dense.base_point is None
+    assert (json.dumps(build_analysis_report(dense), sort_keys=True)
+            == json.dumps(build_analysis_report(ic), sort_keys=True))
+
+
+@pytest.mark.parametrize("name", ["conic7", "conic27"])
+def test_scaling_refused_with_one_incidence_moved(name):
+    built = build_conic_structure(Field(*CONICS[name]))
+    for family, field in ((built.family, built.field), ("file", None)):
+        assert IncidenceStructure(family, field, _moved(built.matrix)).base_point is None
+
+
+def test_conic_over_another_modulus_read_back_matches_oracle(tmp_path):
+    # GF(25) over x^2 + 3: the build certifies over its own field, but the
+    # file is read against the built-in x^2 + 2, whose products are not the
+    # ones that labelled its points: not certified, so the dense path runs
+    assert cli_main(["construct", "--family", "conic", "--field", "5^2", "--modulus", "3,0,1",
+                     "--out", str(tmp_path / "c.alist")]) == 0
+    m = read_alist(tmp_path / "c.alist")
+    assert IncidenceStructure("conic", Field(5, 2, (3, 0, 1)), m).scaling is not None
+    ic = IncidenceStructure("file", None, m)
+    assert ic.base_point is None
+    assert cli_main(["analyze", "--in", str(tmp_path / "c.alist"),
+                     "--out", str(tmp_path / "c.json")]) == 0
+    want = oracles.report(m)
+    _assert_same(json.loads((tmp_path / "c.json").read_text()), want)
+    assert want["checks_passed"] and want["srg"] == {"k": 506, "lambda": 442, "mu": 462}
 
 
 @st.composite
