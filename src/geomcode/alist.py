@@ -28,8 +28,7 @@ def write_alist(h: BinaryMatrix, path: str | Path) -> None:
     """Serialize a binary matrix (rows = checks, columns = variables): the tokens
     fill the rows of one byte array right-aligned, one digit place at a time."""
     m, n = h.nrows, h.cols
-    rows, cols = h.nonzero()
-    col_w, row_w = np.bincount(cols, minlength=n), np.bincount(rows, minlength=m)
+    cols, col_w, row_w = h.nonzero()[1], h.column_weights(), h.row_weights()
     lengths = np.concatenate(([2, 2, n, m], col_w, row_w))  # tokens per line
     values = np.concatenate(([n, m, col_w.max(), row_w.max()], col_w, row_w,
                              h.by_column()[0] + 1, cols + 1))

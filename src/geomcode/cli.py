@@ -294,18 +294,11 @@ def _format_csv(points: list[PointStats]) -> str:
 
 
 def _resolve_threads(value: int | None) -> int:
-    """--threads, else GEOMCODE_THREADS, else every core; a bad value is named by its source."""
-    source, env = "thread count", os.environ.get("GEOMCODE_THREADS")
-    if value is None and env:
-        source = "GEOMCODE_THREADS"
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"{source} must be an integer, got {env!r}") from None
+    """--threads, else every core."""
     if value is None:
         return os.cpu_count() or 1
     if value < 1:
-        raise ValueError(f"{source} must be at least 1, got {value}")
+        raise ValueError(f"thread count must be at least 1, got {value}")
     return value
 
 
@@ -387,7 +380,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--min-frame-errors", type=int, default=100)
     p.add_argument("--max-frames", type=int, default=100_000)
-    p.add_argument("--threads", type=int, help="worker processes (env GEOMCODE_THREADS, else all cores)")
+    p.add_argument("--threads", type=int, help="worker processes (default: all cores)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
     return parser

@@ -140,7 +140,7 @@ class IncidenceStructure:
             i, j = pts[:-d][same], pts[d:][same]
             adj[i, j] = adj[j, i] = True
         rows, on = m.nonzero()
-        listed = np.bincount(rows, weights=np.bincount(on)[on] - 1, minlength=v)
+        listed = np.bincount(rows, weights=m.column_weights()[on] - 1, minlength=v)
         excess = np.flatnonzero(listed > adj.sum(axis=1))
         if excess.size == 0:
             return adj, None

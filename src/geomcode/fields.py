@@ -106,7 +106,6 @@ class Field:
             prod[:, :, i - k:i] -= prod[:, :, i, None] % p * low
         self.mul_table = prod[:, :, :k] % p @ place
         self.one = p ** (k - 1)
-        self.zero = 0
         # inv_table[0] is 0 (the argmax of row 0, which holds no one), a
         # placeholder: callers mask the zero divisor
         self.inv_table = np.argmax(self.mul_table == self.one, axis=1)

@@ -108,7 +108,7 @@ class SumProductDecoder:
         edge_check, edge_var = code.h.nonzero()
         self.n = n
 
-        degrees = np.bincount(edge_check, minlength=m)
+        degrees = code.h.row_weights()
         md = max(int(degrees.max(initial=0)), 1)
         slot = np.arange(len(edge_check)) - (np.cumsum(degrees) - degrees)[edge_check]
         cell = slot * m + edge_check                          # slab cell of each edge
@@ -119,7 +119,7 @@ class SumProductDecoder:
 
         # each variable's edges in row-major order (a stable sort of 16-bit
         # keys is a radix sort); row v of by_var: v's cells, then the zero cell
-        col_degrees = np.bincount(edge_var, minlength=n)
+        col_degrees = code.h.column_weights()
         dv = max(int(col_degrees.max(initial=0)), 1)
         order = np.argsort(edge_var.astype(np.uint16) if n <= 1 << 16 else edge_var,
                            kind="stable")
@@ -148,7 +148,7 @@ class SumProductDecoder:
         degree x m) slab (cell index, pads, four message slabs, bits, a mask)
         and 25 per cell of the (max column degree x n) table (table, its
         transposed copy, gathered messages, a mask)."""
-        md, dv = (max(int(np.bincount(i).max(initial=0)), 1) for i in h.nonzero())
+        md, dv = (max(int(w.max(initial=0)), 1) for w in (h.row_weights(), h.column_weights()))
         return 50 * md * h.nrows + 25 * dv * h.cols
 
     def decode(self, llrs: np.ndarray, max_iter: int) -> tuple[np.ndarray, int, bool]:

@@ -5,14 +5,14 @@ The point graph joins two points iff they share a block; for a structure
 satisfying the pairwise axiom, M M^T = A + (t+1)I.  A structure whose
 translations or conic scalings are certified (``IncidenceStructure.
 base_point``) is read from point 0 alone, with no A^2: axiom (i) holds,
-the census is v times that of point 0, and lambda and mu come from its
-A^2 row; a check failing there reruns densely, for the dense message and
-witness.  Any other structure sets its bool adjacency A once, straight
-from the point pairs of each block, and tests axiom (i) by counting
-(``IncidenceStructure.adjacency`` and ``four_cycle``): no integer M M^T
-is formed.  A^2 is formed only by the dense strong-regularity check; the
-tests cross-check both paths against the integer Gram matrix and the
-direct definitions.
+the census is v times that of point 0, and strong regularity is scanned
+on its rows of A and A^2, pass or fail.  Any other structure sets its
+bool adjacency A once, straight from the point pairs of each block, and
+tests axiom (i) by counting (``IncidenceStructure.adjacency`` and
+``four_cycle``): no integer M M^T is formed, and A^2 only by the
+strong-regularity check, whose scan is the same on all rows.  The tests
+cross-check both paths against the integer Gram matrix and the direct
+definitions.
 
 Every count that relates points to blocks comes from one streamed block
 census (``IncidenceStructure.block_census``): for each chunk of blocks,
@@ -145,20 +145,19 @@ def check_strongly_regular(ic: IncidenceStructure) -> tuple[int, int, int, int]:
     Returns (v, k, lambda, mu); raises :class:`DegenerateStructure` for
     edgeless or complete graphs and :class:`AxiomViolation`-style
     ValueError with a witness pair when lambda or mu is not constant.
-    A certified ``ic.base_point`` that passes is read from the A^2 row of
-    point 0; any other structure, or a failure, takes the dense check below,
-    so every message and witness is the dense one.
+    The scan runs on rows of A and A^2: under a certified ``ic.base_point``
+    point 0's row alone, else all of them.  The group maps every pair to
+    one in row 0, which comes first in row-major order, so both give the
+    same message and witness.
     """
     if (bp := ic.base_point) is not None:
         # the c0[B] = |B ∩ N(0)| of the r blocks B on y sum to A^2[0, y],
         # plus r if y itself is in N(0)
-        (r, w), v, joined = bp.through.shape, ic.v, bp.joined
-        a2 = bp.base_counts[ic.matrix.nonzero()[1]].reshape(v, r).sum(axis=1) - r * joined
-        lam, mu = a2[joined], a2[~joined][1:]  # the pairs (0, y), y != 0
-        if r * (w - 1) < v - 1 and (lam == lam[0]).all() and (mu == mu[0]).all():
-            return v, r * (w - 1), int(lam[0]), int(mu[0])
-    a = ic.adjacency
-    v = a.shape[0]
+        r, a = len(bp.through), bp.joined[None]
+        a2 = bp.base_counts[ic.matrix.nonzero()[1]].reshape(ic.v, r).sum(axis=1) - r * a
+    else:
+        a, a2 = ic.adjacency, None
+    v = a.shape[1]
     degrees = a.sum(axis=1)
     k = int(degrees[0])
     if not (degrees == k).all():
@@ -169,15 +168,12 @@ def check_strongly_regular(ic: IncidenceStructure) -> tuple[int, int, int, int]:
     if k == v - 1:
         raise DegenerateStructure("point graph is complete")
 
-    a2 = a.astype(np.float32)  # exact: no entry of A^2 exceeds k < 2^24
-    a2 = a2 @ a2  # rebinding frees the float32 copy of A before the scans
+    if a2 is None:
+        a2 = a.astype(np.float32)  # exact: no entry of A^2 exceeds k < 2^24
+        a2 = a2 @ a2  # rebinding frees the float32 copy of A before the scans
     nonadj_mask = ~a
-    np.fill_diagonal(nonadj_mask, False)
-    lam = _constant_on(a2, a, "lambda")
-    mu = _constant_on(a2, nonadj_mask, "mu")
-    if not (np.diagonal(a2) == k).all():
-        raise ValueError("diagonal of A^2 does not equal the degree")
-    return v, k, lam, mu
+    np.fill_diagonal(nonadj_mask, False)  # pair (i, i) of each row i: (0, 0) in point 0's row
+    return v, k, _constant_on(a2, a, "lambda"), _constant_on(a2, nonadj_mask, "mu")
 
 
 def _constant_on(a2: np.ndarray, mask: np.ndarray, name: str) -> int:

@@ -40,6 +40,11 @@ def conic9(f9):
 
 
 @pytest.fixture(scope="session")
+def conic25():
+    return build_conic_structure(Field(5, 2))
+
+
+@pytest.fixture(scope="session")
 def hyp3(f3):
     return build_hyperbolic_structure(f3)
 

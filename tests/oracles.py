@@ -452,15 +452,18 @@ def report(m: BinaryMatrix) -> dict:
     """The analysis report of `m` read as a structure from a file, from a
     dense integer analysis: the axioms off the integer M M^T and the weights,
     the alpha census over all (point, block) pairs, k, lambda and mu off the
-    integer A^2, the ranks by Gaussian elimination, the girth by
-    breadth-first search and the 6-cycles by a trace.  The closed-form
+    integer A^2, the ranks by Gaussian elimination, the 6-cycles by a
+    trace, and the girth: 4 if two points share two blocks, else 6 if there
+    is a 6-cycle, else by breadth-first search.  The closed-form
     sections come from the package's feasibility_check, spectrum,
     brouwer_predict and tanner_bounds."""
     d = dense(m).astype(np.int64)
     v, n = d.shape
     gram = d @ d.T
+    off = gram - np.diag(np.diag(gram))
     rank_m = dense_rank_mod2(d)
-    girth = tanner_girth_bfs(d)
+    cycles = hexagons(d)
+    girth = 4 if (off > 1).any() else 6 if cycles else tanner_girth_bfs(d)
     col_w, row_w = d.sum(axis=0), d.sum(axis=1)
     rep = {
         "family": "file", "q": None, "v": v, "n": n, "degenerate": bool(col_w.max() <= 1),
@@ -477,7 +480,6 @@ def report(m: BinaryMatrix) -> dict:
         rep["axioms"] = {"pass": False, "violated": axiom, "witness": list(witness)}
         return failed(f"axiom ({axiom}) violated: {message} (witness {witness})")
 
-    off = gram - np.diag(np.diag(gram))
     if (off > 1).any():
         i, j = _first(off > 1)
         return violated("i", (i, j), f"points share {off[i, j]} blocks")
@@ -519,7 +521,6 @@ def report(m: BinaryMatrix) -> dict:
     failures = []
 
     rep["rank2_MMT"] = dense_rank_mod2(gram)
-    cycles = hexagons(d)
     rep["six_cycles"] = {"formula": n * s * (s + 1) * (lam - s + 1) // 6, "enumerated": cycles}
     if rep["six_cycles"]["formula"] != cycles:
         failures.append("six-cycle formula disagrees with enumeration")

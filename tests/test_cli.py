@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import time
 import tracemalloc
 
@@ -524,37 +525,20 @@ def test_construct_extension_field(tmp_path):
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
+    # --threads is the one source of the count: GEOMCODE_THREADS is not read
     from geomcode.cli import _resolve_threads
 
-    monkeypatch.setenv("GEOMCODE_THREADS", "3")
-    assert _resolve_threads(None) == 3
-    assert _resolve_threads(2) == 2
-    monkeypatch.delenv("GEOMCODE_THREADS")
-    assert _resolve_threads(None) >= 1
-    with pytest.raises(ValueError, match="^thread count must be at least 1, got -5$"):
-        _resolve_threads(-5)
     monkeypatch.setenv("GEOMCODE_THREADS", "0")
-    with pytest.raises(ValueError, match="^GEOMCODE_THREADS must be at least 1, got 0$"):
-        _resolve_threads(None)
-    # a flag value overrides the variable, so its error names the flag's count
+    assert _resolve_threads(2) == 2
+    assert _resolve_threads(None) == (os.cpu_count() or 1)
     with pytest.raises(ValueError, match="^thread count must be at least 1, got -5$"):
         _resolve_threads(-5)
     alist = tmp_path / "h.alist"
     run(["construct", "--family", "hyperbolic", "--field", "3", "--out", alist])
     capsys.readouterr()
-    assert run(["simulate", "--in", alist, "--ebno", "3", "--out", tmp_path / "ber.csv"]) == 2
-    assert capsys.readouterr().err == "error: GEOMCODE_THREADS must be at least 1, got 0\n"
     assert run(["simulate", "--in", alist, "--ebno", "3", "--threads", -5,
                 "--out", tmp_path / "ber.csv"]) == 2
     assert capsys.readouterr().err == "error: thread count must be at least 1, got -5\n"
-    monkeypatch.setenv("GEOMCODE_THREADS", "abc")
-    with pytest.raises(ValueError, match="GEOMCODE_THREADS must be an integer, got 'abc'"):
-        _resolve_threads(None)
-    assert _resolve_threads(2) == 2
-    capsys.readouterr()
-    assert run(["simulate", "--in", alist, "--ebno", "3",
-                "--out", tmp_path / "ber.csv"]) == 2
-    assert "error: GEOMCODE_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "ber.csv").exists()
 
 

@@ -2,6 +2,10 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -101,7 +105,7 @@ def test_report_matches_oracle(name):
     assert _failed_stage(rep) == stage
 
 
-@pytest.mark.parametrize("fixture", ["hyp3", "conic5", "conic7", "conic9"])
+@pytest.mark.parametrize("fixture", ["hyp3", "conic5", "conic7", "conic9", "conic25"])
 def test_family_report_matches_oracle(request, fixture):
     ic = request.getfixturevalue(fixture)
     rep = build_analysis_report(ic)
@@ -169,16 +173,80 @@ def test_translation_refused(request, name):
 
 def test_translation_lambda_failure_matches_oracle(hyp3):
     # without the 27 cosets of its first subgroup, hyperbolic q=3 is still a
-    # translation structure, but lambda is not constant: the dense check
-    # runs and files its witness
+    # translation structure, but lambda is not constant: point 0's row files
+    # the witness
     rows, cols = hyp3.matrix.nonzero()
     keep = cols >= 27
     m = BinaryMatrix(rows[keep], cols[keep] - 27, (81, 621))
     ic = IncidenceStructure("file", None, m)
     assert ic.translation is not None
     rep = build_analysis_report(ic)
+    assert "_point_graph" not in ic.__dict__
     _assert_same(rep, oracles.report(m))
     assert rep["failures"] == ["lambda not constant: pair (0, 13) has 25, expected 23"]
+
+
+def _two_parallel_classes() -> BinaryMatrix:
+    """GF(3)^10, v = 59,049, with the cosets of <e0> and of <e1> as blocks:
+    the lines {x, x + 1, x + 2} and {x, x + 3, x + 6} of point indices."""
+    v = 3 ** 10
+    x = np.arange(v)
+    starts = (x[x % 3 == 0], x[x // 3 % 3 == 0])
+    blocks = np.concatenate([s[:, None] + step * np.arange(3) for s, step in zip(starts, (1, 3))])
+    return BinaryMatrix(blocks.ravel(), np.repeat(np.arange(len(blocks)), 3), (v, len(blocks)))
+
+
+# Run in a child capped at 2 GiB of address space, so that a dense check, which
+# would ask for about 11 v^2 bytes (36 GiB), fails fast there instead of
+# loading the host.  Prints one JSON line: the exit status of `analyze --in`,
+# and the report's failures, tracemalloc peak and the v x v arrays it formed.
+_CAPPED_ANALYSIS = """
+import json, resource, sys, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from geomcode.alist import read_alist
+from geomcode.cli import build_analysis_report, main
+from geomcode.constructions import IncidenceStructure
+status = main(["analyze", "--in", sys.argv[1], "--out", sys.argv[2]])
+ic = IncidenceStructure("file", None, read_alist(sys.argv[1]))
+tracemalloc.start()
+rep = build_analysis_report(ic)
+peak = tracemalloc.get_traced_memory()[1]
+print(json.dumps({"status": status, "failures": rep["failures"], "peak": peak,
+                  "certified": ic.translation is not None,
+                  "formed": sorted({"_point_graph", "adjacency"} & ic.__dict__.keys())}))
+"""
+
+
+def test_certified_mu_failure_forms_no_point_graph(tmp_path):
+    # two parallel classes of lines of GF(3)^10: a translation structure whose
+    # mu fails, read from point 0's row with no v x v array
+    write_alist(_two_parallel_classes(), tmp_path / "lines.alist")
+    env = {**os.environ, "PYTHONPATH": str(Path(geomcode.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_ANALYSIS, str(tmp_path / "lines.alist"),
+                           str(tmp_path / "lines.json")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    run = json.loads(proc.stdout.splitlines()[-1])
+    failure = "mu not constant: pair (0, 9) has 0, expected 2"
+    assert proc.stderr == json.dumps([failure]) + "\n"
+    assert run.pop("peak") < 100 * 2**20
+    assert run == {"status": 1, "failures": [failure], "certified": True, "formed": []}
+
+
+def test_scaling_certified_failure_matches_oracle():
+    # over GF(7), g = 3: the blocks {(x, y), (gx, g^2 y)} on the conic points
+    # (1, x, y), which the scalings permute; the point graph is six 6-cycles
+    def point(x, y):
+        return (x - 1) * 6 + y - 1
+
+    m = _blocks([(point(x, y), point(3 * x % 7, 2 * y % 7))
+                 for x in range(1, 7) for y in range(1, 7)], 36)
+    ic = IncidenceStructure("file", None, m)
+    assert ic.scaling is not None and ic.translation is None
+    rep = build_analysis_report(ic)
+    assert "_point_graph" not in ic.__dict__ and "adjacency" not in ic.__dict__
+    _assert_same(rep, oracles.report(m))
+    assert rep["failures"] == ["mu not constant: pair (0, 9) has 1, expected 0"]
 
 
 CONICS = {"conic5": (5, 1), "conic7": (7, 1), "conic9": (3, 2), "conic25": (5, 2),
