@@ -70,14 +70,11 @@ FAMILIES = {
 }
 
 
-def _build_structure(family: str, field_spec: str, modulus: str | None,
-                     analyze: bool = False) -> IncidenceStructure:
+def _build_structure(family: str, field_spec: str, modulus: str | None) -> IncidenceStructure:
     modulus = _parse_modulus(modulus)
     p, k = parse_field_spec(field_spec)
     check_field(p, k, modulus)
     constructions.refuse_oversize(family, p, k)  # before the field's tables are built
-    if analyze and family == "conic":  # a conic build certifies its scalings: charged that path
-        constructions.refuse_analysis((p ** k - 1) ** 2, dense=False)
     build = getattr(constructions, FAMILIES[family][0])
     return build(field_from_string(field_spec, modulus))
 
@@ -134,8 +131,11 @@ def build_analysis_report(ic: IncidenceStructure) -> dict:
         "n": ic.n,
         "degenerate": ic.degenerate,
     }
-    # a translation structure has both ranks by a character count
-    ranks = None if (tr := ic.translation) is None else character_ranks(*tr.group, tr.through)
+    # a translation structure has both ranks by a character count; under
+    # certified scalings both are v if the Gram parity is invertible
+    tr = ic.translation
+    ranks = (character_ranks(*tr.group, tr.through) if tr is not None else
+             (ic.v, ic.v) if ic.scaling is not None and ic.gram_invertible() else None)
     report["failures"] = _file_stages(ic, report, ranks)
     report["checks_passed"] = not report["failures"]
     # over any field rank(M M^T) <= rank(M) <= min(v, n), so a Gram parity of
@@ -187,6 +187,8 @@ def _file_stages(ic: IncidenceStructure, report: dict,
     # the axioms hold, so M M^T = A + (t+1)I: mod 2, A with t+1 on the
     # diagonal; the report takes rank_2(M) from its rank when that is full
     if ranks is None:
+        if ic.scaling is not None:  # not invertible: the rank by elimination
+            constructions.refuse_analysis(v, "fallback")
         parity = np.packbits(ic.adjacency, axis=1)
         if params.t % 2 == 0:
             i = np.arange(v)
@@ -248,12 +250,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         ic = IncidenceStructure("file", None, read_alist(args.infile))
         params_for_manifest = {"in": args.infile}
     else:
-        ic = _build_structure(args.family, args.field, args.modulus, analyze=True)
+        ic = _build_structure(args.family, args.field, args.modulus)
         params_for_manifest = {
             "family": args.family, "field": args.field, "modulus": args.modulus,
         }
-    if ic.translation is None:  # refused before the point graph, for the path that runs
-        constructions.refuse_analysis(ic.v, dense=ic.scaling is None)
+    if ic.translation is None:  # refused before the point graph or the fold, for the path that runs
+        constructions.refuse_analysis(ic.v, "dense" if ic.scaling is None else "fold")
     report = build_analysis_report(ic)
     out = Path(args.out)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")

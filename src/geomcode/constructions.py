@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import Field, field_name
-from .gf2 import BinaryMatrix
+from .gf2 import BinaryMatrix, folds_to_unit
 
 
 class ConicLabel(NamedTuple):
@@ -68,7 +68,7 @@ class BasePoint(NamedTuple):
     """A certified group that acts regularly on the points and maps blocks
     to blocks: every count of the analysis is v times that of point 0."""
 
-    group: tuple[int, int] | Field  # (p, e) of GF(p)^e's translations, or the scalings' field
+    group: tuple[int, int] | np.ndarray  # (p, e) of GF(p)^e's translations; scalings: g^i x0 by i
     through: np.ndarray      # r x w: the blocks through point 0, ascending
     joined: np.ndarray       # bool, per point: joined to point 0
     base_counts: np.ndarray  # per block B, |B ∩ N(0)|: its points joined to point 0
@@ -150,20 +150,19 @@ class IncidenceStructure:
         q = int(np.argmax(shared > 1))
         return adj, ((p, q), int(shared[q]))
 
-    @cached_property
+    @property
     def adjacency(self) -> np.ndarray:
-        """The bool point graph.  Under certified scalings, the one taking x
-        to point 0 = x0 takes y to (y/x) x0, so A[x, y] = A[0, (y/x) x0]: one
-        v^2 gather through the (q-1) x (q-1) table of those quotients of each
-        coordinate.  x0 = (code 1, code 1) is not the identity once k > 1."""
-        if (sc := self.scaling) is None:
-            return self._point_graph[0]
-        f, q1 = sc.group, sc.group.q - 1
-        nz = np.arange(1, q1 + 1)
-        quot = f.mul_table[f.mul_table[nz, f.inv_table[nz][:, None]], 1] - 1  # [x, y]: (y/x) x0
-        # by_y[a, y1, y2] = A[0, (a, quot[y1, y2])]; A[(x1, y1), (x2, y2)] = by_y[quot[x1, x2], y1, y2]
-        by_y = sc.joined.reshape(q1, q1)[:, quot]
-        return by_y[quot[:, None, :], np.arange(q1)[:, None]].reshape(self.v, self.v)
+        """The bool point graph: on a certified path, only a singular Gram parity forms it."""
+        return self._point_graph[0]
+
+    def gram_invertible(self) -> bool:
+        """Under the certified scalings, whether the Gram parity A + rI (r blocks
+        on a point) is invertible: `gf2.folds_to_unit` of point 0's row, read at
+        the points (g^i x, g^j y) of point 0 = (x, y)."""
+        sc = self.scaling
+        row = sc.joined[sc.group[:, None] * len(sc.group) + sc.group]
+        row[0, 0] = len(sc.through) % 2
+        return folds_to_unit(row)
 
     @property
     def four_cycle(self) -> tuple[tuple[int, int], int] | None:
@@ -258,7 +257,8 @@ class IncidenceStructure:
             at = np.minimum(np.searchsorted(keys, image[:, 0] * v + image[:, 1]), len(keys) - 1)
             if not np.array_equal(blocks[order[at]], image):
                 return None
-        return BasePoint(f, *self._base[1:])
+        logs = np.fromiter(itertools.accumulate(range(q1 - 1), lambda c, _: g[c], initial=0), int)
+        return BasePoint(logs, *self._base[1:])
 
     def block_census(self):
         """Yield (blocks, counts) for consecutive chunks of blocks, all of w
@@ -331,13 +331,16 @@ def refuse_oversize(family: str, p: int, k: int) -> None:
                 f"the {family} build over {field_name(p, k)}")
 
 
-def refuse_analysis(v: int, dense: bool = True) -> None:
+def refuse_analysis(v: int, path: str = "dense") -> None:
     """Raise ValueError if the analysis of v points would peak above the
-    host's physical memory: 11 v^2 bytes if dense (the bool point graph, the
-    float32 A and A^2, two bool masks), 1.6 v^2 under certified scalings (A,
-    its packed parity, the pivot rows; tracemalloc: 1.58, 1.42 and 1.34 v^2
-    at conic 7^2, 3^4 and 11^2)."""
-    refuse_peak((11 if dense else 1.6) * v * v, f"the analysis of {v:,} points")
+    host's physical memory on `path`: "dense", 11 v^2 bytes (the bool point
+    graph, the float32 A and A^2, two bool masks); "fold", under certified
+    scalings, m^4 / 8 for the fold's pivots, v = (2^a m)^2 with m odd;
+    "fallback", for a singular fold, 1.6 v^2 (A, its packed parity, the pivots;
+    tracemalloc: 1.40 v^2 at conic 3^4, 1.82 at the rook's graph L2(80))."""
+    q1 = math.isqrt(v)
+    peak = {"dense": 11 * v * v, "fold": (q1 // (q1 & -q1)) ** 4 / 8, "fallback": 1.6 * v * v}
+    refuse_peak(peak[path], f"the analysis of {v:,} points")
 
 
 def build_conic_structure(field: Field) -> IncidenceStructure:

@@ -131,6 +131,20 @@ def rank2(packed: np.ndarray | Iterable[np.ndarray]) -> int:
     return len(pivots)
 
 
+def folds_to_unit(f: np.ndarray) -> bool:
+    """Whether the group matrix F[x, y] = f[y - x] over G = (Z_n)^2 of the n x n
+    0/1 array f is invertible over GF(2).  With n = 2^a m, m odd, G = P x H for
+    P = (Z_{2^a})^2 and H = (Z_m)^2; the augmentation ideal of the 2-group P is
+    nilpotent in GF(2)[G] = GF(2)[H][P], so F is invertible iff the group matrix
+    F' over H of f summed over each h + P is (Passman 1977).  Its m^2 rows go
+    to `rank2` m at a time: only the pivots, m^4 / 8 bytes, live on."""
+    m = len(f) // (len(f) & -len(f))
+    fold = f.reshape(len(f) // m, m, -1, m).sum(axis=(0, 2)) % 2  # i + P is i mod m
+    d = (np.arange(m) - np.arange(m)[:, None]) % m  # F'[(h, h'), (k, l)] = fold[d[h, k], d[h', l]]
+    return rank2(np.packbits(fold[d[h][None, :, None], d[:, None, :]].reshape(m, -1), axis=1)
+                 for h in range(m)) == m * m
+
+
 def character_ranks(p: int, e: int, subgroups: np.ndarray) -> tuple[int, int]:
     """(rank_2 M, rank_2 M M^T) of the structure whose blocks are the cosets,
     each once, of the subgroups W_i of GF(p)^e (row i of `subgroups`: W_i's

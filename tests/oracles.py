@@ -426,17 +426,19 @@ def tanner_girth_bfs(d: np.ndarray) -> float:
     return best
 
 
-def hexagons(d: np.ndarray) -> int:
+def hexagons(d: np.ndarray, g: np.ndarray | None = None) -> int:
     """Number of 6-cycles of the Tanner graph of the 0/1 array d.
 
     A 6-cycle is three points a, b, c with three distinct blocks, one on
-    each pair.  With G = M M^T less its diagonal, trace(G^3) / 6 counts the
-    block choices over the point triples; inclusion-exclusion takes out the
-    choices that repeat a block, all of which lie on blocks holding the whole
-    triple: a block of w points holds w - 2 triples through each of its pairs."""
+    each pair.  With G = M M^T less its diagonal (`g`, if the caller has
+    formed it), trace(G^3) / 6 counts the block choices over the point
+    triples; inclusion-exclusion takes out the choices that repeat a block,
+    all of which lie on blocks holding the whole triple: a block of w points
+    holds w - 2 triples through each of its pairs."""
     d = d.astype(np.int64)
-    g = d @ d.T
-    np.fill_diagonal(g, 0)
+    if g is None:
+        g = d @ d.T
+        np.fill_diagonal(g, 0)
     w = d.sum(axis=0)
     pair_sums = np.einsum("px,pq,qx->x", d, g, d) // 2  # per block, G summed over its pairs
     repeats = int(((w - 2) * pair_sums).sum()) - 2 * int((w * (w - 1) * (w - 2) // 6).sum())
@@ -462,7 +464,7 @@ def report(m: BinaryMatrix) -> dict:
     gram = d @ d.T
     off = gram - np.diag(np.diag(gram))
     rank_m = dense_rank_mod2(d)
-    cycles = hexagons(d)
+    cycles = hexagons(d, off)
     girth = 4 if (off > 1).any() else 6 if cycles else tanner_girth_bfs(d)
     col_w, row_w = d.sum(axis=0), d.sum(axis=1)
     rep = {

@@ -398,7 +398,7 @@ def test_criterion_15d_hyperbolic_q9_analysis(tmp_path):
 
 def test_criterion_15e_conic_q121_analysis(tmp_path):
     # 14,400 points: the scalings certified, the counts read from point 0 and
-    # the point graph gathered from its row for the Gram parity's elimination
+    # both ranks from the fold of the Gram parity onto (Z_15)^2, 225 x 225
     run, rep = _analyze_in_subprocess(tmp_path, "conic", "11^2", ["--modulus", "1,0,1"])
     assert rep["checks_passed"] and rep["failures"] == []
     assert (rep["v"], rep["srg"]) == (14400, {"k": 14042, "lambda": 13690, "mu": 13806})
@@ -431,4 +431,23 @@ def test_criterion_15f_hyperbolic_q11_analysis(tmp_path):
     _report("15f", True, f"hyperbolic q=11: srg(14641, 13200, 11891, 11990), alphas (9, 10, 11), "
                          f"rank2(MM^T) = 13200 exact, rank2(M) = 14641, girth 6, "
                          f"382721596400 6-cycles; "
+                         f"{run['elapsed']:.1f}s, peak RSS {run['rss_mb']:.0f} MB")
+
+
+def test_criterion_15h_conic_q243_analysis(tmp_path):
+    # 58,564 points, with no v x v array: the build sets the peak, and both
+    # ranks come from the fold of the Gram parity onto (Z_121)^2, 14,641 x 14,641
+    run, rep = _analyze_in_subprocess(tmp_path, "conic", "3^5", ["--modulus", "1,2,0,0,0,1"])
+    assert rep["checks_passed"] and rep["failures"] == []
+    assert (rep["v"], rep["srg"]) == (58564, {"k": 57840, "lambda": 57122, "mu": 57360})
+    assert rep["alphas"] == [238, 239, 240]
+    assert rep["rank2_MMT"] == rep["rank_prediction"]["value"] == 58564
+    assert rep["rank_prediction"]["kind"] == "exact"
+    assert rep["rank2_M"] == 58564
+    assert rep["girth"] == 6
+    assert rep["six_cycles"] == {"formula": 32113693555680, "enumerated": 32113693555680}
+    assert run["elapsed"] < 20.0 and run["rss_mb"] < 1536
+    _report("15h", True, f"conic q=243: srg(58564, 57840, 57122, 57360), alphas (238, 239, 240), "
+                         f"rank2(MM^T) = rank2(M) = 58564 exact, girth 6, "
+                         f"32113693555680 6-cycles; "
                          f"{run['elapsed']:.1f}s, peak RSS {run['rss_mb']:.0f} MB")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import geomcode.cli
+import geomcode.gf2
 import geomcode.sim
 from geomcode import constructions
 from geomcode.alist import read_alist, write_alist
@@ -177,28 +178,28 @@ def _build_raises(field):
 
 def test_analyze_builds_conic_structures_whose_dense_analysis_would_not_fit(
         tmp_path, monkeypatch):
-    # conic q=173 on an 8 GiB host: its dense analysis would need about 9.0
-    # GiB, but a conic build certifies its scaling group and is charged that
-    # path's 1.6 v^2 bytes, about 1.3 GiB, so it reaches the builder
+    # on an 8 GiB host: conic q=173, whose dense analysis would need about 9.0
+    # GiB, and q=331, about 121 GiB, both reach the builder.  A conic build
+    # certifies its scaling group, and its Gram parity folds onto the odd part
+    # (Z_m)^2, m = 43 and 165, charged m^4 / 8 bytes: 0.4 and 88 MiB
     _physical_memory_8gib(monkeypatch)
     monkeypatch.setattr(constructions, "build_conic_structure", _build_raises)
-    with pytest.raises(_Built, match="^173$"):
-        run(["analyze", "--family", "conic", "--field", 173, "--out", tmp_path / "c.json"])
+    for q in (173, 331):
+        with pytest.raises(_Built, match=f"^{q}$"):
+            run(["analyze", "--family", "conic", "--field", q, "--out", tmp_path / "c.json"])
 
 
 def test_analyze_refuses_conic_builds_past_physical_memory(tmp_path, monkeypatch, capsys):
-    # on an 8 GiB host conic q=331 builds (about 2.7 GiB), but even its
-    # certified analysis needs 1.6 x 108,900^2 bytes (v = 330^2), about 17.7 GiB:
-    # refused before the build
+    # on an 8 GiB host conic q=479 is refused by its build's closed-form peak,
+    # 81 x 478^3 bytes, about 8.2 GiB, before any field table
     _physical_memory_8gib(monkeypatch)
-    constructions.refuse_oversize("conic", 331, 1)
-    out = tmp_path / "c331.json"
+    out = tmp_path / "c479.json"
     t0 = time.perf_counter()
-    assert run(["analyze", "--family", "conic", "--field", 331, "--out", out]) == 2
+    assert run(["analyze", "--family", "conic", "--field", 479, "--out", out]) == 2
     assert time.perf_counter() - t0 < 0.5
-    assert capsys.readouterr().err == ("error: the analysis of 108,900 points needs about "
-                                       "17.7 GiB, more than the 8.0 GiB of physical memory\n")
-    assert not out.exists() and not (tmp_path / "c331.json.manifest.json").exists()
+    assert capsys.readouterr().err == ("error: the conic build over GF(479) needs about "
+                                       "8.2 GiB, more than the 8.0 GiB of physical memory\n")
+    assert not out.exists() and not (tmp_path / "c479.json.manifest.json").exists()
 
 
 def test_analyze_builds_hyperbolic_structures_whose_dense_analysis_would_not_fit(
@@ -241,7 +242,8 @@ def test_analyze_conic_q5_not_simulable(tmp_path):
 def test_analyze_takes_rank_from_a_full_rank_gram(tmp_path, monkeypatch, family, field,
                                                   rank_m, rank_gram, eliminations):
     # rank_2(M M^T) = min(v, n) settles rank_2(M), so the conics eliminate
-    # only the Gram parity; hyperbolic q=3 is a translation structure, whose
+    # only the fold of the Gram parity, m^2 x m^2 for q - 1 = 2^a m (1 x 1 at
+    # q=5, 9 x 9 at GF(25)); hyperbolic q=3 is a translation structure, whose
     # two ranks come from a character count (its dense path eliminates both:
     # test_report.test_translation_report_matches_dense)
     calls = []
@@ -250,8 +252,8 @@ def test_analyze_takes_rank_from_a_full_rank_gram(tmp_path, monkeypatch, family,
         calls.append(packed)
         return rank2(packed)
 
-    monkeypatch.setattr(geomcode.cli, "rank2", counted)
-    monkeypatch.setattr(geomcode.sim, "rank2", counted)
+    for module in (geomcode.cli, geomcode.sim, geomcode.gf2):
+        monkeypatch.setattr(module, "rank2", counted)
     out = tmp_path / "r.json"
     assert run(["analyze", "--family", family, "--field", field, "--out", out]) == 0
     rep = json.loads(out.read_text())

@@ -15,6 +15,7 @@ from geomcode.gf2 import (
     RankPrediction,
     brouwer_predict,
     character_ranks,
+    folds_to_unit,
     rank2,
 )
 from geomcode.srpg import SrgSpectrum
@@ -170,6 +171,26 @@ def test_character_ranks_match_elimination(hyp3, drop):
     assert len(tr.through) == 24 - drop
     assert character_ranks(*tr.group, tr.through) == (rank2(packbits(m)),
                                                           rank2(packbits(gram_mod2(m))))
+
+
+def group_matrix(f):
+    """The group matrix F[x, y] = f[y - x] over (Z_n)^2 of the n x n array f,
+    x = (x1, x2) at index x1 n + x2."""
+    n = f.shape[0]
+    x1, x2 = np.divmod(np.arange(n * n), n)
+    return f[(x1 - x1[:, None]) % n, (x2 - x2[:, None]) % n]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 10, 12, 18, 20])
+def test_fold_has_full_rank_exactly_when_the_group_matrix_does(n):
+    # q - 1 = n = 2^a m: the fold onto (Z_m)^2 decides whether F is invertible
+    rng = np.random.default_rng(n)
+    full = []
+    for _ in range(20):
+        f = rng.random((n, n)) < rng.random()
+        full.append(dense_rank_mod2(group_matrix(f)) == n * n)
+        assert folds_to_unit(f) == full[-1]
+    assert any(full) and not all(full)
 
 
 def test_brouwer_cases():

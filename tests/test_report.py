@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geomcode.cli
+import geomcode.constructions
+import geomcode.gf2
 import geomcode.sim
 import oracles
 from geomcode.alist import read_alist, write_alist
@@ -273,11 +275,11 @@ def test_scaling_report_matches_dense(tmp_path, monkeypatch, name, read_back):
         calls.append(packed)
         return rank2(packed)
 
-    monkeypatch.setattr(geomcode.cli, "rank2", counted)
-    monkeypatch.setattr(geomcode.sim, "rank2", counted)
+    for module in (geomcode.cli, geomcode.sim, geomcode.gf2):
+        monkeypatch.setattr(module, "rank2", counted)
     rep = build_analysis_report(ic)
-    assert "_point_graph" not in ic.__dict__
-    assert len(calls) == 1  # the Gram parity, of full rank, which settles rank_2(M)
+    assert "_point_graph" not in ic.__dict__ and "adjacency" not in ic.__dict__
+    assert len(calls) == 1  # the fold of the Gram parity, of full rank, which settles both ranks
     gram = oracles.gram_counts(m)
     np.fill_diagonal(gram, 0)
     assert np.array_equal(ic.adjacency, gram > 0)
@@ -296,6 +298,60 @@ def test_scaling_patched_off_gives_the_same_report():
     assert ic.scaling is not None and dense.base_point is None
     assert (json.dumps(build_analysis_report(dense), sort_keys=True)
             == json.dumps(build_analysis_report(ic), sort_keys=True))
+
+
+def _rooks_graph(q: int) -> BinaryMatrix:
+    """The rook's graph L2(q - 1) as blocks of 2 on the conic points (1, x, y),
+    point (x-1)(q-1) + (y-1): (x, y) and (x', y') are a block iff they share
+    x or y.  The scalings permute its blocks, t + 1 = 2(q - 2) is even, and
+    its Gram parity, the bool A, folds to 0: rank_2 A = 2(q - 2) < v."""
+    n = q - 1
+    pts = np.arange(n * n).reshape(n, n)
+    i, j = np.triu_indices(n, 1)
+    pairs = np.concatenate([np.stack([pts[i], pts[j]], -1).reshape(-1, 2),        # one y
+                            np.stack([pts[:, i], pts[:, j]], -1).reshape(-1, 2)])  # one x
+    return BinaryMatrix(pairs.ravel(), np.repeat(np.arange(len(pairs)), 2), (n * n, len(pairs)))
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11])
+def test_deficient_fold_falls_back_to_the_point_graph(q):
+    m = _rooks_graph(q)
+    ic = IncidenceStructure("file", None, m)
+    assert ic.scaling is not None and ic.translation is None
+    assert not ic.gram_invertible()
+    rep = build_analysis_report(ic)
+    assert "_point_graph" in ic.__dict__  # the fallback's elimination
+    _assert_same(rep, oracles.report(m))
+    assert rep["checks_passed"] and rep["rank2_MMT"] == 2 * (q - 2)
+    assert rep["srg"] == {"k": 2 * (q - 2), "lambda": q - 3, "mu": 2}
+
+
+def test_deficient_fold_refused_before_the_point_graph(monkeypatch):
+    # 4 KiB of physical memory: the fold's m^4 / 8 = 78 bytes (m = 5) fits, the
+    # fallback's 1.6 v^2 = 16,000 does not, and is refused before A is formed
+    monkeypatch.setattr(geomcode.constructions.os, "sysconf",
+                        lambda name: 1 if name == "SC_PHYS_PAGES" else 4096)
+    ic = IncidenceStructure("file", None, _rooks_graph(11))
+    geomcode.constructions.refuse_analysis(ic.v, "fold")
+    with pytest.raises(ValueError, match="^the analysis of 100 points needs about "):
+        build_analysis_report(ic)
+    assert "_point_graph" not in ic.__dict__
+
+
+FOLDED = {**CONICS, "conic49": (7, 2)}
+
+
+@pytest.mark.parametrize("read_back", [False, True], ids=["build", "alist"])
+@pytest.mark.parametrize("name", FOLDED)
+def test_gram_fold_matches_dense_elimination(tmp_path, name, read_back):
+    built = build_conic_structure(Field(*FOLDED[name]))
+    family, field, m = built.family, built.field, built.matrix
+    if read_back:
+        write_alist(m, tmp_path / "c.alist")
+        family, field, m = "file", None, read_alist(tmp_path / "c.alist")
+    # invertible, as on every conic tried
+    assert IncidenceStructure(family, field, m).gram_invertible()
+    assert rank2(np.packbits(oracles.gram_counts(m) % 2, axis=1)) == m.nrows
 
 
 @pytest.mark.parametrize("name", ["conic7", "conic27"])
