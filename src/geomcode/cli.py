@@ -24,7 +24,7 @@ from . import __version__, constructions
 from .alist import read_alist, write_alist
 from .constructions import HyperbolicLabel, IncidenceStructure
 from .fields import check_field, field_from_string, parse_field_spec
-from .gf2 import brouwer_predict, character_ranks, rank2
+from .gf2 import brouwer_predict, rank2
 from .metrics import six_cycles, tanner_bounds, tanner_girth
 from .sim import (ChannelConfig, LdpcCode, PointStats, SumProductDecoder, noise_sigma,
                   simulate_point)
@@ -131,12 +131,8 @@ def build_analysis_report(ic: IncidenceStructure) -> dict:
         "n": ic.n,
         "degenerate": ic.degenerate,
     }
-    # a translation structure has both ranks by a character count; under
-    # certified scalings both are v if the Gram parity is invertible
-    tr = ic.translation
-    ranks = (character_ranks(*tr.group, tr.through) if tr is not None else
-             (ic.v, ic.v) if ic.scaling is not None and ic.gram_invertible() else None)
-    report["failures"] = _file_stages(ic, report, ranks)
+    ranks = ic.group_ranks  # from the certified group, if any, before the stages
+    report["failures"] = _file_stages(ic, report)
     report["checks_passed"] = not report["failures"]
     # over any field rank(M M^T) <= rank(M) <= min(v, n), so a Gram parity of
     # rank min(v, n) settles rank_2(M); otherwise M is eliminated
@@ -155,13 +151,11 @@ def build_analysis_report(ic: IncidenceStructure) -> dict:
     return report
 
 
-def _file_stages(ic: IncidenceStructure, report: dict,
-                 ranks: tuple[int, int] | None) -> list[str]:
+def _file_stages(ic: IncidenceStructure, report: dict) -> list[str]:
     """File the result of each stage of the analysis in `report`, in
     dependency order, and return the failures.  A stage runs once its inputs
     are established: the pass ends at a failure that leaves a later stage
-    without its input.  `ranks` holds rank_2 M and rank_2 M M^T when known,
-    else the Gram parity is eliminated."""
+    without its input."""
     try:
         params = check_gpg_axioms(ic)
     except AxiomViolation as exc:
@@ -185,17 +179,15 @@ def _file_stages(ic: IncidenceStructure, report: dict,
     failures = []
 
     # the axioms hold, so M M^T = A + (t+1)I: mod 2, A with t+1 on the
-    # diagonal; the report takes rank_2(M) from its rank when that is full
-    if ranks is None:
-        if ic.scaling is not None:  # not invertible: the rank by elimination
-            constructions.refuse_analysis(v, "fallback")
+    # diagonal, eliminated unless the certified group gives its rank
+    if ic.group_ranks is not None:
+        report["rank2_MMT"] = ic.group_ranks[1]
+    else:
         parity = np.packbits(ic.adjacency, axis=1)
         if params.t % 2 == 0:
             i = np.arange(v)
             parity[i, i >> 3] |= (0x80 >> (i & 7)).astype(np.uint8)
         report["rank2_MMT"] = rank2(parity)
-    else:
-        report["rank2_MMT"] = ranks[1]
     cyc = six_cycles(ic, params, lam)
     report["six_cycles"] = {"formula": cyc.six_cycle_formula,
                             "enumerated": cyc.six_cycle_enumerated}
@@ -254,8 +246,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         params_for_manifest = {
             "family": args.family, "field": args.field, "modulus": args.modulus,
         }
-    if ic.translation is None:  # refused before the point graph or the fold, for the path that runs
-        constructions.refuse_analysis(ic.v, "dense" if ic.scaling is None else "fold")
     report = build_analysis_report(ic)
     out = Path(args.out)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")

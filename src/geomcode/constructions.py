@@ -32,7 +32,7 @@ blocks: the scalings (x, y) -> (αx, βy), taking conic (a, b) to (aβ, bα),
 and the translations of N's digits, whose cosets are the hyperbolic blocks.
 `IncidenceStructure.translation` and `scaling` certify either exactly from
 the matrix, so an alist read back qualifies too; `base_point` then gives
-every count of the analysis from point 0.
+every count of the analysis from point 0, and `group_ranks` both ranks.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import Field, field_name
-from .gf2 import BinaryMatrix, folds_to_unit
+from .gf2 import BinaryMatrix, character_ranks, folds_to_unit
 
 
 class ConicLabel(NamedTuple):
@@ -120,53 +120,59 @@ class IncidenceStructure:
         return bool(self.matrix.column_weights().max() <= 1)
 
     @cached_property
-    def _point_graph(self) -> tuple[np.ndarray, tuple | None]:
-        """The bool point graph, joining two points iff they share a block,
-        and the first pair of points (row-major) sharing two or more blocks,
-        with how many they share, or None; with two of those blocks the pair
-        is a Tanner 4-cycle.
-
-        Pairing each one with the one d places later in its column, for
-        every offset d, joins each point pair i < j of each block once; the
-        pairs are set in both orientations.  A point's blocks list
-        sum(|b| - 1) neighbours with repeats, more than its row of the graph
-        holds iff some point shares two of them; only then are the points
-        on the first such point's blocks counted."""
+    def adjacency(self) -> np.ndarray:
+        """The bool point graph, joining two points iff they share a block:
+        each point of a block is paired with the one d places later, for every
+        offset d, in both orientations.  Charged first: 11 v^2 bytes for the
+        dense analysis (A, the float32 A and A^2, two masks), or 1.6 v^2 for
+        a certified group's singular fold (A, its parity, the pivots)."""
         v, m = self.v, self.matrix
+        refuse_peak((11 if self.base_point is None else 1.6) * v * v,
+                    f"the analysis of {v:,} points")
         pts, cols = m.by_column()  # the points of block 0, then of block 1, ...; ascending in each
         adj = np.zeros((v, v), dtype=bool)
         for d in range(1, int(m.column_weights().max())):
             same = cols[d:] == cols[:-d]
             i, j = pts[:-d][same], pts[d:][same]
             adj[i, j] = adj[j, i] = True
+        return adj
+
+    @cached_property
+    def group_ranks(self) -> tuple[int, int] | None:
+        """(rank_2 M, rank_2 M M^T) from the certified group, or None: by
+        `gf2.character_ranks` under the translations; under the scalings (v, v)
+        if the Gram parity A + rI folds to a unit (`gf2.folds_to_unit` of point
+        0's row at (g^i x, g^j y)), charged m^4 / 8 bytes, q - 1 = 2^a m, m odd."""
+        if (tr := self.translation) is not None:
+            return character_ranks(*tr.group, tr.through)
+        if (sc := self.scaling) is None:
+            return None
+        q1 = len(sc.group)
+        refuse_peak((q1 // (q1 & -q1)) ** 4 / 8, f"the analysis of {self.v:,} points")
+        row = sc.joined[sc.group[:, None] * q1 + sc.group]
+        row[0, 0] = len(sc.through) % 2
+        return (self.v, self.v) if folds_to_unit(row) else None
+
+    @cached_property
+    def four_cycle(self) -> tuple[tuple[int, int], int] | None:
+        """The first pair of points (row-major) sharing two or more blocks,
+        with how many, or None (under a certified group, always): a Tanner
+        4-cycle.  A point's blocks list sum(|b| - 1) neighbours with repeats,
+        more than its row of A holds iff some point shares two of them."""
+        if self.base_point is not None:
+            return None
+        m = self.matrix
         rows, on = m.nonzero()
-        listed = np.bincount(rows, weights=m.column_weights()[on] - 1, minlength=v)
-        excess = np.flatnonzero(listed > adj.sum(axis=1))
+        listed = np.bincount(rows, weights=m.column_weights()[on] - 1, minlength=self.v)
+        excess = np.flatnonzero(listed > self.adjacency.sum(axis=1))
         if excess.size == 0:
-            return adj, None
+            return None
         p = int(excess[0])
-        shared = np.bincount(pts[np.isin(cols, on[rows == p])], minlength=v)
+        pts, cols = m.by_column()
+        shared = np.bincount(pts[np.isin(cols, on[rows == p])], minlength=self.v)
         shared[p] = 0
         q = int(np.argmax(shared > 1))
-        return adj, ((p, q), int(shared[q]))
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        """The bool point graph: on a certified path, only a singular Gram parity forms it."""
-        return self._point_graph[0]
-
-    def gram_invertible(self) -> bool:
-        """Under the certified scalings, whether the Gram parity A + rI (r blocks
-        on a point) is invertible: `gf2.folds_to_unit` of point 0's row, read at
-        the points (g^i x, g^j y) of point 0 = (x, y)."""
-        sc = self.scaling
-        row = sc.joined[sc.group[:, None] * len(sc.group) + sc.group]
-        row[0, 0] = len(sc.through) % 2
-        return folds_to_unit(row)
-
-    @property
-    def four_cycle(self) -> tuple[tuple[int, int], int] | None:
-        return None if self.base_point is not None else self._point_graph[1]
+        return (p, q), int(shared[q])
 
     @property
     def base_point(self) -> BasePoint | None:
@@ -329,18 +335,6 @@ def refuse_oversize(family: str, p: int, k: int) -> None:
     q = p ** k
     refuse_peak(81 * (q - 1) ** 3 if family == "conic" else 26 * q ** 5 * (q * q - 1),
                 f"the {family} build over {field_name(p, k)}")
-
-
-def refuse_analysis(v: int, path: str = "dense") -> None:
-    """Raise ValueError if the analysis of v points would peak above the
-    host's physical memory on `path`: "dense", 11 v^2 bytes (the bool point
-    graph, the float32 A and A^2, two bool masks); "fold", under certified
-    scalings, m^4 / 8 for the fold's pivots, v = (2^a m)^2 with m odd;
-    "fallback", for a singular fold, 1.6 v^2 (A, its packed parity, the pivots;
-    tracemalloc: 1.40 v^2 at conic 3^4, 1.82 at the rook's graph L2(80))."""
-    q1 = math.isqrt(v)
-    peak = {"dense": 11 * v * v, "fold": (q1 // (q1 & -q1)) ** 4 / 8, "fallback": 1.6 * v * v}
-    refuse_peak(peak[path], f"the analysis of {v:,} points")
 
 
 def build_conic_structure(field: Field) -> IncidenceStructure:

@@ -12,6 +12,7 @@ construction this package targets).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -28,33 +29,24 @@ _BUILTIN_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (fine at desk scale)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Trial division, for the n <= 4096 that `check_field` asks about."""
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def check_field(p: int, k: int = 1, modulus: Sequence[int] | None = None) -> tuple[int, ...]:
     """Check that GF(p^k) is supported and return its monic modulus reduced
     mod p (constant term first), building no table: `Field` checks that the
     modulus is irreducible once its tables exist."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"extension degree k = {k} must be a positive integer")
+    # the bound before the primality test, forming no p^k past 3^7 and printing none past 64 bits
+    if isinstance(p, int) and p > 2 and (k > 7 or p ** k > 4096):
+        q = p ** k if k * p.bit_length() <= 64 else f"{p}^{k}"
+        raise ValueError(f"q = {q} exceeds the table-based arithmetic limit (4096)")
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if p == 2:
         raise ValueError("characteristic 2 is not supported (odd prime power required)")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"extension degree k = {k} must be a positive integer")
-    if p ** k > 4096:
-        raise ValueError(f"q = {p ** k} exceeds the table-based arithmetic limit (4096)")
 
     if modulus is None:
         if k == 1:

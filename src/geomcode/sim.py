@@ -30,7 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gf2 import BinaryMatrix, rank2
+from .constructions import refuse_peak
+from .gf2 import PACK_CHUNK_BYTES, BinaryMatrix, rank2
 
 LLR_CLAMP = 30.0
 SWEEP_MIN_CHECKS = 128  # slab width from which the row sweep beats accumulate
@@ -68,7 +69,13 @@ class LdpcCode:
 
     @classmethod
     def from_parity(cls, h: BinaryMatrix) -> "LdpcCode":
-        return cls(h=h, dimension=h.cols - rank2(h.packed_chunks()))
+        """The code of h, refused before the first pivot if min(m, n) pivots of
+        n bits (4 bytes per 30, and a dict entry), a packed chunk of rows and
+        32 bytes per one packing it would not fit."""
+        m, n = h.nrows, h.cols
+        refuse_peak(min(m, n) * (4 * -(-n // 30) + 160) + PACK_CHUNK_BYTES + 32 * h.nonzero()[0].size,
+                    f"eliminating the {m:,} x {n:,} parity-check matrix")
+        return cls(h=h, dimension=n - rank2(h.packed_chunks()))
 
 
 class SumProductDecoder:
@@ -266,6 +273,8 @@ def random_regular_h(m: int, n: int, w_col: int, w_row: int, seed: int) -> LdpcC
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rpb = m // w_col  # rows per band; equals n // w_row
+    # the bands and the matrix: 80 bytes per one, and rpb^2 keys per 4-cycle test
+    refuse_peak(80 * n * w_col + 8 * rpb * rpb * (w_col > 1), f"the random {m:,} x {n:,} code")
     rng = np.random.default_rng(seed)
 
     groups = [np.arange(n) // w_row]  # the row within its band of each column

@@ -4,16 +4,16 @@ for point-block incidence structures.
 The point graph joins two points iff they share a block; for a structure
 satisfying the pairwise axiom, M M^T = A + (t+1)I.  A structure whose
 translations or conic scalings are certified (``IncidenceStructure.
-base_point``) is read from point 0 alone, with no A^2 and, unless its
-folded Gram parity is singular, no A: axiom (i) holds, the census is v
-times that of point 0, and strong regularity is scanned on its rows of A
-and A^2, pass or fail.  Any other structure sets its
-bool adjacency A once, straight from the point pairs of each block, and
-tests axiom (i) by counting (``IncidenceStructure.adjacency`` and
-``four_cycle``): no integer M M^T is formed, and A^2 only by the
-strong-regularity check, whose scan is the same on all rows.  The tests
-cross-check both paths against the integer Gram matrix and the direct
-definitions.
+base_point``) is read from point 0 alone, with no A^2 and, unless the
+group leaves its ranks open (``group_ranks`` is None), no A: axiom (i)
+holds, the census is v times that of point 0, and strong regularity is
+scanned on its rows of A and A^2, pass or fail.  Any other structure sets
+its bool adjacency A once, straight from the point pairs of each block,
+and tests axiom (i) by counting (``IncidenceStructure.adjacency``, which
+charges its path's peak before it forms A, and ``four_cycle``): no integer
+M M^T is formed, and A^2 only by the strong-regularity check, whose scan
+is the same on all rows.  The tests cross-check both paths against the
+integer Gram matrix and the direct definitions.
 
 Every count that relates points to blocks comes from one streamed block
 census (``IncidenceStructure.block_census``): for each chunk of blocks,

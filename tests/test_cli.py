@@ -120,6 +120,33 @@ def test_construct_refuses_builds_past_physical_memory(tmp_path, capsys, family,
     assert not out.exists() and not (tmp_path / "x.alist.manifest.json").exists()
 
 
+@pytest.mark.parametrize("field,q", [("1000000000000000003", "1000000000000000003"),
+                                     ("3^1000000000", "3^1000000000")])
+def test_construct_refuses_huge_fields_at_once(tmp_path, capsys, field, q):
+    # the 4096 bound comes before the trial division of p and without forming
+    # p^k: each of these used to run past a 20-s timeout
+    out = tmp_path / "x.alist"
+    t0 = time.perf_counter()
+    assert run(["construct", "--family", "conic", "--field", field, "--out", out]) == 2
+    assert time.perf_counter() - t0 < 0.5
+    assert capsys.readouterr().err == (f"error: q = {q} exceeds the table-based "
+                                       "arithmetic limit (4096)\n")
+    assert not out.exists() and not (tmp_path / "x.alist.manifest.json").exists()
+
+
+def test_random_code_refuses_sizes_past_physical_memory(tmp_path, capsys):
+    # refused from rows, columns and column weight before any array: it used
+    # to die with a MemoryError traceback under a 1.5 GB address-space cap
+    out = tmp_path / "r.alist"
+    status, elapsed, peak = _traced_run(["random-code", "--rows", "300000000", "--cols",
+                                         "300000000", "--wcol", "1", "--wrow", "1", "--out", out])
+    assert status == 2 and elapsed < 0.5 and peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("error: the random 300,000,000 x 300,000,000 code needs about ")
+    assert err.endswith(" GiB of physical memory\n")
+    assert not out.exists() and not (tmp_path / "r.alist.manifest.json").exists()
+
+
 def _traced_run(args):
     """Exit status, wall seconds and tracemalloc peak in bytes of one command."""
     tracemalloc.start()

@@ -156,7 +156,7 @@ def test_translation_report_matches_dense(request, tmp_path, monkeypatch, fixtur
     monkeypatch.setattr(geomcode.cli, "rank2", counted)
     monkeypatch.setattr(geomcode.sim, "rank2", counted)
     rep = build_analysis_report(ic)
-    assert "_point_graph" not in ic.__dict__ and not calls  # no v x v array, no elimination
+    assert "adjacency" not in ic.__dict__ and not calls  # no v x v array, no elimination
     dense = build_analysis_report(swapped)
     assert len(calls) == 2  # the Gram parity, then M, whose rank the Gram's does not settle
     assert rep["checks_passed"]
@@ -183,7 +183,7 @@ def test_translation_lambda_failure_matches_oracle(hyp3):
     ic = IncidenceStructure("file", None, m)
     assert ic.translation is not None
     rep = build_analysis_report(ic)
-    assert "_point_graph" not in ic.__dict__
+    assert "adjacency" not in ic.__dict__
     _assert_same(rep, oracles.report(m))
     assert rep["failures"] == ["lambda not constant: pair (0, 13) has 25, expected 23"]
 
@@ -215,7 +215,7 @@ rep = build_analysis_report(ic)
 peak = tracemalloc.get_traced_memory()[1]
 print(json.dumps({"status": status, "failures": rep["failures"], "peak": peak,
                   "certified": ic.translation is not None,
-                  "formed": sorted({"_point_graph", "adjacency"} & ic.__dict__.keys())}))
+                  "formed": sorted({"adjacency"} & ic.__dict__.keys())}))
 """
 
 
@@ -246,7 +246,7 @@ def test_scaling_certified_failure_matches_oracle():
     ic = IncidenceStructure("file", None, m)
     assert ic.scaling is not None and ic.translation is None
     rep = build_analysis_report(ic)
-    assert "_point_graph" not in ic.__dict__ and "adjacency" not in ic.__dict__
+    assert "adjacency" not in ic.__dict__
     _assert_same(rep, oracles.report(m))
     assert rep["failures"] == ["mu not constant: pair (0, 9) has 1, expected 0"]
 
@@ -278,13 +278,13 @@ def test_scaling_report_matches_dense(tmp_path, monkeypatch, name, read_back):
     for module in (geomcode.cli, geomcode.sim, geomcode.gf2):
         monkeypatch.setattr(module, "rank2", counted)
     rep = build_analysis_report(ic)
-    assert "_point_graph" not in ic.__dict__ and "adjacency" not in ic.__dict__
+    assert "adjacency" not in ic.__dict__
     assert len(calls) == 1  # the fold of the Gram parity, of full rank, which settles both ranks
     gram = oracles.gram_counts(m)
     np.fill_diagonal(gram, 0)
     assert np.array_equal(ic.adjacency, gram > 0)
     dense = build_analysis_report(swapped)
-    assert "_point_graph" in swapped.__dict__
+    assert "adjacency" in swapped.__dict__
     assert rep["checks_passed"]
     assert (json.dumps(rep, indent=2, sort_keys=True)
             == json.dumps(dense, indent=2, sort_keys=True))
@@ -318,9 +318,9 @@ def test_deficient_fold_falls_back_to_the_point_graph(q):
     m = _rooks_graph(q)
     ic = IncidenceStructure("file", None, m)
     assert ic.scaling is not None and ic.translation is None
-    assert not ic.gram_invertible()
+    assert ic.group_ranks is None
     rep = build_analysis_report(ic)
-    assert "_point_graph" in ic.__dict__  # the fallback's elimination
+    assert "adjacency" in ic.__dict__  # the fallback's elimination
     _assert_same(rep, oracles.report(m))
     assert rep["checks_passed"] and rep["rank2_MMT"] == 2 * (q - 2)
     assert rep["srg"] == {"k": 2 * (q - 2), "lambda": q - 3, "mu": 2}
@@ -332,10 +332,24 @@ def test_deficient_fold_refused_before_the_point_graph(monkeypatch):
     monkeypatch.setattr(geomcode.constructions.os, "sysconf",
                         lambda name: 1 if name == "SC_PHYS_PAGES" else 4096)
     ic = IncidenceStructure("file", None, _rooks_graph(11))
-    geomcode.constructions.refuse_analysis(ic.v, "fold")
+    assert ic.group_ranks is None  # the fold, charged in full, fits and is singular
     with pytest.raises(ValueError, match="^the analysis of 100 points needs about "):
         build_analysis_report(ic)
-    assert "_point_graph" not in ic.__dict__
+    assert "adjacency" not in ic.__dict__
+
+
+def test_report_refuses_the_dense_analysis_before_the_point_graph(monkeypatch):
+    # the 60,000-point cycle certifies no group: on an 8 GiB host the report
+    # itself charges the dense 11 v^2 bytes, about 37 GiB, before A is formed
+    monkeypatch.setattr(geomcode.constructions.os, "sysconf",
+                        lambda name: 2 ** 21 if name == "SC_PHYS_PAGES" else 4096)
+    v = 60_000
+    b = np.arange(v)
+    ic = IncidenceStructure("file", None, BinaryMatrix(np.r_[b, (b + 1) % v], np.r_[b, b], (v, v)))
+    with pytest.raises(ValueError, match="^the analysis of 60,000 points needs about ") as exc:
+        build_analysis_report(ic)
+    assert str(exc.value).endswith(", more than the 8.0 GiB of physical memory")
+    assert ic.base_point is None and "adjacency" not in ic.__dict__
 
 
 FOLDED = {**CONICS, "conic49": (7, 2)}
@@ -350,7 +364,7 @@ def test_gram_fold_matches_dense_elimination(tmp_path, name, read_back):
         write_alist(m, tmp_path / "c.alist")
         family, field, m = "file", None, read_alist(tmp_path / "c.alist")
     # invertible, as on every conic tried
-    assert IncidenceStructure(family, field, m).gram_invertible()
+    assert IncidenceStructure(family, field, m).group_ranks == (m.nrows, m.nrows)
     assert rank2(np.packbits(oracles.gram_counts(m) % 2, axis=1)) == m.nrows
 
 

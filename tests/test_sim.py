@@ -4,6 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+import geomcode.constructions
+import geomcode.sim
+from geomcode.gf2 import BinaryMatrix
 from geomcode.sim import (
     SWEEP_MIN_CHECKS,
     ChannelConfig,
@@ -201,6 +204,20 @@ def test_wilson_interval_basics():
     lo, hi = wilson_interval(500, 1000)
     assert lo < 0.5 < hi
     assert wilson_interval(0, 0) == (0.0, 1.0)
+
+
+def test_from_parity_refused_before_any_pivot(monkeypatch):
+    # a 300,000 x 300,000 identity, on an 8 GiB host: its elimination keeps up
+    # to 300,000 pivots of 300,000 bits, about 11 GiB, refused before rank2
+    calls = []
+    monkeypatch.setattr(geomcode.sim, "rank2", calls.append)
+    monkeypatch.setattr(geomcode.constructions.os, "sysconf",
+                        lambda name: 2 ** 21 if name == "SC_PHYS_PAGES" else 4096)
+    eye = np.arange(300_000)
+    with pytest.raises(ValueError, match="^eliminating the 300,000 x 300,000 parity-check "
+                                         "matrix needs about 11.2 GiB, more than the 8.0 GiB"):
+        LdpcCode.from_parity(BinaryMatrix(eye, eye, (300_000, 300_000)))
+    assert not calls
 
 
 def test_simulate_point_refuses_trivial_code():
