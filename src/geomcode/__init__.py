@@ -27,13 +27,11 @@ from .sim import (
     wilson_interval,
 )
 from .srpg import (
-    AlphaProfile,
     AxiomViolation,
     DegenerateStructure,
     FeasibilityReport,
     SrgSpectrum,
     SrpgParams,
-    alpha_profiles,
     check_gpg_axioms,
     check_strongly_regular,
     feasibility_check,

@@ -266,52 +266,41 @@ class IncidenceStructure:
         logs = np.fromiter(itertools.accumulate(range(q1 - 1), lambda c, _: g[c], initial=0), int)
         return BasePoint(logs, *self._base[1:])
 
-    def block_census(self):
-        """Yield (blocks, counts) for consecutive chunks of blocks, all of w
-        points: blocks[b] holds the points of block b, ascending, and
-        counts[b, p] how many of them are joined to point p (the sum of
-        their adjacency rows), or the sentinel w + 1 if p lies on b, in the
-        narrowest unsigned dtype that holds it."""
-        weights = self.matrix.column_weights()
-        w = int(weights[0])
-        if (weights != w).any():
-            raise ValueError("the block census needs blocks of one size")
-        rows, _ = self.matrix.by_column()
-        blocks = rows.reshape(self.n, w)
-        a = self.adjacency.view(np.uint8)
-        dtype = np.min_scalar_type(w + 1)
-        step = max(1, _CENSUS_CELLS // self.v)
-        for lo in range(0, self.n, step):
-            chunk = blocks[lo:lo + step]
-            counts = np.zeros((len(chunk), self.v), dtype=dtype)
-            for j in range(w):
-                counts += a[chunk[:, j]]
-            counts[np.arange(len(chunk))[:, None], chunk] = w + 1
-            yield chunk, counts
-
     @cached_property
     def census(self) -> np.ndarray:
         """Histogram of the block census off the blocks: bin c counts the
         (point, block) pairs, the point off the block, with c of the block's
-        points joined to the point, for c = 0..w.  Each chunk is read in its
-        own dtype, no widened copy: once for its minimum, then once per count
-        c from there up (`counts == c`) until the bins hold its cells off the
-        blocks, so the sentinel is never scanned.  Counts spanning a..b cost
-        b - a + 2 passes per chunk: at most w + 2, when they span 0..w."""
-        w = int(self.matrix.column_weights()[0])
+        points joined to the point, for c = 0..w.  Without a certified group,
+        counts[b, p] sums the adjacency rows of block b's points, a chunk of
+        blocks at a time in the narrowest unsigned dtype that holds w, and
+        each chunk is read in its own dtype, no widened copy: once for its
+        minimum, then once per count c from there up (`counts == c`) until
+        the bins hold all its cells, at most w + 1 passes.  A point on a
+        block counts the block's other w - 1 points: those n w pairs are
+        taken out at the end."""
+        weights = self.matrix.column_weights()
+        w = int(weights[0])
+        if (weights != w).any():
+            raise ValueError("the block census needs blocks of one size")
         if (bp := self.base_point) is not None:
-            hist = np.bincount(bp.base_counts, minlength=w + 1)
-            hist[w - 1] -= len(bp.through)  # the blocks through point 0, w - 1 each
-            return self.v * hist
-        hist = np.zeros(w + 1, dtype=np.intp)
-        for blocks, counts in self.block_census():
-            left = len(blocks) * (self.v - w)
-            c = int(counts.min())
-            while left:
-                found = np.count_nonzero(counts == c)
-                hist[c] += found
-                left -= found
-                c += 1
+            hist = self.v * np.bincount(bp.base_counts, minlength=w + 1)
+        else:
+            hist = np.zeros(w + 1, dtype=np.intp)
+            blocks = self.matrix.by_column()[0].reshape(self.n, w)
+            a = self.adjacency.view(np.uint8)
+            step = max(1, _CENSUS_CELLS // self.v)
+            for lo in range(0, self.n, step):
+                chunk = blocks[lo:lo + step]
+                counts = np.zeros((len(chunk), self.v), dtype=np.min_scalar_type(w))
+                for j in range(w):
+                    counts += a[chunk[:, j]]
+                left, c = counts.size, int(counts.min())
+                while left:
+                    found = np.count_nonzero(counts == c)
+                    hist[c] += found
+                    left -= found
+                    c += 1
+        hist[w - 1] -= self.n * w
         return hist
 
     def __repr__(self) -> str:

@@ -83,23 +83,22 @@ class BinaryMatrix:
             self._weights[axis].flags.writeable = False
         return self._weights[axis]
 
-    def packed_chunks(self, chunk_bytes: int = PACK_CHUNK_BYTES):
+    def packed_chunks(self):
         """Yield the rows packed into uint8 bytes (bit j % 8 of byte j // 8 is
         column j), straight from the ones, in blocks of consecutive rows, each
-        of about `chunk_bytes` bytes and at least one row, so that no whole
-        packed copy is ever formed."""
-        step = max(1, chunk_bytes // ((self.cols + 7) // 8))
-        for lo in range(0, self.nrows, step):
-            yield self._pack(lo, min(lo + step, self.nrows))
-
-    def _pack(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi-1 packed as :meth:`packed_chunks` packs them."""
+        of about `PACK_CHUNK_BYTES` bytes and at least one row, so that no
+        whole packed copy is ever formed."""
         rows, cols = self._ones
-        start, stop = np.searchsorted(rows, (lo, hi))
-        rows, cols = rows[start:stop] - lo, cols[start:stop]
-        packed = np.zeros((hi - lo, (self.cols + 7) // 8), dtype=np.uint8)
-        np.bitwise_or.at(packed, (rows, cols >> 3), (1 << (cols & 7)).astype(np.uint8))
-        return packed
+        width = (self.cols + 7) // 8
+        step = max(1, PACK_CHUNK_BYTES // width)
+        for lo in range(0, self.nrows, step):
+            hi = min(lo + step, self.nrows)
+            start, stop = np.searchsorted(rows, (lo, hi))
+            on = cols[start:stop]
+            packed = np.zeros((hi - lo, width), dtype=np.uint8)
+            np.bitwise_or.at(packed, (rows[start:stop] - lo, on >> 3),
+                             (1 << (on & 7)).astype(np.uint8))
+            yield packed
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, BinaryMatrix)

@@ -282,8 +282,9 @@ def random_regular_h(m: int, n: int, w_col: int, w_row: int, seed: int) -> LdpcC
     for _ in range(1, w_col):
         for _ in range(MAX_RETRIES + 1):
             g = rng.permutation(n) // w_row
-            # two columns in one row of this band and of an earlier one make a 4-cycle
-            if all(np.bincount(prev * rpb + g).max() <= 1 for prev in groups):
+            # two columns in one row of this band and of an earlier one make a
+            # 4-cycle; with one column per row there is no such pair
+            if w_row == 1 or all(np.bincount(prev * rpb + g).max() <= 1 for prev in groups):
                 break
         else:
             clean = False

@@ -15,12 +15,9 @@ M M^T is formed, and A^2 only by the strong-regularity check, whose scan
 is the same on all rows.  The tests cross-check both paths against the
 integer Gram matrix and the direct definitions.
 
-Every count that relates points to blocks comes from one streamed block
-census (``IncidenceStructure.block_census``): for each chunk of blocks,
-counts[b, p], the number of points of block b joined to point p, with a
-sentinel where p lies on b.  Its histogram off the blocks
-(``IncidenceStructure.census``) gives the alpha set, and its products with
-M the pair profiles.
+The alpha set comes from one histogram (``IncidenceStructure.census``):
+bin c counts the (point, block) pairs, the point off the block, with c of
+the block's points joined to the point.
 """
 
 from __future__ import annotations
@@ -81,29 +78,6 @@ class SrgSpectrum:
     theta0: int
     theta1: int
     theta2: int
-
-
-@dataclass
-class AlphaProfile:
-    """Block-type census over ordered point pairs.
-
-    For a pair (P,Q) the profile bins the blocks on P avoiding Q by the
-    number of their points joined to Q.  Two things are reported
-    separately: the per-pair counting identities (these hold for every
-    pair of a verified structure and reconstruct lambda and mu), and
-    whether the profile vector itself is the same for all pairs -- a
-    strictly stronger property that some structures do not have.
-    """
-
-    alphas: tuple[int, ...]
-    p_counts: tuple[int, ...]      # profile of the first adjacent pair
-    l_counts: tuple[int, ...]      # profile of the first non-adjacent pair
-    p_constant: bool
-    l_constant: bool
-    p_witness: tuple | None        # (first pair, other pair, other profile) if non-constant
-    l_witness: tuple | None
-    lambda_: int
-    mu: int
 
 
 def check_gpg_axioms(ic: IncidenceStructure) -> SrpgParams:
@@ -247,69 +221,3 @@ def feasibility_check(v: int, k: int, lambda_: int, mu: int, s: int, t: int) -> 
     except (ValueError, DegenerateStructure) as exc:
         conds.append(("multiplicities-integral", False, str(exc)))
     return FeasibilityReport(tuple(conds))
-
-
-def alpha_profiles(ic: IncidenceStructure, params: SrpgParams, lambda_: int, mu: int) -> AlphaProfile:
-    """Census the block-type profile of every ordered point pair.
-
-    The counting identities are enforced per pair: an adjacent pair must
-    satisfy sum(p_i) = t and sum((alpha_i - 1) p_i) + s - 1 = lambda, a
-    non-adjacent one sum(l_i) = t + 1 and sum(alpha_i l_i) = mu; a failure
-    here raises with the witnessing pair.  Constancy of the profile
-    vectors across pairs is reported, not required.  The profiles of all
-    pairs at once are products of the block census with M.
-    """
-    alphas, s, t = params.alphas, params.s, params.t
-    # prof[i, P, Q]: blocks on P avoiding Q with alphas[i] points joined to Q
-    prof = np.zeros((len(alphas), ic.v, ic.v), dtype=np.float32)
-    for blocks, counts in ic.block_census():
-        m = np.zeros((ic.v, len(blocks)), dtype=np.float32)
-        m[blocks, np.arange(len(blocks))[:, None]] = 1
-        for i, al in enumerate(alphas):
-            prof[i] += m @ (counts == al).astype(np.float32)
-
-    adj = ic.adjacency
-    size = prof.sum(axis=0)
-    weighted = np.tensordot(np.array(alphas, dtype=np.float32), prof, axes=1)
-    bad = np.where(adj, (size != t) | (weighted - size + (s - 1) != lambda_),
-                   (size != t + 1) | (weighted != mu))
-    np.fill_diagonal(bad, False)
-
-    def pair(flat: int) -> tuple[tuple[int, int], tuple[int, ...]]:
-        p, q = np.unravel_index(flat, adj.shape)
-        return (int(p), int(q)), tuple(int(x) for x in prof[:, p, q])
-
-    if bad.any():
-        (p, q), vec = pair(np.argmax(bad))
-        if adj[p, q]:
-            size_name, size_want = "t", t
-            name, rec, want = "lambda", sum((al - 1) * x for al, x in zip(alphas, vec)) + s - 1, lambda_
-        else:
-            size_name, size_want = "t+1", t + 1
-            name, rec, want = "mu", sum(al * x for al, x in zip(alphas, vec)), mu
-        if sum(vec) != size_want:
-            raise ValueError(f"pair {(p, q)}: {sum(vec)} blocks on P avoid Q, "
-                             f"expected {size_name} = {size_want}")
-        raise ValueError(f"pair {(p, q)}: profile {vec} reconstructs {name} = {rec}, "
-                         f"expected {want}")
-
-    nonadj = ~adj
-    np.fill_diagonal(nonadj, False)
-    if not adj.any() or not nonadj.any():
-        raise DegenerateStructure("point graph lacks adjacent or non-adjacent pairs")
-
-    def census(mask: np.ndarray) -> tuple[tuple[int, ...], tuple | None]:
-        """The profile of the first pair of mask, and the witness
-        (first pair, first pair with another profile, its profile)."""
-        first, vec = pair(np.argmax(mask))
-        differs = mask & (prof != np.array(vec, dtype=np.float32)[:, None, None]).any(axis=0)
-        return vec, (first, *pair(np.argmax(differs))) if differs.any() else None
-
-    p_vec, p_witness = census(adj)
-    l_vec, l_witness = census(nonadj)
-    return AlphaProfile(
-        alphas=alphas, p_counts=p_vec, l_counts=l_vec,
-        p_constant=p_witness is None, l_constant=l_witness is None,
-        p_witness=p_witness, l_witness=l_witness,
-        lambda_=lambda_, mu=mu,
-    )

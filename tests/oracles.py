@@ -2,13 +2,17 @@
 the closed-form builds in geomcode.constructions are checked against, and
 the dense views of a BinaryMatrix (its packed rows among them) and its
 integer Gram matrix, which the point graph and the other derived views are
-checked against, the histogram of the block census by bincount, which
-IncidenceStructure.census is checked against, the dense integer analysis
-report (:func:`report`), which the CLI's analysis report
-is checked against key for key, and the per-line alist writer and reader,
-which the whole-array ones in geomcode.alist are checked against, and the
-hyperbolic incidence matrix by per-pair table gathers, which the row-factorised
-build is checked against.
+checked against.  From the dense Gram by float64 BLAS, never from the
+package's adjacency or census, come the histogram of the block census,
+which IncidenceStructure.census is checked against, and the pair-profile
+census (:func:`alpha_profiles`): for every ordered pair of points, the
+blocks on the first avoiding the second, binned by the number of their
+points joined to the second.  Also here: the dense integer analysis report
+(:func:`report`), which the CLI's analysis report is checked against key
+for key, the per-line alist writer and reader, which the whole-array ones
+in geomcode.alist are checked against, and the hyperbolic incidence matrix
+by per-pair table gathers, which the row-factorised build is checked
+against.
 
 Coordinates are field element codes (see geomcode.fields) and points are
 plain coordinate tuples, normalized so the first nonzero coordinate is
@@ -25,6 +29,7 @@ import functools
 import itertools
 import math
 from collections import deque
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -34,7 +39,7 @@ from geomcode.constructions import HyperbolicLabel, IncidenceStructure, _canonic
 from geomcode.fields import Field
 from geomcode.gf2 import BinaryMatrix, brouwer_predict
 from geomcode.metrics import tanner_bounds
-from geomcode.srpg import feasibility_check, spectrum
+from geomcode.srpg import DegenerateStructure, SrpgParams, feasibility_check, spectrum
 
 Point = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -354,11 +359,116 @@ def packbits(m: BinaryMatrix) -> np.ndarray:
     return np.packbits(dense(m), axis=1, bitorder="little")
 
 
+def swapped(m: BinaryMatrix) -> BinaryMatrix:
+    """m with points 1 and 2 swapped: the same structure, but no longer one
+    whose blocks are cosets under the digit addition of the point indices."""
+    rows, cols = m.nonzero()
+    perm = np.arange(m.nrows)
+    perm[[1, 2]] = 2, 1
+    return BinaryMatrix(perm[rows], cols, (m.nrows, m.cols))
+
+
+def _dense_census(ic: IncidenceStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, adj, counts): the incidence as a float64 array, the bool point
+    graph and counts[p, b], the number of points of block b joined to point p,
+    or -1 where p lies on b.  All come from the dense Gram d d^T by float64
+    BLAS, exact here (no entry exceeds v), not from the package's views."""
+    d = dense(ic.matrix).astype(np.float64)
+    adj = d @ d.T > 0
+    np.fill_diagonal(adj, False)
+    return d, adj, np.where(d == 1, -1.0, adj.astype(np.float64) @ d)
+
+
 def census_by_bincount(ic: IncidenceStructure) -> np.ndarray:
-    """The histogram of the block census by one intp bincount per chunk,
-    the sentinel bin dropped: IncidenceStructure.census must equal it."""
-    bins = ic.matrix.column_weights()[0] + 2
-    return sum(np.bincount(counts.ravel(), minlength=bins) for _, counts in ic.block_census())[:-1]
+    """The histogram of the block census off the blocks by one bincount of
+    the dense counts: IncidenceStructure.census must equal it."""
+    counts = _dense_census(ic)[2]
+    return np.bincount(counts[counts >= 0].astype(np.intp),
+                       minlength=int(ic.matrix.column_weights()[0]) + 1)
+
+
+@dataclass
+class AlphaProfile:
+    """Block-type census over ordered point pairs.
+
+    For a pair (P,Q) the profile bins the blocks on P avoiding Q by the
+    number of their points joined to Q.  Two things are reported
+    separately: the per-pair counting identities (these hold for every
+    pair of a verified structure and reconstruct lambda and mu), and
+    whether the profile vector itself is the same for all pairs -- a
+    strictly stronger property that some structures do not have.
+    """
+
+    alphas: tuple[int, ...]
+    p_counts: tuple[int, ...]      # profile of the first adjacent pair
+    l_counts: tuple[int, ...]      # profile of the first non-adjacent pair
+    p_constant: bool
+    l_constant: bool
+    p_witness: tuple | None        # (first pair, other pair, other profile) if non-constant
+    l_witness: tuple | None
+    lambda_: int
+    mu: int
+
+
+def alpha_profiles(ic: IncidenceStructure, params: SrpgParams, lambda_: int, mu: int) -> AlphaProfile:
+    """Census the block-type profile of every ordered point pair.
+
+    The counting identities are enforced per pair: an adjacent pair must
+    satisfy sum(p_i) = t and sum((alpha_i - 1) p_i) + s - 1 = lambda, a
+    non-adjacent one sum(l_i) = t + 1 and sum(alpha_i l_i) = mu; a failure
+    here raises with the witnessing pair.  Constancy of the profile
+    vectors across pairs is reported, not required.  The profiles of all
+    pairs at once are products of the dense block census with M.
+    """
+    alphas, s, t = params.alphas, params.s, params.t
+    d, adj, counts = _dense_census(ic)
+    # prof[i, P, Q]: blocks on P avoiding Q with alphas[i] points joined to Q
+    prof = np.stack([d @ (counts == al).T.astype(np.float64)
+                     for al in alphas]).astype(np.float32)
+    size = prof.sum(axis=0)
+    weighted = np.tensordot(np.array(alphas, dtype=np.float32), prof, axes=1)
+    bad = np.where(adj, (size != t) | (weighted - size + (s - 1) != lambda_),
+                   (size != t + 1) | (weighted != mu))
+    np.fill_diagonal(bad, False)
+
+    def pair(flat: int) -> tuple[tuple[int, int], tuple[int, ...]]:
+        p, q = np.unravel_index(flat, adj.shape)
+        return (int(p), int(q)), tuple(int(x) for x in prof[:, p, q])
+
+    if bad.any():
+        (p, q), vec = pair(np.argmax(bad))
+        if adj[p, q]:
+            size_name, size_want = "t", t
+            name, rec, want = "lambda", sum((al - 1) * x for al, x in zip(alphas, vec)) + s - 1, lambda_
+        else:
+            size_name, size_want = "t+1", t + 1
+            name, rec, want = "mu", sum(al * x for al, x in zip(alphas, vec)), mu
+        if sum(vec) != size_want:
+            raise ValueError(f"pair {(p, q)}: {sum(vec)} blocks on P avoid Q, "
+                             f"expected {size_name} = {size_want}")
+        raise ValueError(f"pair {(p, q)}: profile {vec} reconstructs {name} = {rec}, "
+                         f"expected {want}")
+
+    nonadj = ~adj
+    np.fill_diagonal(nonadj, False)
+    if not adj.any() or not nonadj.any():
+        raise DegenerateStructure("point graph lacks adjacent or non-adjacent pairs")
+
+    def census(mask: np.ndarray) -> tuple[tuple[int, ...], tuple | None]:
+        """The profile of the first pair of mask, and the witness
+        (first pair, first pair with another profile, its profile)."""
+        first, vec = pair(np.argmax(mask))
+        differs = mask & (prof != np.array(vec, dtype=np.float32)[:, None, None]).any(axis=0)
+        return vec, (first, *pair(np.argmax(differs))) if differs.any() else None
+
+    p_vec, p_witness = census(adj)
+    l_vec, l_witness = census(nonadj)
+    return AlphaProfile(
+        alphas=alphas, p_counts=p_vec, l_counts=l_vec,
+        p_constant=p_witness is None, l_constant=l_witness is None,
+        p_witness=p_witness, l_witness=l_witness,
+        lambda_=lambda_, mu=mu,
+    )
 
 
 def gram_counts(m: BinaryMatrix) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomcode import gf2
 from geomcode.alist import read_alist, write_alist
 from geomcode.constructions import IncidenceStructure
 from geomcode.gf2 import (
@@ -101,7 +102,7 @@ def test_rank_invariances():
         assert np.array_equal(packed, before) and rank2(packed) == r
 
 
-def test_streamed_rank_matches_whole_array():
+def test_streamed_rank_matches_whole_array(monkeypatch):
     rng = np.random.default_rng(7)
     for _ in range(20):
         d = (rng.random((rng.integers(1, 30), rng.integers(1, 70))) < 0.3).astype(np.uint8)
@@ -113,11 +114,12 @@ def test_streamed_rank_matches_whole_array():
         # blocks of 1 row (also below one row's bytes), of 3 rows (a final
         # partial block unless 3 divides the rows), and all rows in one block
         for chunk_bytes, rows in ((1, 1), (width, 1), (3 * width, 3), (10 ** 9, len(d))):
-            chunks = list(m.packed_chunks(chunk_bytes))
+            monkeypatch.setattr(gf2, "PACK_CHUNK_BYTES", chunk_bytes)
+            chunks = list(m.packed_chunks())
             assert [len(c) for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
             assert 1 <= len(chunks[-1]) <= rows
             assert np.array_equal(np.vstack(chunks), packbits(m))
-            assert rank2(m.packed_chunks(chunk_bytes)) == rank2(iter(chunks)) == r
+            assert rank2(m.packed_chunks()) == rank2(iter(chunks)) == r
 
 
 def test_gram2_single_row():

@@ -118,11 +118,11 @@ def test_only_labels_form_labels(tmp_path, monkeypatch):
 # The package exports the pipeline only; the scalar reference geometry
 # lives in tests/oracles.py.
 PUBLIC_API = [
-    "AlphaProfile", "AxiomViolation", "BinaryMatrix", "ChannelConfig",
+    "AxiomViolation", "BinaryMatrix", "ChannelConfig",
     "ConicLabel", "CycleReport", "DegenerateStructure", "DistanceBounds",
     "FeasibilityReport", "Field", "HyperbolicLabel", "IncidenceStructure", "LdpcCode",
     "PointStats", "RankPrediction", "SrgSpectrum", "SrpgParams", "SumProductDecoder",
-    "alpha_profiles", "awgn_llrs", "brouwer_predict", "build_conic_structure",
+    "awgn_llrs", "brouwer_predict", "build_conic_structure",
     "build_hyperbolic_structure", "check_gpg_axioms", "check_strongly_regular",
     "feasibility_check", "field_from_string", "noise_sigma", "random_regular_h", "rank2",
     "simulate_point", "six_cycles", "spectrum", "tanner_bounds", "tanner_girth",

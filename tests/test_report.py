@@ -125,15 +125,6 @@ def test_moved_incidence_report_matches_oracle(request, source, axiom):
     assert rep["axioms"]["violated"] == axiom
 
 
-def _swapped(m: BinaryMatrix) -> BinaryMatrix:
-    """m with points 1 and 2 swapped: the same structure, but no longer one
-    whose blocks are cosets under the digit addition of the point indices."""
-    rows, cols = m.nonzero()
-    perm = np.arange(m.nrows)
-    perm[[1, 2]] = 2, 1
-    return BinaryMatrix(perm[rows], cols, (m.nrows, m.cols))
-
-
 @pytest.mark.parametrize("read_back", [False, True], ids=["build", "alist"])
 @pytest.mark.parametrize("fixture", ["hyp3", "hyp5"])
 def test_translation_report_matches_dense(request, tmp_path, monkeypatch, fixture, read_back):
@@ -145,7 +136,7 @@ def test_translation_report_matches_dense(request, tmp_path, monkeypatch, fixtur
         write_alist(m, tmp_path / "h.alist")
         family, field, m = "file", None, read_alist(tmp_path / "h.alist")
     ic = IncidenceStructure(family, field, m)
-    swapped = IncidenceStructure(family, field, _swapped(m))
+    swapped = IncidenceStructure(family, field, oracles.swapped(m))
     assert ic.translation is not None and swapped.translation is None
     calls = []
 
@@ -266,7 +257,7 @@ def test_scaling_report_matches_dense(tmp_path, monkeypatch, name, read_back):
         write_alist(m, tmp_path / "c.alist")
         family, field, m = "file", None, read_alist(tmp_path / "c.alist")
     ic = IncidenceStructure(family, field, m)
-    swapped = IncidenceStructure(family, field, _swapped(m))
+    swapped = IncidenceStructure(family, field, oracles.swapped(m))
     assert ic.scaling is not None and ic.translation is None
     assert swapped.base_point is None
     calls = []

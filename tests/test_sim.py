@@ -190,6 +190,14 @@ def test_random_regular_four_cycle_flag_small():
     assert not _columns_share_two_rows(code.h)
 
 
+def test_random_regular_one_column_per_row_skips_the_band_test():
+    # with one column per row no two columns share a row, so no band is
+    # tested against the earlier ones: 20,000 bands of one row, not 2 * 10^8 tests
+    code = random_regular_h(20000, 1, 20000, 1, seed=0)
+    assert code.four_cycle_free
+    assert np.array_equal(dense(code.h), np.ones((20000, 1), dtype=np.uint8))
+
+
 def test_random_regular_four_cycle_flag_large():
     # at the Fig-1 scale a collision-free permutation is out of reach,
     # so the matrix is accepted with the warning flag set

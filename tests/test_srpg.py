@@ -13,16 +13,22 @@ from geomcode.constructions import (
 from geomcode.fields import Field
 from geomcode.gf2 import BinaryMatrix
 from geomcode.srpg import (
-    AlphaProfile,
     AxiomViolation,
     DegenerateStructure,
-    alpha_profiles,
     check_gpg_axioms,
     check_strongly_regular,
     feasibility_check,
     spectrum,
 )
-from oracles import census_by_bincount, dense, gram_counts, matrix
+from oracles import (
+    AlphaProfile,
+    alpha_profiles,
+    census_by_bincount,
+    dense,
+    gram_counts,
+    matrix,
+    swapped,
+)
 
 
 def _structure(bit_rows):
@@ -45,17 +51,24 @@ def test_axioms_hyperbolic_q3(hyp3):
     assert params.v * (params.t + 1) == params.n * (params.s + 1)
 
 
-def test_alphas_of_blocks_past_uint8():
-    # two disjoint 256-point blocks: no point off a block is joined to any of
-    # its points, so the only count is 0; a uint8 sentinel (257) would wrap
-    # to a spurious 1
-    pts = np.arange(512)
-    ic = IncidenceStructure("test", None, BinaryMatrix(pts, pts // 256, (512, 2)))
+@pytest.mark.parametrize("w", [255, 256])
+def test_alphas_of_blocks_past_uint8(w):
+    # counts of blocks of w points are held in min_scalar_type(w): uint8 at
+    # 255, uint16 at 256.  Two disjoint blocks: the only count off a block is 0
+    pts = np.arange(2 * w)
+    ic = IncidenceStructure("test", None, BinaryMatrix(pts, pts // w, (2 * w, 2)))
     params = check_gpg_axioms(ic)
-    assert (params.s, params.t, params.alphas) == (255, 0, (0,))
-    _, counts = next(ic.block_census())
-    assert counts.dtype == np.uint16 and counts.min() == 0
-    assert np.array_equal(ic.census, census_by_bincount(ic))
+    assert (params.s, params.t, params.alphas) == (w - 1, 0, (0,))
+    # block 0 and, for each of its points p, a block of p and the w - 1
+    # points past block 0: in each of the w^2 - 1 (point, block) pairs off the
+    # blocks the point is joined to all w, a count a narrower dtype would wrap
+    fan = np.concatenate([np.arange(w)] + [[p, *range(w, 2 * w - 1)] for p in range(w)])
+    fan = IncidenceStructure("test", None, BinaryMatrix(fan, np.arange(w + 1).repeat(w),
+                                                        (2 * w - 1, w + 1)))
+    assert np.flatnonzero(fan.census).tolist() == [w] and fan.census[w] == w * w - 1
+    for each in (ic, fan):
+        assert each.base_point is None
+        assert np.array_equal(each.census, census_by_bincount(each))
 
 
 SMALL_FAMILIES = pytest.mark.parametrize("family,field", [
@@ -63,48 +76,54 @@ SMALL_FAMILIES = pytest.mark.parametrize("family,field", [
 ])
 
 
-@SMALL_FAMILIES
-def test_block_census_matches_direct_definition(family, field):
+def _certified_and_swapped(family, field):
+    """The family build, certified, and a copy with points 1 and 2 swapped,
+    which is not: the census of the first is read from point 0, of the
+    second from the adjacency a chunk of blocks at a time."""
     build = build_conic_structure if family == "conic" else build_hyperbolic_structure
     ic = build(Field(*field))
-    m = dense(ic.matrix).astype(np.int64)
-    w = int(m[:, 0].sum())
-    joined = (m @ m.T > 0) & ~np.eye(ic.v, dtype=bool)
-    # direct[p, b] = |b ∩ N(p)|, and w + 1 where p lies on b
-    direct = np.where(m == 1, w + 1, joined.astype(np.int64) @ m)
-    census = np.concatenate([counts for _, counts in ic.block_census()])
-    assert np.array_equal(census.T, direct)  # cell by cell, so the histograms agree
-    hist = np.bincount(direct.ravel(), minlength=w + 2)
-    assert np.array_equal(ic.census, hist[:-1])  # the sentinel bin is dropped
-    assert check_gpg_axioms(ic).alphas == tuple(np.flatnonzero(hist[:-1]).tolist())
+    other = IncidenceStructure(ic.family, ic.field, swapped(ic.matrix))
+    assert ic.base_point is not None and other.base_point is None
+    return ic, other
+
+
+@SMALL_FAMILIES
+def test_block_census_matches_direct_definition(family, field):
+    for ic in _certified_and_swapped(family, field):
+        m = dense(ic.matrix).astype(np.int64)
+        w = int(m[:, 0].sum())
+        joined = (m @ m.T > 0) & ~np.eye(ic.v, dtype=bool)
+        # direct[p, b] = |b ∩ N(p)| where p lies off b
+        direct = (joined.astype(np.int64) @ m)[m == 0]
+        hist = np.bincount(direct, minlength=w + 1)
+        assert np.array_equal(ic.census, hist)
+        assert check_gpg_axioms(ic).alphas == tuple(np.flatnonzero(hist).tolist())
 
 
 @SMALL_FAMILIES
 def test_census_of_one_block_chunks_matches_bincount_oracle(monkeypatch, family, field):
     monkeypatch.setattr(constructions, "_CENSUS_CELLS", 1)
-    build = build_conic_structure if family == "conic" else build_hyperbolic_structure
-    ic = build(Field(*field))
-    assert all(len(blocks) == 1 for blocks, _ in ic.block_census())
-    assert np.array_equal(ic.census, census_by_bincount(ic))
+    for ic in _certified_and_swapped(family, field):
+        assert np.array_equal(ic.census, census_by_bincount(ic))
 
 
 def test_census_matches_bincount_oracle(hyp5):
-    # hyperbolic q=5 streams 18 chunks; in the cyclic blocks {b, ..., b+3, b+5}
-    # mod 40, point b+4 is joined to all 5 points of block b, a far one to none
+    # hyperbolic q=5 swapped streams 18 chunks; in the cyclic blocks
+    # {b, ..., b+3, b+5} mod 40, point b+4 is joined to all 5 points of
+    # block b, a far one to none
     b = np.arange(40)
     rows = (b[:, None] + [0, 1, 2, 3, 5]).ravel() % 40
     spread = IncidenceStructure("test", None, BinaryMatrix(rows, np.repeat(b, 5), (40, 40)))
-    assert len(list(hyp5.block_census())) == 18
     assert np.flatnonzero(census_by_bincount(spread)).tolist() == [0, 1, 2, 3, 4, 5]
-    for ic in (hyp5, spread):
+    hyp5_swapped = IncidenceStructure("test", None, swapped(hyp5.matrix))
+    assert hyp5.base_point is not None and hyp5_swapped.base_point is None
+    for ic in (hyp5, hyp5_swapped, spread):
         assert np.array_equal(ic.census, census_by_bincount(ic))
 
 
 def test_block_census_refuses_blocks_of_unequal_size():
     # sizes 1 and 3 fill a 2 x 2 array: a reshape alone would not notice
     ic = _structure([[1, 1], [0, 1], [0, 1]])
-    with pytest.raises(ValueError, match="one size"):
-        next(ic.block_census())
     with pytest.raises(ValueError, match="one size"):
         ic.census
 
