@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .constructions import refuse_peak
 from .gf2 import BinaryMatrix
 
 # The class of each byte, as str.split and str.splitlines read ASCII.
@@ -22,12 +23,20 @@ _OTHER, _DIGIT, _BLANK, _BREAK = range(4)
 _CLASS = bytes(_DIGIT if 48 <= b < 58 else _BREAK if len(f"a{chr(b)}b".splitlines()) > 1
                else _BLANK if chr(b).isspace() else _OTHER for b in range(128)) + bytes(128)
 _POWERS = 10 ** np.arange(1, 19, dtype=np.int64)  # a token of 10^18 or more is rejected
+# read_alist's tracemalloc peak per byte of its file: 11-14 for written alists,
+# 30 at most, for a file of one-digit lines ("0\n" repeated)
+READ_PEAK_PER_BYTE = 30
 
 
 def write_alist(h: BinaryMatrix, path: str | Path) -> None:
     """Serialize a binary matrix (rows = checks, columns = variables): the tokens
-    fill the rows of one byte array right-aligned, one digit place at a time."""
+    fill the rows of one byte array right-aligned, one digit place at a time.
+    Refused before the first array if it would not fit: every value is at most
+    max(n, m), the tokens number at most 2 (n + m + ones) + 4, and each costs
+    24 bytes plus 3 per digit place (tracemalloc peaks: 16-19 plus 3 per place)."""
     m, n = h.nrows, h.cols
+    refuse_peak((24 + 3 * (len(str(max(n, m))) + 1)) * (2 * (n + m + h.nonzero()[0].size) + 4),
+                f"writing the {m:,} x {n:,} matrix as alist")
     cols, col_w, row_w = h.nonzero()[1], h.column_weights(), h.row_weights()
     lengths = np.concatenate(([2, 2, n, m], col_w, row_w))  # tokens per line
     values = np.concatenate(([n, m, col_w.max(), row_w.max()], col_w, row_w,
@@ -77,7 +86,11 @@ def _tokens(path: str | Path, raw: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 def read_alist(path: str | Path) -> BinaryMatrix:
     """Parse an alist file into a binary matrix; checks the header against
-    both index sections, cross-checks the sections and ignores zero padding."""
+    both index sections, cross-checks the sections and ignores zero padding.
+    Refused before the file is read if READ_PEAK_PER_BYTE times its size
+    would not fit."""
+    size = Path(path).stat().st_size
+    refuse_peak(READ_PEAK_PER_BYTE * size, f"reading the {size:,}-byte alist {path}")
     values, first = _tokens(path, Path(path).read_bytes())
     if len(first) < 4:
         raise ValueError(f"{path}: truncated alist header")

@@ -131,16 +131,9 @@ def build_analysis_report(ic: IncidenceStructure) -> dict:
         "n": ic.n,
         "degenerate": ic.degenerate,
     }
-    ranks = ic.group_ranks  # from the certified group, if any, before the stages
     report["failures"] = _file_stages(ic, report)
     report["checks_passed"] = not report["failures"]
-    # over any field rank(M M^T) <= rank(M) <= min(v, n), so a Gram parity of
-    # rank min(v, n) settles rank_2(M); otherwise M is eliminated
-    gram_rank = report.get("rank2_MMT")
-    if ranks is not None or gram_rank == min(ic.v, ic.n):
-        code = LdpcCode(ic.matrix, ic.n - (gram_rank if ranks is None else ranks[0]))
-    else:
-        code = LdpcCode.from_parity(ic.matrix)
+    code = LdpcCode.from_structure(ic, report.get("rank2_MMT"))
     girth = tanner_girth(ic)
     report.update({
         "rank2_M": code.n - code.dimension,
@@ -305,10 +298,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     workers = min(_resolve_threads(args.threads), len(grid))
     h = read_alist(args.infile)
-    # each worker builds one decoder; refused before the elimination of h
+    # each worker builds one decoder; refused before the rank of h is taken
     constructions.refuse_peak(workers * SumProductDecoder.peak_bytes(h),
                               f"decoding the {h.nrows:,} x {h.cols:,} code in {workers} worker(s)")
-    code = LdpcCode.from_parity(h)
+    code = LdpcCode.from_structure(IncidenceStructure("file", None, h))
     reason = code.refusal()
     if reason is not None:
         print(f"refusing to simulate: {reason}", file=sys.stderr)

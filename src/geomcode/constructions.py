@@ -32,7 +32,9 @@ blocks: the scalings (x, y) -> (αx, βy), taking conic (a, b) to (aβ, bα),
 and the translations of N's digits, whose cosets are the hyperbolic blocks.
 `IncidenceStructure.translation` and `scaling` certify either exactly from
 the matrix, so an alist read back qualifies too; `base_point` then gives
-every count of the analysis from point 0, and `group_ranks` both ranks.
+every count of the analysis from point 0, and `group_ranks` both ranks,
+from which `sim.LdpcCode.from_structure` takes the code's rank for
+`analyze` and `simulate` alike, with no elimination of the matrix.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constructions import refuse_peak
+from .constructions import IncidenceStructure, refuse_peak
 from .gf2 import PACK_CHUNK_BYTES, BinaryMatrix, rank2
 
 LLR_CLAMP = 30.0
@@ -68,10 +68,22 @@ class LdpcCode:
         return None
 
     @classmethod
+    def from_structure(cls, ic: IncidenceStructure, gram_rank: int | None = None) -> "LdpcCode":
+        """The code of ic's matrix, the one rank decision of `analyze` and
+        `simulate`: rank_2 M from the certified group's `group_ranks`, else
+        `gram_rank`, the eliminated rank_2 M M^T, if it is min(v, n) (over any
+        field rank(M M^T) <= rank(M) <= min(v, n)), else by `from_parity`."""
+        ranks = ic.group_ranks
+        if ranks is None and gram_rank != min(ic.v, ic.n):
+            return cls.from_parity(ic.matrix)
+        return cls(ic.matrix, ic.n - (gram_rank if ranks is None else ranks[0]))
+
+    @classmethod
     def from_parity(cls, h: BinaryMatrix) -> "LdpcCode":
-        """The code of h, refused before the first pivot if min(m, n) pivots of
-        n bits (4 bytes per 30, and a dict entry), a packed chunk of rows and
-        32 bytes per one packing it would not fit."""
+        """The code of h by elimination, where `from_structure` finds no rank
+        to take, and for `random_regular_h`.  Refused before the first pivot
+        if min(m, n) pivots of n bits (4 bytes per 30, and a dict entry), a
+        packed chunk of rows and 32 bytes per one packing it would not fit."""
         m, n = h.nrows, h.cols
         refuse_peak(min(m, n) * (4 * -(-n // 30) + 160) + PACK_CHUNK_BYTES + 32 * h.nonzero()[0].size,
                     f"eliminating the {m:,} x {n:,} parity-check matrix")

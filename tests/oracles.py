@@ -368,6 +368,19 @@ def swapped(m: BinaryMatrix) -> BinaryMatrix:
     return BinaryMatrix(perm[rows], cols, (m.nrows, m.cols))
 
 
+def rooks_graph(q: int) -> BinaryMatrix:
+    """The rook's graph L2(q - 1) as blocks of 2 on the conic points (1, x, y),
+    point (x-1)(q-1) + (y-1): (x, y) and (x', y') are a block iff they share
+    x or y.  The scalings permute its blocks, t + 1 = 2(q - 2) is even, and
+    its Gram parity, the bool A, folds to 0: rank_2 A = 2(q - 2) < v."""
+    n = q - 1
+    pts = np.arange(n * n).reshape(n, n)
+    i, j = np.triu_indices(n, 1)
+    pairs = np.concatenate([np.stack([pts[i], pts[j]], -1).reshape(-1, 2),        # one y
+                            np.stack([pts[:, i], pts[:, j]], -1).reshape(-1, 2)])  # one x
+    return BinaryMatrix(pairs.ravel(), np.repeat(np.arange(len(pairs)), 2), (n * n, len(pairs)))
+
+
 def _dense_census(ic: IncidenceStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(d, adj, counts): the incidence as a float64 array, the bool point
     graph and counts[p, b], the number of points of block b joined to point p,

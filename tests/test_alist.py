@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from geomcode import alist, constructions
 from geomcode.alist import read_alist, write_alist
 from geomcode.cli import main
 from geomcode.sim import random_regular_h
@@ -302,3 +303,45 @@ def test_reader_counts_crlf_and_cr_as_one_line_break(tmp_path, newline):
     path.write_bytes(newline.join(lines).encode())
     with pytest.raises(ValueError, match=r"nl\.alist: line 6: .*'x'"):
         read_alist(path)
+
+
+def _physical_memory(monkeypatch, nbytes):
+    monkeypatch.setattr(constructions.os, "sysconf",
+                        lambda name: nbytes if name == "SC_PHYS_PAGES" else 1)
+
+
+def test_reader_refused_before_the_file_is_read(tmp_path, monkeypatch, capsys):
+    # 4,096 bytes of physical memory: a 24-byte alist fits READ_PEAK_PER_BYTE
+    # (30) times over, a 142-byte one does not and is refused before it is read
+    small, large = tmp_path / "small.alist", tmp_path / "large.alist"
+    small.write_text("2 2\n1 1\n1 1\n1 1\n1\n2\n1\n2\n")
+    write_alist(matrix(np.eye(15, dtype=int)), large)
+    assert (len(small.read_bytes()), len(large.read_bytes())) == (24, 142)
+    assert alist.READ_PEAK_PER_BYTE * 24 <= 4096 < alist.READ_PEAK_PER_BYTE * 142
+    _physical_memory(monkeypatch, 4096)
+    assert read_alist(small) == matrix(np.eye(2, dtype=int))
+
+    def unread(path):
+        raise AssertionError("read_bytes called")
+
+    monkeypatch.setattr(alist.Path, "read_bytes", unread)
+    with pytest.raises(ValueError, match=f"^reading the 142-byte alist {re.escape(str(large))} "
+                                         "needs about 0.0 GiB, more than the 0.0 GiB"):
+        read_alist(large)
+    out = tmp_path / "large.json"
+    assert main(["analyze", "--in", str(large), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: reading the 142-byte alist ")
+    assert not out.exists()
+
+
+def test_writer_refused_before_its_first_array(tmp_path, monkeypatch, capsys):
+    # conic q=5 with 5,300 bytes of physical memory: its build, charged 81 x 4^3
+    # = 5,184 bytes, fits; its write, at most 164 tokens charged 24 + 3 x 3
+    # bytes each (two digits and a separator), 5,412 in all, does not, so
+    # construct exits 2 and writes nothing
+    _physical_memory(monkeypatch, 5300)
+    out = tmp_path / "c5.alist"
+    assert main(["construct", "--family", "conic", "--field", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: writing the 16 x 16 matrix as alist needs about "
+                                       "0.0 GiB, more than the 0.0 GiB of physical memory\n")
+    assert not out.exists() and not (tmp_path / "c5.alist.manifest.json").exists()

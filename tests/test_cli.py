@@ -14,7 +14,7 @@ from geomcode import constructions
 from geomcode.alist import read_alist, write_alist
 from geomcode.cli import MAX_EBNO_POINTS, main, parse_ebno_grid
 from geomcode.gf2 import BinaryMatrix, rank2
-from oracles import matrix
+from oracles import matrix, rooks_graph
 
 
 def run(args):
@@ -264,6 +264,19 @@ def test_analyze_conic_q5_not_simulable(tmp_path):
     assert rep["simulable"] is False
 
 
+def _counted_rank2(monkeypatch) -> list:
+    """Count the eliminations: every call of rank2 from cli, sim and gf2."""
+    calls = []
+
+    def counted(packed):
+        calls.append(packed)
+        return rank2(packed)
+
+    for module in (geomcode.cli, geomcode.sim, geomcode.gf2):
+        monkeypatch.setattr(module, "rank2", counted)
+    return calls
+
+
 @pytest.mark.parametrize("family,field,rank_m,rank_gram,eliminations", [
     ("conic", "5", 16, 16, 1), ("conic", "5^2", 576, 576, 1), ("hyperbolic", "3", 81, 48, 0)])
 def test_analyze_takes_rank_from_a_full_rank_gram(tmp_path, monkeypatch, family, field,
@@ -273,14 +286,7 @@ def test_analyze_takes_rank_from_a_full_rank_gram(tmp_path, monkeypatch, family,
     # q=5, 9 x 9 at GF(25)); hyperbolic q=3 is a translation structure, whose
     # two ranks come from a character count (its dense path eliminates both:
     # test_report.test_translation_report_matches_dense)
-    calls = []
-
-    def counted(packed):
-        calls.append(packed)
-        return rank2(packed)
-
-    for module in (geomcode.cli, geomcode.sim, geomcode.gf2):
-        monkeypatch.setattr(module, "rank2", counted)
+    calls = _counted_rank2(monkeypatch)
     out = tmp_path / "r.json"
     assert run(["analyze", "--family", family, "--field", field, "--out", out]) == 0
     rep = json.loads(out.read_text())
@@ -502,13 +508,66 @@ def test_simulable_iff_simulate_runs(tmp_path, source):
     assert simulable == (source == "hyperbolic-3")
 
 
+CONIC_REFUSAL = ("refusing to simulate: parity-check matrix has full column rank "
+                 "(rank {0} = n = {0}), the code is {{0}}\n")
+
+
+@pytest.mark.parametrize("source,status,eliminations,stderr", [
+    ("hyperbolic-3", 0, 0, ""),                      # the character count
+    ("conic-5^2", 2, 1, CONIC_REFUSAL.format(576)),  # the fold, of full rank
+    ("conic-3^3", 2, 1, CONIC_REFUSAL.format(676)),
+    ("rook", 0, 2, ""),     # a singular fold, then H: the rook's graph L2(10)
+    ("random", 0, 1, ""),   # certifies no group
+    ("zero", 2, 1, "refusing to simulate: parity-check matrix has rank 0, "
+                   "the code is all of GF(2)^3\n"),
+], ids=["hyperbolic-3", "conic-5^2", "conic-3^3", "rook", "random", "zero"])
+def test_simulate_takes_rank_from_the_certified_group(tmp_path, monkeypatch, capsys, source,
+                                                      status, eliminations, stderr):
+    # simulate asks LdpcCode.from_structure, as analyze does: H is eliminated
+    # (from_parity) only when no certified group settles its rank, and with the
+    # certificates patched off every input is eliminated once, to the same bytes
+    alist = tmp_path / "h.alist"
+    if source == "zero":
+        alist.write_text(ZERO_ALIST)
+    elif source == "rook":
+        write_alist(rooks_graph(11), alist)
+    elif source == "random":
+        assert run(["random-code", "--rows", 81, "--cols", 648, "--wcol", 3, "--wrow", 24,
+                    "--seed", 7, "--out", alist]) == 0
+    else:
+        family, field = source.split("-")
+        assert run(["construct", "--family", family, "--field", field, "--out", alist]) == 0
+    capsys.readouterr()
+    calls, parities = _counted_rank2(monkeypatch), []
+    from_parity = geomcode.sim.LdpcCode.from_parity
+    monkeypatch.setattr(geomcode.sim.LdpcCode, "from_parity",
+                        staticmethod(lambda h: parities.append(h) or from_parity(h)))
+    outputs = []
+    for patched in (False, True):
+        if patched:
+            for name in ("translation", "scaling"):
+                monkeypatch.setattr(constructions.IncidenceStructure, name, None)
+        calls.clear()
+        parities.clear()
+        out = tmp_path / str(patched) / "ber.csv"
+        out.parent.mkdir()
+        assert run(["simulate", "--in", alist, "--ebno", "3", "--max-iters", 5,
+                    "--max-frames", 4, "--threads", 1, "--out", out]) == status
+        assert capsys.readouterr().err == stderr
+        assert len(calls) == (1 if patched else eliminations)
+        assert len(parities) == (patched or source in ("rook", "random", "zero"))
+        outputs.append([p.read_bytes() if p.exists() else None
+                        for p in (out, tmp_path / str(patched) / "ber.csv.manifest.json")])
+    assert outputs[0] == outputs[1] and (outputs[0][0] is not None) == (status == 0)
+
+
 @pytest.mark.parametrize("bad", [["--max-iters", 0], ["--max-frames", 0],
                                  ["--min-frame-errors", 0], ["--ebno", "5:1:3"],
                                  ["--threads", 0], ["--seed", -1]],
                          ids=lambda bad: bad[0].lstrip("-"))
 def test_simulate_validates_before_reading(tmp_path, monkeypatch, capsys, bad):
     # the grid, the channel config and the thread count need no code, so they
-    # are checked before the alist is read and its rank eliminated
+    # are checked before the alist is read and its rank taken
     def unread(path):
         raise AssertionError(f"read_alist({path}) called")
 

@@ -291,22 +291,9 @@ def test_scaling_patched_off_gives_the_same_report():
             == json.dumps(build_analysis_report(ic), sort_keys=True))
 
 
-def _rooks_graph(q: int) -> BinaryMatrix:
-    """The rook's graph L2(q - 1) as blocks of 2 on the conic points (1, x, y),
-    point (x-1)(q-1) + (y-1): (x, y) and (x', y') are a block iff they share
-    x or y.  The scalings permute its blocks, t + 1 = 2(q - 2) is even, and
-    its Gram parity, the bool A, folds to 0: rank_2 A = 2(q - 2) < v."""
-    n = q - 1
-    pts = np.arange(n * n).reshape(n, n)
-    i, j = np.triu_indices(n, 1)
-    pairs = np.concatenate([np.stack([pts[i], pts[j]], -1).reshape(-1, 2),        # one y
-                            np.stack([pts[:, i], pts[:, j]], -1).reshape(-1, 2)])  # one x
-    return BinaryMatrix(pairs.ravel(), np.repeat(np.arange(len(pairs)), 2), (n * n, len(pairs)))
-
-
 @pytest.mark.parametrize("q", [5, 7, 9, 11])
 def test_deficient_fold_falls_back_to_the_point_graph(q):
-    m = _rooks_graph(q)
+    m = oracles.rooks_graph(q)
     ic = IncidenceStructure("file", None, m)
     assert ic.scaling is not None and ic.translation is None
     assert ic.group_ranks is None
@@ -322,7 +309,7 @@ def test_deficient_fold_refused_before_the_point_graph(monkeypatch):
     # fallback's 1.6 v^2 = 16,000 does not, and is refused before A is formed
     monkeypatch.setattr(geomcode.constructions.os, "sysconf",
                         lambda name: 1 if name == "SC_PHYS_PAGES" else 4096)
-    ic = IncidenceStructure("file", None, _rooks_graph(11))
+    ic = IncidenceStructure("file", None, oracles.rooks_graph(11))
     assert ic.group_ranks is None  # the fold, charged in full, fits and is singular
     with pytest.raises(ValueError, match="^the analysis of 100 points needs about "):
         build_analysis_report(ic)
