@@ -1,9 +1,10 @@
 """Batch command-line interface.
 
-Subcommands: construct | analyze | random-code | simulate.  Every output
-file is accompanied by a ``<file>.manifest.json`` recording the command,
-its full parameter map, the tool version and the SHA-256 of each output,
-so a run can be reproduced and verified byte for byte.
+Subcommands: construct | analyze | random-code | simulate.  Each command
+writes one ``<out>.manifest.json`` beside its ``--out`` file, recording the
+command, its full parameter map, the tool version and the SHA-256 of every
+file it wrote (for ``construct --labels``, the labels file too), so a run
+can be reproduced and verified byte for byte.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out: Path, command: str, params: dict) -> None:
+def _write_manifest(out: Path, command: str, params: dict, *also: Path) -> None:
     manifest = {
         "command": command,
         "params": params,
         "version": __version__,
-        "outputs": {out.name: _sha256(out)},
+        "outputs": {path.name: _sha256(path) for path in (out, *also)},
     }
     Path(f"{out}.manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -172,9 +173,9 @@ def _file_stages(ic: IncidenceStructure, report: dict) -> list[str]:
     failures = []
 
     # the axioms hold, so M M^T = A + (t+1)I: mod 2, A with t+1 on the
-    # diagonal, eliminated unless the certified group gives its rank
-    if ic.group_ranks is not None:
-        report["rank2_MMT"] = ic.group_ranks[1]
+    # diagonal, eliminated unless a certified group gives its rank
+    if (bp := ic.base_point) is not None:
+        report["rank2_MMT"] = bp.ranks[1]
     else:
         parity = np.packbits(ic.adjacency, axis=1)
         if params.t % 2 == 0:
@@ -216,16 +217,18 @@ def _file_stages(ic: IncidenceStructure, report: dict) -> list[str]:
 def _cmd_construct(args: argparse.Namespace) -> int:
     ic = _build_structure(args.family, args.field, args.modulus)
     out = Path(args.out)
+    labels = [Path(args.labels)] if args.labels else []
     write_alist(ic.matrix, out)
-    _write_manifest(out, "construct", {
-        "family": args.family, "field": args.field, "modulus": args.modulus,
-    })
-    if args.labels:
+    if labels:
         points, blocks = getattr(constructions, FAMILIES[args.family][1])(ic.field)
         # tuples go out as arrays, a hyperbolic block as {"B": ..., "C": ...}
         blocks = [b._asdict() if isinstance(b, HyperbolicLabel) else b for b in blocks]
-        Path(args.labels).write_text(json.dumps(
+        labels[0].write_text(json.dumps(
             {"points": points, "blocks": blocks}, sort_keys=True) + "\n", encoding="utf-8")
+    _write_manifest(out, "construct", {
+        "family": args.family, "field": args.field, "modulus": args.modulus,
+        "labels": args.labels,
+    }, *labels)
     print(f"wrote {ic.v}x{ic.n} incidence matrix to {out}")
     return 0
 

@@ -31,10 +31,11 @@ A group acts regularly on each structure's points, mapping blocks to
 blocks: the scalings (x, y) -> (αx, βy), taking conic (a, b) to (aβ, bα),
 and the translations of N's digits, whose cosets are the hyperbolic blocks.
 `IncidenceStructure.translation` and `scaling` certify either exactly from
-the matrix, so an alist read back qualifies too; `base_point` then gives
-every count of the analysis from point 0, and `group_ranks` both ranks,
-from which `sim.LdpcCode.from_structure` takes the code's rank for
-`analyze` and `simulate` alike, with no elimination of the matrix.
+the matrix, so an alist read back qualifies too, and only when the group
+also gives both GF(2) ranks.  `base_point` then answers every count of the
+analysis from point 0 and carries the ranks, from which
+`sim.LdpcCode.from_structure` takes the code's rank for `analyze` and
+`simulate` alike, with no elimination of the matrix.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class BasePoint(NamedTuple):
     """A certified group that acts regularly on the points and maps blocks
     to blocks: every count of the analysis is v times that of point 0."""
 
-    group: tuple[int, int] | np.ndarray  # (p, e) of GF(p)^e's translations; scalings: g^i x0 by i
+    ranks: tuple[int, int]   # (rank_2 M, rank_2 M M^T), from the group
     through: np.ndarray      # r x w: the blocks through point 0, ascending
     joined: np.ndarray       # bool, per point: joined to point 0
     base_counts: np.ndarray  # per block B, |B ∩ N(0)|: its points joined to point 0
@@ -125,12 +126,11 @@ class IncidenceStructure:
     def adjacency(self) -> np.ndarray:
         """The bool point graph, joining two points iff they share a block:
         each point of a block is paired with the one d places later, for every
-        offset d, in both orientations.  Charged first: 11 v^2 bytes for the
-        dense analysis (A, the float32 A and A^2, two masks), or 1.6 v^2 for
-        a certified group's singular fold (A, its parity, the pivots)."""
+        offset d, in both orientations.  Formed only when no group is
+        certified, and charged first 11 v^2 bytes for the dense analysis (A,
+        the float32 A and A^2, two masks)."""
         v, m = self.v, self.matrix
-        refuse_peak((11 if self.base_point is None else 1.6) * v * v,
-                    f"the analysis of {v:,} points")
+        refuse_peak(11 * v * v, f"the analysis of {v:,} points")
         pts, cols = m.by_column()  # the points of block 0, then of block 1, ...; ascending in each
         adj = np.zeros((v, v), dtype=bool)
         for d in range(1, int(m.column_weights().max())):
@@ -138,22 +138,6 @@ class IncidenceStructure:
             i, j = pts[:-d][same], pts[d:][same]
             adj[i, j] = adj[j, i] = True
         return adj
-
-    @cached_property
-    def group_ranks(self) -> tuple[int, int] | None:
-        """(rank_2 M, rank_2 M M^T) from the certified group, or None: by
-        `gf2.character_ranks` under the translations; under the scalings (v, v)
-        if the Gram parity A + rI folds to a unit (`gf2.folds_to_unit` of point
-        0's row at (g^i x, g^j y)), charged m^4 / 8 bytes, q - 1 = 2^a m, m odd."""
-        if (tr := self.translation) is not None:
-            return character_ranks(*tr.group, tr.through)
-        if (sc := self.scaling) is None:
-            return None
-        q1 = len(sc.group)
-        refuse_peak((q1 // (q1 & -q1)) ** 4 / 8, f"the analysis of {self.v:,} points")
-        row = sc.joined[sc.group[:, None] * q1 + sc.group]
-        row[0, 0] = len(sc.through) % 2
-        return (self.v, self.v) if folds_to_unit(row) else None
 
     @cached_property
     def four_cycle(self) -> tuple[tuple[int, int], int] | None:
@@ -208,7 +192,8 @@ class IncidenceStructure:
         exact, in O(n w), streamed over chunks of blocks: the blocks through
         point 0, the W_i, meet only in 0 and are closed under subtraction;
         every block P, ascending, has P - P[0] in the W_i holding P[1] - P[0];
-        the pairs (i, P[0]) are distinct and number n = r v / w."""
+        the pairs (i, P[0]) are distinct and number n = r v / w.  Both ranks
+        are then a character count (`gf2.character_ranks`)."""
         v = self.v
         p = next((d for d in range(3, math.isqrt(v) + 1, 2) if v % d == 0), 0) if v % 2 else 0
         e = round(math.log(v, p)) if p else 0
@@ -234,7 +219,7 @@ class IncidenceStructure:
         keys = np.sort(np.concatenate(first) * v + blocks[:, 0])
         if (keys[1:] == keys[:-1]).any():
             return None
-        return BasePoint((p, e), *self._base[1:])
+        return BasePoint(character_ranks(p, e, subgroups), *self._base[1:])
 
     @cached_property
     def scaling(self) -> BasePoint | None:
@@ -246,12 +231,15 @@ class IncidenceStructure:
         so name each block; (x, y) -> (gx, y) and (x, y) -> (x, gy), g of
         order q - 1, map each block, sorted, to the block its first two
         points name, whole rows compared; the blocks through point 0 meet
-        only in 0.  The scalings then act regularly on the points."""
+        only in 0.  The scalings then act regularly on the points, and the
+        Gram parity A + rI is a group matrix: certified only if it folds to a
+        unit (`gf2.folds_to_unit` of point 0's row at (g^i x, g^j y)), charged
+        m^4 / 8 bytes, q - 1 = 2^a m, m odd; then both ranks are v."""
         v, q1 = self.v, math.isqrt(self.v)
         f = None if q1 * q1 != v or self._base is None else self.field or _builtin_field(q1 + 1)
         if f is None or f.q != q1 + 1:
             return None
-        blocks = self._base[0]
+        blocks, through, joined = self._base[:3]
         keys, order = np.unique(blocks[:, 0] * v + blocks[:, 1], return_index=True)
         if len(keys) < self.n:
             return None
@@ -265,8 +253,11 @@ class IncidenceStructure:
             at = np.minimum(np.searchsorted(keys, image[:, 0] * v + image[:, 1]), len(keys) - 1)
             if not np.array_equal(blocks[order[at]], image):
                 return None
+        refuse_peak((q1 // (q1 & -q1)) ** 4 / 8, f"the analysis of {v:,} points")
         logs = np.fromiter(itertools.accumulate(range(q1 - 1), lambda c, _: g[c], initial=0), int)
-        return BasePoint(logs, *self._base[1:])
+        row = joined[logs[:, None] * q1 + logs]
+        row[0, 0] = len(through) % 2
+        return BasePoint((v, v), *self._base[1:]) if folds_to_unit(row) else None
 
     @cached_property
     def census(self) -> np.ndarray:

@@ -70,13 +70,14 @@ class LdpcCode:
     @classmethod
     def from_structure(cls, ic: IncidenceStructure, gram_rank: int | None = None) -> "LdpcCode":
         """The code of ic's matrix, the one rank decision of `analyze` and
-        `simulate`: rank_2 M from the certified group's `group_ranks`, else
-        `gram_rank`, the eliminated rank_2 M M^T, if it is min(v, n) (over any
-        field rank(M M^T) <= rank(M) <= min(v, n)), else by `from_parity`."""
-        ranks = ic.group_ranks
-        if ranks is None and gram_rank != min(ic.v, ic.n):
+        `simulate`: rank_2 M from the certified group (`base_point.ranks`),
+        else `gram_rank`, the eliminated rank_2 M M^T, if it is min(v, n) (over
+        any field rank(M M^T) <= rank(M) <= min(v, n)), else by `from_parity`."""
+        if (bp := ic.base_point) is not None:
+            return cls(ic.matrix, ic.n - bp.ranks[0])
+        if gram_rank != min(ic.v, ic.n):
             return cls.from_parity(ic.matrix)
-        return cls(ic.matrix, ic.n - (gram_rank if ranks is None else ranks[0]))
+        return cls(ic.matrix, ic.n - gram_rank)
 
     @classmethod
     def from_parity(cls, h: BinaryMatrix) -> "LdpcCode":

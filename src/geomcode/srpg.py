@@ -4,16 +4,13 @@ for point-block incidence structures.
 The point graph joins two points iff they share a block; for a structure
 satisfying the pairwise axiom, M M^T = A + (t+1)I.  A structure whose
 translations or conic scalings are certified (``IncidenceStructure.
-base_point``) is read from point 0 alone, with no A^2 and, unless the
-group leaves its ranks open (``group_ranks`` is None), no A: axiom (i)
+base_point``) is read from point 0 alone, with no A or A^2: axiom (i)
 holds, the census is v times that of point 0, and strong regularity is
-scanned on its rows of A and A^2, pass or fail.  Any other structure sets
-its bool adjacency A once, straight from the point pairs of each block,
-and tests axiom (i) by counting (``IncidenceStructure.adjacency``, which
-charges its path's peak before it forms A, and ``four_cycle``): no integer
-M M^T is formed, and A^2 only by the strong-regularity check, whose scan
-is the same on all rows.  The tests cross-check both paths against the
-integer Gram matrix and the direct definitions.
+scanned on point 0's rows of A and A^2, pass or fail.  Any other
+structure sets its bool adjacency A once (``IncidenceStructure.adjacency``,
+charged before it is formed), tests axiom (i) by counting (``four_cycle``)
+and forms A^2 only to scan strong regularity.  The tests cross-check both
+paths against the dense oracle.
 
 The alpha set comes from one histogram (``IncidenceStructure.census``):
 bin c counts the (point, block) pairs, the point off the block, with c of

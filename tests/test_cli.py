@@ -82,8 +82,8 @@ def test_construct_writes_alist_and_manifest(tmp_path, hyp3):
     assert run(["construct", "--family", "hyperbolic", "--field", "3", "--out", out]) == 0
     assert read_alist(out) == hyp3.matrix
     manifest = json.loads((tmp_path / "H.alist.manifest.json").read_text())
-    assert manifest["command"] == "construct"
-    assert manifest["outputs"]["H.alist"] == hashlib.sha256(out.read_bytes()).hexdigest()
+    assert manifest["command"] == "construct" and manifest["params"]["labels"] is None
+    assert manifest["outputs"] == {"H.alist": hashlib.sha256(out.read_bytes()).hexdigest()}
 
 
 def test_construct_rejects_even_field(tmp_path):
@@ -516,7 +516,7 @@ CONIC_REFUSAL = ("refusing to simulate: parity-check matrix has full column rank
     ("hyperbolic-3", 0, 0, ""),                      # the character count
     ("conic-5^2", 2, 1, CONIC_REFUSAL.format(576)),  # the fold, of full rank
     ("conic-3^3", 2, 1, CONIC_REFUSAL.format(676)),
-    ("rook", 0, 2, ""),     # a singular fold, then H: the rook's graph L2(10)
+    ("rook", 0, 2, ""),     # a singular fold, so no group, then H: the rook's graph L2(10)
     ("random", 0, 1, ""),   # certifies no group
     ("zero", 2, 1, "refusing to simulate: parity-check matrix has rank 0, "
                    "the code is all of GF(2)^3\n"),
@@ -598,6 +598,12 @@ def test_construct_label_export(tmp_path):
     data = json.loads(labels.read_text())
     assert data["points"][0] == [1, 1, 1] and len(data["points"]) == 16
     assert data["blocks"][0] == [1, 1] and len(data["blocks"]) == 16
+    # one manifest, beside the alist, lists both outputs and the --labels path
+    manifest = json.loads((tmp_path / "c.alist.manifest.json").read_text())
+    assert manifest["outputs"] == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                   for p in (out, labels)}
+    assert manifest["params"]["labels"] == str(labels)
+    assert not (tmp_path / "c.labels.json.manifest.json").exists()
 
 
 def test_construct_extension_field(tmp_path):

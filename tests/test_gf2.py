@@ -171,8 +171,8 @@ def test_character_ranks_match_elimination(hyp3, drop):
     m = BinaryMatrix(rows[keep], cols[keep] - 27 * drop, (81, 648 - 27 * drop))
     tr = IncidenceStructure("file", None, m).translation
     assert len(tr.through) == 24 - drop
-    assert character_ranks(*tr.group, tr.through) == (rank2(packbits(m)),
-                                                          rank2(packbits(gram_mod2(m))))
+    assert tr.ranks == character_ranks(3, 4, tr.through) == (rank2(packbits(m)),
+                                                             rank2(packbits(gram_mod2(m))))
 
 
 def group_matrix(f):

@@ -227,19 +227,22 @@ def test_certified_mu_failure_forms_no_point_graph(tmp_path):
 
 
 def test_scaling_certified_failure_matches_oracle():
-    # over GF(7), g = 3: the blocks {(x, y), (gx, g^2 y)} on the conic points
-    # (1, x, y), which the scalings permute; the point graph is six 6-cycles
-    def point(x, y):
-        return (x - 1) * 6 + y - 1
+    # over GF(11), g = 2: the base block {(0, 0), (0, 1), (1, 0)} in discrete-log
+    # coordinates, scaled by the whole group, on the conic points (1, x, y); the
+    # scalings permute its blocks and its Gram parity folds to a unit, so it is
+    # certified, and point 0's row files the mu witness with no point graph
+    def point(i, j):
+        return (pow(2, i, 11) - 1) * 10 + pow(2, j, 11) - 1
 
-    m = _blocks([(point(x, y), point(3 * x % 7, 2 * y % 7))
-                 for x in range(1, 7) for y in range(1, 7)], 36)
+    m = _blocks([sorted(point(i + di, j + dj) for di, dj in ((0, 0), (0, 1), (1, 0)))
+                 for i in range(10) for j in range(10)], 100)
     ic = IncidenceStructure("file", None, m)
     assert ic.scaling is not None and ic.translation is None
+    assert ic.base_point.ranks == (100, 100)
     rep = build_analysis_report(ic)
     assert "adjacency" not in ic.__dict__
     _assert_same(rep, oracles.report(m))
-    assert rep["failures"] == ["mu not constant: pair (0, 9) has 1, expected 0"]
+    assert rep["failures"] == ["mu not constant: pair (0, 4) has 0, expected 1"]
 
 
 CONICS = {"conic5": (5, 1), "conic7": (7, 1), "conic9": (3, 2), "conic25": (5, 2),
@@ -256,10 +259,6 @@ def test_scaling_report_matches_dense(tmp_path, monkeypatch, name, read_back):
     if read_back:  # certified over the built-in field of q = sqrt(v) + 1
         write_alist(m, tmp_path / "c.alist")
         family, field, m = "file", None, read_alist(tmp_path / "c.alist")
-    ic = IncidenceStructure(family, field, m)
-    swapped = IncidenceStructure(family, field, oracles.swapped(m))
-    assert ic.scaling is not None and ic.translation is None
-    assert swapped.base_point is None
     calls = []
 
     def counted(packed):
@@ -268,9 +267,13 @@ def test_scaling_report_matches_dense(tmp_path, monkeypatch, name, read_back):
 
     for module in (geomcode.cli, geomcode.sim, geomcode.gf2):
         monkeypatch.setattr(module, "rank2", counted)
+    ic = IncidenceStructure(family, field, m)
+    swapped = IncidenceStructure(family, field, oracles.swapped(m))
+    assert ic.scaling is not None and ic.translation is None
+    assert swapped.base_point is None
     rep = build_analysis_report(ic)
     assert "adjacency" not in ic.__dict__
-    assert len(calls) == 1  # the fold of the Gram parity, of full rank, which settles both ranks
+    assert len(calls) == 1  # the certificate's fold of the Gram parity, of full rank
     gram = oracles.gram_counts(m)
     np.fill_diagonal(gram, 0)
     assert np.array_equal(ic.adjacency, gram > 0)
@@ -293,24 +296,25 @@ def test_scaling_patched_off_gives_the_same_report():
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11])
 def test_deficient_fold_falls_back_to_the_point_graph(q):
+    # the scalings permute the rook's graph's blocks, but its Gram parity folds
+    # to 0: no group answers its ranks, so it is not certified and runs dense
     m = oracles.rooks_graph(q)
     ic = IncidenceStructure("file", None, m)
-    assert ic.scaling is not None and ic.translation is None
-    assert ic.group_ranks is None
+    assert ic.base_point is None and ic.scaling is None and ic.translation is None
     rep = build_analysis_report(ic)
-    assert "adjacency" in ic.__dict__  # the fallback's elimination
+    assert "adjacency" in ic.__dict__
     _assert_same(rep, oracles.report(m))
     assert rep["checks_passed"] and rep["rank2_MMT"] == 2 * (q - 2)
     assert rep["srg"] == {"k": 2 * (q - 2), "lambda": q - 3, "mu": 2}
 
 
 def test_deficient_fold_refused_before_the_point_graph(monkeypatch):
-    # 4 KiB of physical memory: the fold's m^4 / 8 = 78 bytes (m = 5) fits, the
-    # fallback's 1.6 v^2 = 16,000 does not, and is refused before A is formed
+    # 4 KiB of physical memory: the fold's m^4 / 8 = 78 bytes (m = 5) fits and
+    # is singular, so the dense path's 11 v^2 = 110,000 is charged before A
     monkeypatch.setattr(geomcode.constructions.os, "sysconf",
                         lambda name: 1 if name == "SC_PHYS_PAGES" else 4096)
     ic = IncidenceStructure("file", None, oracles.rooks_graph(11))
-    assert ic.group_ranks is None  # the fold, charged in full, fits and is singular
+    assert ic.base_point is None
     with pytest.raises(ValueError, match="^the analysis of 100 points needs about "):
         build_analysis_report(ic)
     assert "adjacency" not in ic.__dict__
@@ -341,8 +345,8 @@ def test_gram_fold_matches_dense_elimination(tmp_path, name, read_back):
     if read_back:
         write_alist(m, tmp_path / "c.alist")
         family, field, m = "file", None, read_alist(tmp_path / "c.alist")
-    # invertible, as on every conic tried
-    assert IncidenceStructure(family, field, m).group_ranks == (m.nrows, m.nrows)
+    # invertible, as on every conic tried, so every conic certifies
+    assert IncidenceStructure(family, field, m).base_point.ranks == (m.nrows, m.nrows)
     assert rank2(np.packbits(oracles.gram_counts(m) % 2, axis=1)) == m.nrows
 
 
