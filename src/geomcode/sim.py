@@ -35,7 +35,6 @@ from .gf2 import PACK_CHUNK_BYTES, BinaryMatrix, rank2
 
 LLR_CLAMP = 30.0
 SWEEP_MIN_CHECKS = 128  # slab width from which the row sweep beats accumulate
-CLIP_MIN_SIZE = 8192    # array size from which np.clip beats two ufunc calls
 MAX_RETRIES = 200     # redraws of a band permutation that makes a 4-cycle
 WILSON_Z = 1.959964   # the 97.5% normal quantile, for 95% intervals
 
@@ -186,7 +185,7 @@ class SumProductDecoder:
 
         # the clamp commutes with the gather: n clamps per frame, not one per cell
         posterior[:] = llrs
-        _clamp(posterior, LLR_CLAMP)
+        posterior.clip(-LLR_CLAMP, LLR_CLAMP, out=posterior)
         # every index is in range; mode="clip" spares take a checked copy of out
         post.take(var_of, out=vc, mode="clip")
         with np.errstate(divide="ignore"):
@@ -209,7 +208,7 @@ class SumProductDecoder:
                 # |cv| > 1 - 1e-15 has 2 artanh(|cv|) > 35.2, clamped to 30 as well
                 np.arctanh(cv, out=cv)
                 multiply(cv, 2.0, cv)
-                _clamp(cv, LLR_CLAMP)
+                cv.clip(-LLR_CLAMP, LLR_CLAMP, out=cv)
 
                 # variable update: sums in row-major edge order, then decisions
                 cv_cells.take(table, out=gathered, mode="clip")
@@ -225,18 +224,8 @@ class SumProductDecoder:
                         and np.count_nonzero(posterior) == n):
                     return np.less(posterior, 0.0).view(np.uint8), it, True
                 np.subtract(vc, cv, out=vc)
-                _clamp(vc, LLR_CLAMP)
+                vc.clip(-LLR_CLAMP, LLR_CLAMP, out=vc)
         return np.less(posterior, 0.0).view(np.uint8), max_iter, False
-
-
-def _clamp(x: np.ndarray, bound: float) -> None:
-    """np.clip(x, -bound, bound, out=x); x holds no NaN.  Below CLIP_MIN_SIZE
-    elements two ufunc calls beat np.clip's wrapper, above it its single pass."""
-    if x.size >= CLIP_MIN_SIZE:
-        np.clip(x, -bound, bound, out=x)
-    else:
-        np.maximum(x, -bound, out=x)
-        np.minimum(x, bound, out=x)
 
 
 def noise_sigma(ebn0_db: float, rate: float) -> float:
@@ -286,26 +275,38 @@ def random_regular_h(m: int, n: int, w_col: int, w_row: int, seed: int) -> LdpcC
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rpb = m // w_col  # rows per band; equals n // w_row
-    # the bands and the matrix: 80 bytes per one, and rpb^2 keys per 4-cycle test
-    refuse_peak(80 * n * w_col + 8 * rpb * rpb * (w_col > 1), f"the random {m:,} x {n:,} code")
+    # the bands, the matrix and the sorted keys of a 4-cycle test: 80 bytes
+    # per one (tracemalloc peaks: about 52 per one at 1,000 to 30,000 columns)
+    refuse_peak(80 * n * w_col, f"the random {m:,} x {n:,} code")
     rng = np.random.default_rng(seed)
 
     groups = [np.arange(n) // w_row]  # the row within its band of each column
+    # two columns in one row of a band and of an earlier one make a 4-cycle:
+    # a repeated key, earlier row * rpb + this row; with one column per row
+    # there is no such pair, so no band is tested and no key kept
+    key = np.min_scalar_type(rpb * rpb)  # the narrowest type of the keys sorts fastest
+    scaled = [(groups[0] * rpb).astype(key)] if w_row > 1 else []  # each band's rows times rpb
     clean = True
     for _ in range(1, w_col):
         for _ in range(MAX_RETRIES + 1):
             g = rng.permutation(n) // w_row
-            # two columns in one row of this band and of an earlier one make a
-            # 4-cycle; with one column per row there is no such pair
-            if w_row == 1 or all(np.bincount(prev * rpb + g).max() <= 1 for prev in groups):
+            if all(_distinct(g.astype(key) + s) for s in scaled):
                 break
         else:
             clean = False
         groups.append(g)
+        if scaled:
+            scaled.append((g * rpb).astype(key))
 
     rows = np.concatenate([band * rpb + g for band, g in enumerate(groups)])
     h = BinaryMatrix(rows, np.tile(np.arange(n), w_col), (m, n))
     return replace(LdpcCode.from_parity(h), four_cycle_free=clean)
+
+
+def _distinct(keys: np.ndarray) -> bool:
+    """Whether no value repeats in keys, which are sorted in place."""
+    keys.sort()
+    return not (keys[1:] == keys[:-1]).any()
 
 
 @dataclass(frozen=True)

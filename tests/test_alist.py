@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import oracles
 from geomcode import alist, constructions
 from geomcode.alist import read_alist, write_alist
 from geomcode.cli import main
+from geomcode.fields import field_from_string
+from geomcode.gf2 import BinaryMatrix
 from geomcode.sim import random_regular_h
 from oracles import matrix
 
@@ -153,6 +156,37 @@ def test_writer_matches_per_line_writer_on_wide_and_random_codes(tmp_path):
     _assert_written_alike(random_regular_h(81, 648, 3, 24, seed=7).h, tmp_path)
     # indices of one to six digits, and empty columns among them
     _assert_written_alike(matrix(np.arange(123_457)[None, :] % 997 == 5), tmp_path)
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (1, 10), (1, 99), (1, 100), (10, 1), (1, 9_999),
+                                   (1, 10_000), (3, 100_000)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_writer_matches_per_line_writer_at_digit_boundaries(tmp_path, shape):
+    # max(n, m) below and at each digit boundary; the row lines of 3 x 100,000
+    # hold indices of one to six digits
+    rng = np.random.default_rng(shape[0] * shape[1])
+    for density in (0.3, 1.0):
+        _assert_written_alike(matrix(rng.random(shape) < density), tmp_path)
+    _assert_written_alike(matrix(np.zeros(shape, dtype=bool)), tmp_path)
+    lines = (tmp_path / "new.alist").read_text().splitlines()
+    assert lines[1] == "0 0" and lines[4:] == ["0"] * sum(shape)  # every index line a single 0
+
+
+def test_writer_peak_stays_under_its_charge(tmp_path, monkeypatch):
+    # fresh matrices, so the trace includes the column order the writer
+    # forms; measured peaks per charged token: 25.7 (hyperbolic q=5), 24.5
+    # (conic 3^3) and 27.8 (one column of 300,000 ones), charged 42, 36 and 45
+    charged, column = [], np.arange(300_000)
+    monkeypatch.setattr(alist, "refuse_peak", lambda peak, what: charged.append(peak))
+    for h in (constructions.build_hyperbolic_structure(field_from_string("5")).matrix,
+              constructions.build_conic_structure(field_from_string("3^3")).matrix,
+              BinaryMatrix(column, np.zeros_like(column), (300_000, 1))):
+        tracemalloc.start()
+        try:
+            write_alist(h, tmp_path / "h.alist")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charged[-1]
 
 
 def _lines(text):

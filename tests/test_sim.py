@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -196,6 +197,20 @@ def test_random_regular_one_column_per_row_skips_the_band_test():
     code = random_regular_h(20000, 1, 20000, 1, seed=0)
     assert code.four_cycle_free
     assert np.array_equal(dense(code.h), np.ones((20000, 1), dtype=np.uint8))
+
+
+def test_random_regular_four_cycle_test_forms_no_rows_per_band_squared_array():
+    # 10,000 rows per band: counting the keys of each band pair in an rpb^2
+    # array peaked at 801 MB; sorting the 30,000 keys peaks at 58 MB, most
+    # of it the elimination that takes the rank
+    tracemalloc.start()
+    try:
+        code = random_regular_h(20000, 30000, 2, 3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.four_cycle_free and code.dimension == 10001
+    assert peak < 100 * 2**20
 
 
 def test_random_regular_four_cycle_flag_large():
