@@ -34,13 +34,13 @@ def write_alist(h: BinaryMatrix, path: str | Path) -> None:
     byte table padded with NUL, every token gathers its row, and one
     bytes.translate drops the padding.  Refused before the first array if it
     would not fit: the tokens number at most 2 (n + m + ones) + 4, and each
-    is charged 24 bytes plus 3 per digit place.  Tracemalloc peaks per
-    charged token, the matrix's column order formed inside: 25.7 at
-    hyperbolic q=5 (charged 42), 24.5 at conic 3^3 (36), 27.8 for a
-    300,000-row column (45)."""
+    is charged 24 bytes plus 3 per digit place, on top of 8 KiB for numpy's
+    fixed overheads.  Tracemalloc peaks per charged token, the matrix's
+    column order formed inside: 25.7 at hyperbolic q=5 (charged 42), 24.5 at
+    conic 3^3 (36), 27.8 for a 300,000-row column (45)."""
     m, n = h.nrows, h.cols
     top = len(str(max(n, m)))  # digit places of the largest value
-    refuse_peak((24 + 3 * (top + 1)) * (2 * (n + m + h.nonzero()[0].size) + 4),
+    refuse_peak(8192 + (24 + 3 * (top + 1)) * (2 * (n + m + h.nonzero()[0].size) + 4),
                 f"writing the {m:,} x {n:,} matrix as alist")
     cols, col_w, row_w = h.nonzero()[1], h.column_weights(), h.row_weights()
     lengths = np.concatenate(([2, 2, n, m], col_w, row_w))  # tokens per line

@@ -232,9 +232,9 @@ class IncidenceStructure:
         order q - 1, map each block, sorted, to the block its first two
         points name, whole rows compared; the blocks through point 0 meet
         only in 0.  The scalings then act regularly on the points, and the
-        Gram parity A + rI is a group matrix: certified only if it folds to a
-        unit (`gf2.folds_to_unit` of point 0's row at (g^i x, g^j y)), charged
-        m^4 / 8 bytes, q - 1 = 2^a m, m odd; then both ranks are v."""
+        Gram parity A + rI is a group matrix: certified only if it is invertible
+        (`gf2.folds_to_unit` of point 0's row at (g^i x, g^j y), which eliminates
+        m x m circulants, q - 1 = 2^a m, m odd); then both ranks are v."""
         v, q1 = self.v, math.isqrt(self.v)
         f = None if q1 * q1 != v or self._base is None else self.field or _builtin_field(q1 + 1)
         if f is None or f.q != q1 + 1:
@@ -253,7 +253,6 @@ class IncidenceStructure:
             at = np.minimum(np.searchsorted(keys, image[:, 0] * v + image[:, 1]), len(keys) - 1)
             if not np.array_equal(blocks[order[at]], image):
                 return None
-        refuse_peak((q1 // (q1 & -q1)) ** 4 / 8, f"the analysis of {v:,} points")
         logs = np.fromiter(itertools.accumulate(range(q1 - 1), lambda c, _: g[c], initial=0), int)
         row = joined[logs[:, None] * q1 + logs]
         row[0, 0] = len(through) % 2

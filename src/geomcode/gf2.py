@@ -134,14 +134,21 @@ def folds_to_unit(f: np.ndarray) -> bool:
     """Whether the group matrix F[x, y] = f[y - x] over G = (Z_n)^2 of the n x n
     0/1 array f is invertible over GF(2).  With n = 2^a m, m odd, G = P x H for
     P = (Z_{2^a})^2 and H = (Z_m)^2; the augmentation ideal of the 2-group P is
-    nilpotent in GF(2)[G] = GF(2)[H][P], so F is invertible iff the group matrix
-    F' over H of f summed over each h + P is (Passman 1977).  Its m^2 rows go
-    to `rank2` m at a time: only the pivots, m^4 / 8 bytes, live on."""
+    nilpotent in GF(2)[G] = GF(2)[H][P], so F is invertible iff f read mod m is
+    a unit of GF(2)[H] (Passman 1977), which is semisimple: iff no character of
+    H vanishes on it.  Those of k(i, j), k in Z_m, are c(z^k), z^m = 1, for c[d]
+    = |{f[a, b] = 1 : ia + jb = d mod m}| mod 2: all nonzero iff c's circulant
+    has rank m, since x^m - 1 has m distinct roots (Imai 1977)."""
     m = len(f) // (len(f) & -len(f))
-    fold = f.reshape(len(f) // m, m, -1, m).sum(axis=(0, 2)) % 2  # i + P is i mod m
-    d = (np.arange(m) - np.arange(m)[:, None]) % m  # F'[(h, h'), (k, l)] = fold[d[h, k], d[h', l]]
-    return rank2(np.packbits(fold[d[h][None, :, None], d[:, None, :]].reshape(m, -1), axis=1)
-                 for h in range(m)) == m * m
+    (a, b), k, seen = np.nonzero(f), np.arange(m), np.zeros((m, m), dtype=bool)
+    d = (k - k[:, None]) % m  # the circulant of c is c[d]
+    for i, j in np.ndindex(m, m):  # one (i, j) per cyclic subgroup not yet seen
+        if not seen[i, j]:
+            seen[k * i % m, k * j % m] = True
+            c = np.bincount((i * a + j * b) % m, minlength=m) % 2
+            if rank2(np.packbits(c[d], axis=1)) < m:
+                return False
+    return True
 
 
 def character_ranks(p: int, e: int, subgroups: np.ndarray) -> tuple[int, int]:

@@ -71,13 +71,11 @@ def tanner_girth(ic: IncidenceStructure) -> float:
         adj[n + i].append(j)
 
     best = math.inf
-    dist = [-1] * (n + m)
     parent = [-1] * (n + m)
     for src in range(n):
         if not adj[src]:
             continue
-        for node in range(n + m):
-            dist[node] = -1
+        dist = [-1] * (n + m)
         dist[src] = 0
         parent[src] = -1
         queue = deque([src])

@@ -526,6 +526,28 @@ def dense_rank_mod2(a: np.ndarray) -> int:
     return r
 
 
+def folds_to_unit_by_power(f: np.ndarray) -> bool:
+    """Independent oracle for gf2.folds_to_unit: f summed onto H = (Z_m)^2
+    (n = 2^a m, m odd) is a unit of GF(2)[H], a product of fields GF(2^t) with
+    t dividing s = ord_m(2), iff its (2^s - 1)-th power, the product of its
+    2^t-th powers for t < s, is 1.  Squaring doubles the indices (the ring is
+    commutative of characteristic 2); products are cyclic convolutions by
+    FFT, exact after rint since no entry exceeds m^2."""
+    n = len(f)
+    m = n // (n & -n)
+    fold = f.reshape(n // m, m, -1, m).sum(axis=(0, 2)) % 2
+    s = next(s for s in range(1, m + 1) if pow(2, s, m) == 1 % m)
+    one, twice = np.zeros((m, m), dtype=np.int64), 2 * np.arange(m) % m
+    one[0, 0] = 1
+    power, square = one, fold
+    for _ in range(s):
+        product = np.fft.ifft2(np.fft.fft2(power) * np.fft.fft2(square)).real
+        power = np.rint(product).astype(np.int64) % 2
+        doubled = np.zeros_like(square)
+        doubled[np.ix_(twice, twice)] = square
+        square = doubled
+    return np.array_equal(power, one)
+
 def tanner_girth_bfs(d: np.ndarray) -> float:
     """Shortest cycle of the Tanner graph of the 0/1 array d (math.inf for a
     forest), by a breadth-first search from every row node: every cycle runs

@@ -398,7 +398,7 @@ def test_criterion_15d_hyperbolic_q9_analysis(tmp_path):
 
 def test_criterion_15e_conic_q121_analysis(tmp_path):
     # 14,400 points: the scalings certified, the counts read from point 0 and
-    # both ranks from the fold of the Gram parity onto (Z_15)^2, 225 x 225
+    # both ranks from the characters of the Gram parity on (Z_15)^2, 15 x 15
     run, rep = _analyze_in_subprocess(tmp_path, "conic", "11^2", ["--modulus", "1,0,1"])
     assert rep["checks_passed"] and rep["failures"] == []
     assert (rep["v"], rep["srg"]) == (14400, {"k": 14042, "lambda": 13690, "mu": 13806})
@@ -436,7 +436,7 @@ def test_criterion_15f_hyperbolic_q11_analysis(tmp_path):
 
 def test_criterion_15h_conic_q243_analysis(tmp_path):
     # 58,564 points, with no v x v array: the build sets the peak, and both
-    # ranks come from the fold of the Gram parity onto (Z_121)^2, 14,641 x 14,641
+    # ranks come from the characters of the Gram parity on (Z_121)^2, 121 x 121
     run, rep = _analyze_in_subprocess(tmp_path, "conic", "3^5", ["--modulus", "1,2,0,0,0,1"])
     assert rep["checks_passed"] and rep["failures"] == []
     assert (rep["v"], rep["srg"]) == (58564, {"k": 57840, "lambda": 57122, "mu": 57360})

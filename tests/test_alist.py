@@ -174,12 +174,18 @@ def test_writer_matches_per_line_writer_at_digit_boundaries(tmp_path, shape):
 def test_writer_peak_stays_under_its_charge(tmp_path, monkeypatch):
     # fresh matrices, so the trace includes the column order the writer
     # forms; measured peaks per charged token: 25.7 (hyperbolic q=5), 24.5
-    # (conic 3^3) and 27.8 (one column of 300,000 ones), charged 42, 36 and 45
+    # (conic 3^3) and 27.8 (one column of 300,000 ones), charged 42, 36 and 45;
+    # the small ones need the fixed 8 KiB: conic q=5 peaked at up to 9,666
+    # bytes, conic q=3 at 7,271, 1 x 1 at 7,107 and the zero 3 x 3 at 7,259,
+    # with token charges of 5,412, 840, 300 and 480
     charged, column = [], np.arange(300_000)
     monkeypatch.setattr(alist, "refuse_peak", lambda peak, what: charged.append(peak))
     for h in (constructions.build_hyperbolic_structure(field_from_string("5")).matrix,
               constructions.build_conic_structure(field_from_string("3^3")).matrix,
-              BinaryMatrix(column, np.zeros_like(column), (300_000, 1))):
+              BinaryMatrix(column, np.zeros_like(column), (300_000, 1)),
+              constructions.build_conic_structure(field_from_string("5")).matrix,
+              constructions.build_conic_structure(field_from_string("3")).matrix,
+              BinaryMatrix([0], [0], (1, 1)), BinaryMatrix([], [], (3, 3))):
         tracemalloc.start()
         try:
             write_alist(h, tmp_path / "h.alist")
@@ -370,9 +376,9 @@ def test_reader_refused_before_the_file_is_read(tmp_path, monkeypatch, capsys):
 
 def test_writer_refused_before_its_first_array(tmp_path, monkeypatch, capsys):
     # conic q=5 with 5,300 bytes of physical memory: its build, charged 81 x 4^3
-    # = 5,184 bytes, fits; its write, at most 164 tokens charged 24 + 3 x 3
-    # bytes each (two digits and a separator), 5,412 in all, does not, so
-    # construct exits 2 and writes nothing
+    # = 5,184 bytes, fits; its write, 8 KiB plus at most 164 tokens charged
+    # 24 + 3 x 3 bytes each (two digits and a separator), 13,604 in all, does
+    # not, so construct exits 2 and writes nothing
     _physical_memory(monkeypatch, 5300)
     out = tmp_path / "c5.alist"
     assert main(["construct", "--family", "conic", "--field", "5", "--out", str(out)]) == 2

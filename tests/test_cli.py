@@ -207,8 +207,8 @@ def test_analyze_builds_conic_structures_whose_dense_analysis_would_not_fit(
         tmp_path, monkeypatch):
     # on an 8 GiB host: conic q=173, whose dense analysis would need about 9.0
     # GiB, and q=331, about 121 GiB, both reach the builder.  A conic build
-    # certifies its scaling group, and its Gram parity folds onto the odd part
-    # (Z_m)^2, m = 43 and 165, charged m^4 / 8 bytes: 0.4 and 88 MiB
+    # certifies its scaling group, and its Gram parity is decided by the
+    # characters of the odd part (Z_m)^2, m = 43 and 165, in m x m circulants
     _physical_memory_8gib(monkeypatch)
     monkeypatch.setattr(constructions, "build_conic_structure", _build_raises)
     for q in (173, 331):
@@ -265,32 +265,36 @@ def test_analyze_conic_q5_not_simulable(tmp_path):
 
 
 def _counted_rank2(monkeypatch) -> list:
-    """Count the eliminations: every call of rank2 from cli, sim and gf2."""
+    """The rows of each elimination: every call of rank2 from cli, sim and gf2."""
     calls = []
 
     def counted(packed):
-        calls.append(packed)
-        return rank2(packed)
+        chunks = [packed] if isinstance(packed, np.ndarray) else list(packed)
+        calls.append(sum(map(len, chunks)))
+        return rank2(chunks)
 
     for module in (geomcode.cli, geomcode.sim, geomcode.gf2):
         monkeypatch.setattr(module, "rank2", counted)
     return calls
 
 
-@pytest.mark.parametrize("family,field,rank_m,rank_gram,eliminations", [
-    ("conic", "5", 16, 16, 1), ("conic", "5^2", 576, 576, 1), ("hyperbolic", "3", 81, 48, 0)])
+@pytest.mark.parametrize("family,field,rank_m,rank_gram,rows", [
+    ("conic", "5", 16, 16, {1}), ("conic", "5^2", 576, 576, {3}),
+    ("hyperbolic", "3", 81, 48, set())],
+    ids=["conic-5-16-16-1", "conic-5^2-576-576-1", "hyperbolic-3-81-48-0"])
 def test_analyze_takes_rank_from_a_full_rank_gram(tmp_path, monkeypatch, family, field,
-                                                  rank_m, rank_gram, eliminations):
+                                                  rank_m, rank_gram, rows):
     # rank_2(M M^T) = min(v, n) settles rank_2(M), so the conics eliminate
-    # only the fold of the Gram parity, m^2 x m^2 for q - 1 = 2^a m (1 x 1 at
-    # q=5, 9 x 9 at GF(25)); hyperbolic q=3 is a translation structure, whose
-    # two ranks come from a character count (its dense path eliminates both:
+    # only the m x m circulants of the Gram parity's characters, q - 1 = 2^a m
+    # (1 x 1 at q=5, 3 x 3 at GF(25)); hyperbolic q=3 is a translation
+    # structure, whose two ranks come from a character count with no
+    # elimination (its dense path eliminates both:
     # test_report.test_translation_report_matches_dense)
     calls = _counted_rank2(monkeypatch)
     out = tmp_path / "r.json"
     assert run(["analyze", "--family", family, "--field", field, "--out", out]) == 0
     rep = json.loads(out.read_text())
-    assert (rep["rank2_M"], rep["rank2_MMT"], len(calls)) == (rank_m, rank_gram, eliminations)
+    assert (rep["rank2_M"], rep["rank2_MMT"], set(calls)) == (rank_m, rank_gram, rows)
 
 
 def test_analyze_conic_q3_degenerate_notice(tmp_path):
@@ -513,19 +517,21 @@ CONIC_REFUSAL = ("refusing to simulate: parity-check matrix has full column rank
 
 
 @pytest.mark.parametrize("source,status,eliminations,stderr", [
-    ("hyperbolic-3", 0, 0, ""),                      # the character count
-    ("conic-5^2", 2, 1, CONIC_REFUSAL.format(576)),  # the fold, of full rank
-    ("conic-3^3", 2, 1, CONIC_REFUSAL.format(676)),
-    ("rook", 0, 2, ""),     # a singular fold, so no group, then H: the rook's graph L2(10)
-    ("random", 0, 1, ""),   # certifies no group
-    ("zero", 2, 1, "refusing to simulate: parity-check matrix has rank 0, "
-                   "the code is all of GF(2)^3\n"),
+    ("hyperbolic-3", 0, [], ""),                              # the character count
+    ("conic-5^2", 2, [3] * 5, CONIC_REFUSAL.format(576)),     # a unit: every cyclic
+    ("conic-3^3", 2, [13] * 15, CONIC_REFUSAL.format(676)),   # subgroup's circulant
+    ("rook", 0, [5, 100], ""),  # a singular circulant, so no group, then H: L2(10)
+    ("random", 0, [81], ""),    # certifies no group
+    ("zero", 2, [2], "refusing to simulate: parity-check matrix has rank 0, "
+                     "the code is all of GF(2)^3\n"),
 ], ids=["hyperbolic-3", "conic-5^2", "conic-3^3", "rook", "random", "zero"])
 def test_simulate_takes_rank_from_the_certified_group(tmp_path, monkeypatch, capsys, source,
                                                       status, eliminations, stderr):
     # simulate asks LdpcCode.from_structure, as analyze does: H is eliminated
     # (from_parity) only when no certified group settles its rank, and with the
-    # certificates patched off every input is eliminated once, to the same bytes
+    # certificates patched off every input is eliminated once, to the same
+    # bytes; `eliminations` lists the rows of each elimination unpatched: a
+    # conic's are m x m, q - 1 = 2^a m
     alist = tmp_path / "h.alist"
     if source == "zero":
         alist.write_text(ZERO_ALIST)
@@ -554,7 +560,7 @@ def test_simulate_takes_rank_from_the_certified_group(tmp_path, monkeypatch, cap
         assert run(["simulate", "--in", alist, "--ebno", "3", "--max-iters", 5,
                     "--max-frames", 4, "--threads", 1, "--out", out]) == status
         assert capsys.readouterr().err == stderr
-        assert len(calls) == (1 if patched else eliminations)
+        assert len(calls) == 1 if patched else calls == eliminations
         assert len(parities) == (patched or source in ("rook", "random", "zero"))
         outputs.append([p.read_bytes() if p.exists() else None
                         for p in (out, tmp_path / str(patched) / "ber.csv.manifest.json")])

@@ -1,5 +1,6 @@
 import random
 import tempfile
+import time
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -20,7 +21,7 @@ from geomcode.gf2 import (
     rank2,
 )
 from geomcode.srpg import SrgSpectrum
-from oracles import dense, dense_rank_mod2, gram_counts, matrix, packbits
+from oracles import dense, dense_rank_mod2, folds_to_unit_by_power, gram_counts, matrix, packbits
 
 
 def gram_mod2(m):
@@ -193,6 +194,30 @@ def test_fold_has_full_rank_exactly_when_the_group_matrix_does(n):
         full.append(dense_rank_mod2(group_matrix(f)) == n * n)
         assert folds_to_unit(f) == full[-1]
     assert any(full) and not all(full)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 9, 10, 15, 18])
+def test_power_oracle_matches_the_group_matrix(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(20):
+        f = rng.random((n, n)) < rng.random()
+        assert folds_to_unit_by_power(f) == (dense_rank_mod2(group_matrix(f)) == n * n)
+
+
+@pytest.mark.parametrize("n,seeds", [(242, (0, 1)), (330, (0, 209))])
+def test_dense_fold_rows_decided_by_characters(n, seeds):
+    # dense random rows, such as a scaling-invariant file can present: whole
+    # eliminations of their m^2 x m^2 folds took 16-19 s (m = 121) and 118 s
+    # (m = 165); each seed pair gives one unit and one non-unit.  Measured on
+    # a 2-core host: units 0.08 s (n = 242) and 0.37 s (n = 330), others 3 ms
+    answers = []
+    for seed in seeds:
+        f = np.random.default_rng(seed).random((n, n)) < 0.5
+        t0 = time.perf_counter()
+        answers.append(folds_to_unit(f))
+        assert time.perf_counter() - t0 < 3.0
+        assert answers[-1] == folds_to_unit_by_power(f)
+    assert sorted(answers) == [False, True]
 
 
 def test_brouwer_cases():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -273,7 +274,8 @@ def test_scaling_report_matches_dense(tmp_path, monkeypatch, name, read_back):
     assert swapped.base_point is None
     rep = build_analysis_report(ic)
     assert "adjacency" not in ic.__dict__
-    assert len(calls) == 1  # the certificate's fold of the Gram parity, of full rank
+    q1 = math.isqrt(m.nrows)  # q - 1 = 2^a odd: the Gram parity's characters, of full rank,
+    assert calls and {len(c) for c in calls} == {q1 // (q1 & -q1)}  # odd x odd circulants
     gram = oracles.gram_counts(m)
     np.fill_diagonal(gram, 0)
     assert np.array_equal(ic.adjacency, gram > 0)
@@ -309,8 +311,8 @@ def test_deficient_fold_falls_back_to_the_point_graph(q):
 
 
 def test_deficient_fold_refused_before_the_point_graph(monkeypatch):
-    # 4 KiB of physical memory: the fold's m^4 / 8 = 78 bytes (m = 5) fits and
-    # is singular, so the dense path's 11 v^2 = 110,000 is charged before A
+    # 4 KiB of physical memory: the fold, charged nothing, is singular, so
+    # the dense path's 11 v^2 = 110,000 bytes are charged before A
     monkeypatch.setattr(geomcode.constructions.os, "sysconf",
                         lambda name: 1 if name == "SC_PHYS_PAGES" else 4096)
     ic = IncidenceStructure("file", None, oracles.rooks_graph(11))
@@ -348,6 +350,20 @@ def test_gram_fold_matches_dense_elimination(tmp_path, name, read_back):
     # invertible, as on every conic tried, so every conic certifies
     assert IncidenceStructure(family, field, m).base_point.ranks == (m.nrows, m.nrows)
     assert rank2(np.packbits(oracles.gram_counts(m) % 2, axis=1)) == m.nrows
+
+
+def test_scaling_certifies_without_memory_for_the_fold(tmp_path, monkeypatch):
+    # 2 KiB of physical memory, below the (13^2)^2 / 8 = 3,570 bytes of pivots
+    # that eliminating GF(27)'s fold onto (Z_13)^2 whole would need: its
+    # characters, in 13 x 13 circulants, are charged nothing
+    built = build_conic_structure(Field(3, 3))
+    write_alist(built.matrix, tmp_path / "c.alist")
+    structures = (IncidenceStructure("conic", built.field, built.matrix),
+                  IncidenceStructure("file", None, read_alist(tmp_path / "c.alist")))
+    monkeypatch.setattr(geomcode.constructions.os, "sysconf",
+                        lambda name: 1 if name == "SC_PHYS_PAGES" else 2048)
+    for ic in structures:
+        assert ic.scaling is not None and ic.scaling.ranks == (676, 676)
 
 
 @pytest.mark.parametrize("name", ["conic7", "conic27"])
