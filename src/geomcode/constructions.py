@@ -31,11 +31,11 @@ A group acts regularly on each structure's points, mapping blocks to
 blocks: the scalings (x, y) -> (αx, βy), taking conic (a, b) to (aβ, bα),
 and the translations of N's digits, whose cosets are the hyperbolic blocks.
 `IncidenceStructure.translation` and `scaling` certify either exactly from
-the matrix, so an alist read back qualifies too, and only when the group
-also gives both GF(2) ranks.  `base_point` then answers every count of the
-analysis from point 0 and carries the ranks, from which
-`sim.LdpcCode.from_structure` takes the code's rank for `analyze` and
-`simulate` alike, with no elimination of the matrix.
+the matrix (`scaling` reads the modulus off the blocks), so a build and its
+alist take one path, and only when the group gives both GF(2) ranks too.
+`base_point` then answers every count of the analysis from point 0 and
+carries the ranks, from which `sim.LdpcCode.from_structure` takes the
+code's rank for `analyze` and `simulate` alike, eliminating no matrix.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import Field, field_name
+from .fields import MAX_Q, Field, field_name, prime_power
 from .gf2 import BinaryMatrix, character_ranks, folds_to_unit
 
 
@@ -87,16 +87,6 @@ def _digit_sub(p: int, e: int):
         tables.append((digits[:, None] - digits[None, :]) % p @ place)
     lo, hi = tables
     return lambda x, y: hi[x // low, y // low] * low + lo[x % low, y % low]
-
-
-def _builtin_field(q: int) -> Field | None:
-    """GF(q) over its built-in modulus, or None if there is none."""
-    p = next(d for d in range(2, q + 1) if q % d == 0)  # q's least prime factor
-    k = round(math.log(q, p))
-    try:
-        return Field(p, k) if p ** k == q else None
-    except ValueError:  # p = 2, q past the table limit, or no built-in modulus
-        return None
 
 
 @dataclass
@@ -194,10 +184,8 @@ class IncidenceStructure:
         every block P, ascending, has P - P[0] in the W_i holding P[1] - P[0];
         the pairs (i, P[0]) are distinct and number n = r v / w.  Both ranks
         are then a character count (`gf2.character_ranks`)."""
-        v = self.v
-        p = next((d for d in range(3, math.isqrt(v) + 1, 2) if v % d == 0), 0) if v % 2 else 0
-        e = round(math.log(v, p)) if p else 0
-        if not p or p ** e != v or self._base is None:
+        v, (p, e) = self.v, prime_power(self.v)
+        if p == 2 or e < 2 or self._base is None:
             return None
         blocks, subgroups = self._base[:2]
         r, w = subgroups.shape
@@ -223,25 +211,38 @@ class IncidenceStructure:
 
     @cached_property
     def scaling(self) -> BasePoint | None:
-        """The structure as one on the conic points (1, x, y), point (x-1)(q-1)
-        + (y-1) by nonzero codes, whose blocks the scalings (x, y) -> (ax, by)
-        permute, or None.  The field is the build's, or for a file the
-        built-in GF(q) of q = sqrt(v) + 1.  The tests are exact: the blocks
-        have one size w >= 2; no two start with the same two points, which
-        so name each block; (x, y) -> (gx, y) and (x, y) -> (x, gy), g of
-        order q - 1, map each block, sorted, to the block its first two
-        points name, whole rows compared; the blocks through point 0 meet
-        only in 0.  The scalings then act regularly on the points, and the
-        Gram parity A + rI is a group matrix: certified only if it is invertible
-        (`gf2.folds_to_unit` of point 0's row at (g^i x, g^j y), which eliminates
-        m x m circulants, q - 1 = 2^a m, m odd); then both ranks are v."""
+        """The structure as one on the conic points (1, x, y) of GF(q), q =
+        sqrt(v) + 1 = p^k (p odd), point (x-1)(q-1) + (y-1) by nonzero codes,
+        whose blocks the scalings (x, y) -> (ax, by) permute, or None.  GF(q) is
+        read off the blocks: on codes, x -> Xx is x // p - x_(k-1) mu for the
+        monic modulus mu, and the first mu (mu_0 != 0, lex order) whose (x, y)
+        -> (Xx, y) maps the first block through point 0 to a block is taken, if
+        irreducible.  Then, exactly: the blocks have one size w >= 2; no two
+        start with the same two points, which so name each block; (x, y) -> (gx,
+        y) and (x, y) -> (x, gy), g of order q - 1, map each block, sorted, to
+        the block its first two points name; the blocks through point 0 meet
+        only in 0.  So the scalings act regularly; the Gram parity A + rI, a
+        group matrix, must be a unit (`gf2.folds_to_unit`); both ranks are v."""
         v, q1 = self.v, math.isqrt(self.v)
-        f = None if q1 * q1 != v or self._base is None else self.field or _builtin_field(q1 + 1)
-        if f is None or f.q != q1 + 1:
+        p, k = prime_power(q1 + 1)  # q = p^k, p odd, in `fields.check_field`'s range
+        if q1 * q1 != v or p == 2 or not k or q1 >= MAX_Q or self._base is None:
             return None
         blocks, through, joined = self._base[:3]
         keys, order = np.unique(blocks[:, 0] * v + blocks[:, 1], return_index=True)
         if len(keys) < self.n:
+            return None
+        def named(image: np.ndarray) -> np.ndarray:  # per sorted image (last axis): a block?
+            at = np.minimum(np.searchsorted(keys, image[..., 0] * v + image[..., 1]), len(keys) - 1)
+            return (blocks[order[at]] == image).all(axis=-1)
+        place = p ** np.arange(k - 1, -1, -1)
+        x = np.arange(1, q1 + 1)[:, None]  # the nonzero codes, digits x // place % p
+        mus = x[place[0] - 1:] // place % p  # the candidates' low coefficients, mu_0 != 0
+        times = (x // p // place - x % p * mus[:, None]) % p @ place - 1  # the index of Xx
+        first = through[0]
+        kept = np.flatnonzero(named(np.sort(times[:, first // q1] * q1 + first % q1, axis=1)))
+        try:
+            f = Field(p, k, [*mus[kept[0]], 1])
+        except (IndexError, ValueError):  # no candidate kept, or a reducible one
             return None
         mul = f.mul_table.tolist()  # g has order q - 1 iff g^1..g^(q-1) are distinct
         g = next(g for g in range(1, q1 + 1) if len(set(itertools.accumulate(
@@ -249,9 +250,7 @@ class IncidenceStructure:
         g = f.mul_table[g, 1:] - 1  # the index of g x, by the index of x
         points = np.arange(v).reshape(q1, q1)
         for perm in (points[g].ravel(), points[:, g].ravel()):  # (gx, y) and (x, gy)
-            image = np.sort(perm[blocks], axis=1)
-            at = np.minimum(np.searchsorted(keys, image[:, 0] * v + image[:, 1]), len(keys) - 1)
-            if not np.array_equal(blocks[order[at]], image):
+            if not named(np.sort(perm[blocks], axis=1)).all():
                 return None
         logs = np.fromiter(itertools.accumulate(range(q1 - 1), lambda c, _: g[c], initial=0), int)
         row = joined[logs[:, None] * q1 + logs]

@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+MAX_Q = 4096  # the largest q whose q x q tables are built
+
 # Irreducible moduli (coefficient lists, constant term first, monic) for the
 # extension fields small enough to be exercised by the constructions.
 _BUILTIN_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
@@ -28,9 +30,11 @@ _BUILTIN_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
-def is_prime(n: int) -> bool:
-    """Trial division, for the n <= 4096 that `check_field` asks about."""
-    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+def prime_power(n: int) -> tuple[int, int]:
+    """n's least prime factor p, by trial division, and e with n = p^e, or e = 0."""
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    e = round(math.log(n, p)) if p > 1 else 0
+    return p, e if p ** e == n else 0
 
 
 def check_field(p: int, k: int = 1, modulus: Sequence[int] | None = None) -> tuple[int, ...]:
@@ -40,24 +44,19 @@ def check_field(p: int, k: int = 1, modulus: Sequence[int] | None = None) -> tup
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"extension degree k = {k} must be a positive integer")
     # the bound before the primality test, forming no p^k past 3^7 and printing none past 64 bits
-    if isinstance(p, int) and p > 2 and (k > 7 or p ** k > 4096):
+    if isinstance(p, int) and p > 2 and (k > 7 or p ** k > MAX_Q):
         q = p ** k if k * p.bit_length() <= 64 else f"{p}^{k}"
-        raise ValueError(f"q = {q} exceeds the table-based arithmetic limit (4096)")
-    if not isinstance(p, int) or not is_prime(p):
+        raise ValueError(f"q = {q} exceeds the table-based arithmetic limit ({MAX_Q})")
+    if not isinstance(p, int) or p < 2 or prime_power(p)[1] != 1:
         raise ValueError(f"p = {p} is not prime")
     if p == 2:
         raise ValueError("characteristic 2 is not supported (odd prime power required)")
 
+    if modulus is None:  # unused for k = 1: prime-field arithmetic is plain mod p
+        modulus = (0, 1) if k == 1 else _BUILTIN_MODULI.get((p, k))
     if modulus is None:
-        if k == 1:
-            modulus = (0, 1)  # unused; prime-field arithmetic is plain mod p
-        elif (p, k) in _BUILTIN_MODULI:
-            modulus = _BUILTIN_MODULI[(p, k)]
-        else:
-            raise ValueError(
-                f"no built-in modulus for GF({p}^{k}); supply one "
-                f"(coefficients constant term first, monic, length {k + 1})"
-            )
+        raise ValueError(f"no built-in modulus for GF({p}^{k}); supply one "
+                         f"(coefficients constant term first, monic, length {k + 1})")
     modulus = tuple(c % p for c in modulus)
     if len(modulus) != k + 1 or modulus[-1] != 1:
         raise ValueError(f"modulus must be monic of degree {k}, got {modulus}")

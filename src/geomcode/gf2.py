@@ -140,7 +140,8 @@ def folds_to_unit(f: np.ndarray) -> bool:
     = |{f[a, b] = 1 : ia + jb = d mod m}| mod 2: all nonzero iff c's circulant
     has rank m, since x^m - 1 has m distinct roots (Imai 1977)."""
     m = len(f) // (len(f) & -len(f))
-    (a, b), k, seen = np.nonzero(f), np.arange(m), np.zeros((m, m), dtype=bool)
+    a, b = np.nonzero(f.reshape(-1, m, len(f) // m, m).sum(axis=(0, 2)) % 2)  # f read mod m
+    k, seen = np.arange(m), np.zeros((m, m), dtype=bool)
     d = (k - k[:, None]) % m  # the circulant of c is c[d]
     for i, j in np.ndindex(m, m):  # one (i, j) per cyclic subgroup not yet seen
         if not seen[i, j]:

@@ -567,6 +567,39 @@ def test_simulate_takes_rank_from_the_certified_group(tmp_path, monkeypatch, cap
     assert outputs[0] == outputs[1] and (outputs[0][0] is not None) == (status == 0)
 
 
+@pytest.mark.parametrize("field,modulus", [("3^2", "2,2,1"), ("5^2", "3,0,1"), ("7^2", "3,1,1"),
+                                           ("3^4", "2,0,0,1,1"), ("11^2", "1,0,1")])
+def test_conic_alist_over_any_modulus_reads_back_certified(tmp_path, monkeypatch, capsys,
+                                                           field, modulus):
+    # an alist names its modulus (x -> Xx is its companion map on the codes'
+    # digits), so whatever the modulus, and whatever the order of its columns,
+    # analyze --in files the family's report, and simulate --in eliminates
+    # only the m x m circulants of the Gram parity's characters, q - 1 = 2^a m
+    spec = ["--family", "conic", "--field", field, "--modulus", modulus]
+    alist, shuffled = tmp_path / "c.alist", tmp_path / "shuffled.alist"
+    assert run(["construct", *spec, "--out", alist]) == 0
+    m = read_alist(alist)
+    rows, cols, q1 = *m.nonzero(), round(m.nrows ** 0.5)
+    write_alist(BinaryMatrix(rows, np.random.default_rng(0).permutation(m.cols)[cols],
+                             (m.nrows, m.cols)), shuffled)
+    reports = []
+    for source in (spec, ["--in", alist], ["--in", shuffled]):
+        out = tmp_path / f"{len(reports)}.json"
+        assert run(["analyze", *source, "--out", out]) == 0
+        reports.append(json.loads(out.read_text()))
+    family, *files = reports
+    assert family["checks_passed"] and family["q"] == q1 + 1
+    for rep in files:
+        assert sorted(rep) == sorted(family)
+        assert {key: rep[key] for key in rep if rep[key] != family[key]} == {"family": "file",
+                                                                             "q": None}
+    capsys.readouterr()
+    calls = _counted_rank2(monkeypatch)
+    assert run(["simulate", "--in", alist, "--ebno", "3", "--out", tmp_path / "ber.csv"]) == 2
+    assert capsys.readouterr().err == CONIC_REFUSAL.format(m.nrows)
+    assert calls and max(calls) <= q1 // (q1 & -q1)
+
+
 @pytest.mark.parametrize("bad", [["--max-iters", 0], ["--max-frames", 0],
                                  ["--min-frame-errors", 0], ["--ebno", "5:1:3"],
                                  ["--threads", 0], ["--seed", -1]],

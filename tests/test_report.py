@@ -257,7 +257,7 @@ def test_scaling_report_matches_dense(tmp_path, monkeypatch, name, read_back):
     # no longer map blocks to blocks, and the report must be byte-identical
     built = build_conic_structure(Field(*CONICS[name]))
     family, field, m = built.family, built.field, built.matrix
-    if read_back:  # certified over the built-in field of q = sqrt(v) + 1
+    if read_back:  # certified over the field that its blocks name
         write_alist(m, tmp_path / "c.alist")
         family, field, m = "file", None, read_alist(tmp_path / "c.alist")
     calls = []
@@ -296,10 +296,11 @@ def test_scaling_patched_off_gives_the_same_report():
             == json.dumps(build_analysis_report(ic), sort_keys=True))
 
 
-@pytest.mark.parametrize("q", [5, 7, 9, 11])
+@pytest.mark.parametrize("q", [4, 5, 7, 9, 11, 15, 16])
 def test_deficient_fold_falls_back_to_the_point_graph(q):
     # the scalings permute the rook's graph's blocks, but its Gram parity folds
-    # to 0: no group answers its ranks, so it is not certified and runs dense
+    # to 0: no group answers its ranks, so it is not certified and runs dense;
+    # at q = 4 and 16 (characteristic 2) and 15 (no prime power) no field is tried
     m = oracles.rooks_graph(q)
     ic = IncidenceStructure("file", None, m)
     assert ic.base_point is None and ic.scaling is None and ic.translation is None
@@ -374,18 +375,20 @@ def test_scaling_refused_with_one_incidence_moved(name):
 
 
 def test_conic_over_another_modulus_read_back_matches_oracle(tmp_path):
-    # GF(25) over x^2 + 3: the build certifies over its own field, but the
-    # file is read against the built-in x^2 + 2, whose products are not the
-    # ones that labelled its points: not certified, so the dense path runs
+    # GF(25) over x^2 + 3, not the built-in x^2 + 2: the file certifies over
+    # the modulus that its blocks name, as the build does, and forms no A
     assert cli_main(["construct", "--family", "conic", "--field", "5^2", "--modulus", "3,0,1",
                      "--out", str(tmp_path / "c.alist")]) == 0
     m = read_alist(tmp_path / "c.alist")
     assert IncidenceStructure("conic", Field(5, 2, (3, 0, 1)), m).scaling is not None
     ic = IncidenceStructure("file", None, m)
-    assert ic.base_point is None
+    assert ic.base_point.ranks == (576, 576)
+    rep = build_analysis_report(ic)
+    assert "adjacency" not in ic.__dict__
     assert cli_main(["analyze", "--in", str(tmp_path / "c.alist"),
                      "--out", str(tmp_path / "c.json")]) == 0
     want = oracles.report(m)
+    _assert_same(rep, want)
     _assert_same(json.loads((tmp_path / "c.json").read_text()), want)
     assert want["checks_passed"] and want["srg"] == {"k": 506, "lambda": 442, "mu": 462}
 
