@@ -19,16 +19,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, constructions
 from .alist import read_alist, write_alist
 from .constructions import HyperbolicLabel, IncidenceStructure
 from .fields import check_field, field_from_string, parse_field_spec
-from .gf2 import brouwer_predict, rank2
+from .gf2 import brouwer_predict
 from .metrics import six_cycles, tanner_bounds, tanner_girth
 from .sim import (ChannelConfig, LdpcCode, PointStats, SumProductDecoder, noise_sigma,
-                  simulate_point)
+                  random_regular_h, simulate_point)
 from .srpg import (
     AxiomViolation,
     check_gpg_axioms,
@@ -172,16 +170,7 @@ def _file_stages(ic: IncidenceStructure, report: dict) -> list[str]:
     report["srg"] = {"k": k, "lambda": lam, "mu": mu}
     failures = []
 
-    # the axioms hold, so M M^T = A + (t+1)I: mod 2, A with t+1 on the
-    # diagonal, eliminated unless a certified group gives its rank
-    if (bp := ic.base_point) is not None:
-        report["rank2_MMT"] = bp.ranks[1]
-    else:
-        parity = np.packbits(ic.adjacency, axis=1)
-        if params.t % 2 == 0:
-            i = np.arange(v)
-            parity[i, i >> 3] |= (0x80 >> (i & 7)).astype(np.uint8)
-        report["rank2_MMT"] = rank2(parity)
+    report["rank2_MMT"] = ic.gram_rank  # the axioms hold, so M M^T = A + (t+1)I
     cyc = six_cycles(ic, params, lam)
     report["six_cycles"] = {"formula": cyc.six_cycle_formula,
                             "enumerated": cyc.six_cycle_enumerated}
@@ -255,8 +244,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_random_code(args: argparse.Namespace) -> int:
-    from .sim import random_regular_h
-
     code = random_regular_h(args.rows, args.cols, args.wcol, args.wrow, args.seed)
     out = Path(args.out)
     write_alist(code.h, out)

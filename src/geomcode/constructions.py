@@ -34,8 +34,9 @@ and the translations of N's digits, whose cosets are the hyperbolic blocks.
 the matrix (`scaling` reads the modulus off the blocks), so a build and its
 alist take one path, and only when the group gives both GF(2) ranks too.
 `base_point` then answers every count of the analysis from point 0 and
-carries the ranks, from which `sim.LdpcCode.from_structure` takes the
-code's rank for `analyze` and `simulate` alike, eliminating no matrix.
+carries the ranks, from which `gram_rank` and `sim.LdpcCode.from_structure`
+take theirs for `analyze` and `simulate` alike, eliminating no matrix;
+without it `census`, `gram_rank` and `point_rows` read the dense A.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import MAX_Q, Field, field_name, prime_power
-from .gf2 import BinaryMatrix, character_ranks, folds_to_unit
+from .gf2 import BinaryMatrix, character_ranks, folds_to_unit, rank2
 
 
 class ConicLabel(NamedTuple):
@@ -149,6 +150,31 @@ class IncidenceStructure:
         shared[p] = 0
         q = int(np.argmax(shared > 1))
         return (p, q), int(shared[q])
+
+    @cached_property
+    def gram_rank(self) -> int:
+        """rank_2 M M^T: the certified group's, else eliminated from A with a
+        one on the diagonal of each point of odd degree, which is M M^T mod 2
+        when no two points share two blocks (axiom (i))."""
+        if (bp := self.base_point) is not None:
+            return bp.ranks[1]
+        parity = np.packbits(self.adjacency, axis=1)
+        i = np.flatnonzero(self.matrix.row_weights() % 2)
+        parity[i, i >> 3] |= (0x80 >> (i & 7)).astype(np.uint8)
+        return rank2(parity)
+
+    def point_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of A (bool) and of A^2: under a certified group point 0's
+        alone, which the group maps to every other row, else all of them, A^2
+        in float32 (exact: no entry exceeds v, far below 2^24 on the dense
+        path).  Not cached, so A^2 is freed once it has been read."""
+        if (bp := self.base_point) is not None:
+            # the |B ∩ N(0)| of the r blocks B on y sum to A^2[0, y], plus r if
+            # y itself is in N(0)
+            r, a = len(bp.through), bp.joined[None]
+            return a, bp.base_counts[self.matrix.nonzero()[1]].reshape(self.v, r).sum(axis=1) - r * a
+        a = self.adjacency.astype(np.float32)
+        return self.adjacency, a @ a
 
     @property
     def base_point(self) -> BasePoint | None:

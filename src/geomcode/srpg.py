@@ -2,15 +2,10 @@
 for point-block incidence structures.
 
 The point graph joins two points iff they share a block; for a structure
-satisfying the pairwise axiom, M M^T = A + (t+1)I.  A structure whose
-translations or conic scalings are certified (``IncidenceStructure.
-base_point``) is read from point 0 alone, with no A or A^2: axiom (i)
-holds, the census is v times that of point 0, and strong regularity is
-scanned on point 0's rows of A and A^2, pass or fail.  Any other
-structure sets its bool adjacency A once (``IncidenceStructure.adjacency``,
-charged before it is formed), tests axiom (i) by counting (``four_cycle``)
-and forms A^2 only to scan strong regularity.  The tests cross-check both
-paths against the dense oracle.
+satisfying the pairwise axiom, M M^T = A + (t+1)I.  Strong regularity is
+scanned on the rows of A and A^2 that ``IncidenceStructure.point_rows``
+gives: point 0's alone under a certified group, else all of them, pass or
+fail.  The tests cross-check both paths against the dense oracle.
 
 The alpha set comes from one histogram (``IncidenceStructure.census``):
 bin c counts the (point, block) pairs, the point off the block, with c of
@@ -50,10 +45,6 @@ class SrpgParams:
     alphas: tuple[int, ...]
     v: int
     n: int
-
-    @property
-    def k(self) -> int:
-        return self.s * (self.t + 1)
 
     @property
     def grade(self) -> int:
@@ -117,18 +108,11 @@ def check_strongly_regular(ic: IncidenceStructure) -> tuple[int, int, int, int]:
     Returns (v, k, lambda, mu); raises :class:`DegenerateStructure` for
     edgeless or complete graphs and :class:`AxiomViolation`-style
     ValueError with a witness pair when lambda or mu is not constant.
-    The scan runs on rows of A and A^2: under a certified ``ic.base_point``
-    point 0's row alone, else all of them.  The group maps every pair to
-    one in row 0, which comes first in row-major order, so both give the
-    same message and witness.
+    The scan runs on ``ic.point_rows()``: under a certified group point 0's
+    rows alone.  The group maps every pair to one in row 0, which comes
+    first in row-major order, so both give the same message and witness.
     """
-    if (bp := ic.base_point) is not None:
-        # the c0[B] = |B ∩ N(0)| of the r blocks B on y sum to A^2[0, y],
-        # plus r if y itself is in N(0)
-        r, a = len(bp.through), bp.joined[None]
-        a2 = bp.base_counts[ic.matrix.nonzero()[1]].reshape(ic.v, r).sum(axis=1) - r * a
-    else:
-        a, a2 = ic.adjacency, None
+    a, a2 = ic.point_rows()
     v = a.shape[1]
     degrees = a.sum(axis=1)
     k = int(degrees[0])
@@ -140,9 +124,6 @@ def check_strongly_regular(ic: IncidenceStructure) -> tuple[int, int, int, int]:
     if k == v - 1:
         raise DegenerateStructure("point graph is complete")
 
-    if a2 is None:
-        a2 = a.astype(np.float32)  # exact: no entry of A^2 exceeds k < 2^24
-        a2 = a2 @ a2  # rebinding frees the float32 copy of A before the scans
     nonadj_mask = ~a
     np.fill_diagonal(nonadj_mask, False)  # pair (i, i) of each row i: (0, 0) in point 0's row
     return v, k, _constant_on(a2, a, "lambda"), _constant_on(a2, nonadj_mask, "mu")

@@ -147,7 +147,7 @@ def test_criterion_07_rank_prediction_cross_check(hyp3, hyp5):
     cases += [(hyp3, 3), (hyp5, 5)]
     for ic, q in cases:
         params, lam, mu = _verified(ic)
-        spec = spectrum(params.v, params.k, lam, mu, params.s, params.t)
+        spec = spectrum(params.v, params.s * (params.t + 1), lam, mu, params.s, params.t)
         pred = brouwer_predict(spec)
         eliminated = rank2(np.packbits(gram_counts(ic.matrix) & 1, axis=1))
         assert pred.kind == "exact", f"{ic.family} q={q}: prediction not exact"
@@ -205,7 +205,7 @@ def test_criterion_11_code_rate(hyp3):
 
 def test_criterion_12_tanner_bounds_regression(hyp3):
     params, lam, mu = _verified(hyp3)
-    spec = spectrum(params.v, params.k, lam, mu, params.s, params.t)
+    spec = spectrum(params.v, params.s * (params.t + 1), lam, mu, params.s, params.t)
     b = tanner_bounds(params.n, params.s + 1, params.t + 1, spec.theta0, spec.theta1)
     assert b.bit_oriented == Fraction(-1512, 5) and b.bit_oriented < 0
     assert b.parity_oriented == Fraction(6, 5)
@@ -431,6 +431,25 @@ def test_criterion_15f_hyperbolic_q11_analysis(tmp_path):
     _report("15f", True, f"hyperbolic q=11: srg(14641, 13200, 11891, 11990), alphas (9, 10, 11), "
                          f"rank2(MM^T) = 13200 exact, rank2(M) = 14641, girth 6, "
                          f"382721596400 6-cycles; "
+                         f"{run['elapsed']:.1f}s, peak RSS {run['rss_mb']:.0f} MB")
+
+
+def test_criterion_15g_hyperbolic_q13_analysis(tmp_path):
+    # 28,561 points and 4,798,248 blocks, the largest certified size pinned:
+    # rank_2(M M^T) from the character count is the exact prediction
+    run, rep = _analyze_in_subprocess(tmp_path, "hyperbolic", "13")
+    assert rep["checks_passed"] and rep["failures"] == []
+    assert (rep["v"], rep["srg"]) == (28561, {"k": 26208, "lambda": 24037, "mu": 24180})
+    assert rep["alphas"] == [11, 12, 13]
+    assert rep["rank2_MMT"] == rep["rank_prediction"]["value"] == 26208
+    assert rep["rank_prediction"]["kind"] == "exact"
+    assert rep["rank2_M"] == 28561
+    assert rep["girth"] == 6
+    assert rep["six_cycles"] == {"formula": 2997350367648, "enumerated": 2997350367648}
+    assert run["elapsed"] < 30.0 and run["rss_mb"] < 3400
+    _report("15g", True, f"hyperbolic q=13: srg(28561, 26208, 24037, 24180), alphas (11, 12, 13), "
+                         f"rank2(MM^T) = 26208 exact, rank2(M) = 28561, girth 6, "
+                         f"2997350367648 6-cycles; "
                          f"{run['elapsed']:.1f}s, peak RSS {run['rss_mb']:.0f} MB")
 
 

@@ -8,7 +8,8 @@ import oracles
 from geomcode import alist, constructions
 from geomcode.alist import read_alist, write_alist
 from geomcode.cli import main
-from geomcode.fields import field_from_string
+from geomcode.constructions import build_conic_structure
+from geomcode.fields import Field, field_from_string
 from geomcode.gf2 import BinaryMatrix
 from geomcode.sim import random_regular_h
 from oracles import matrix
@@ -33,11 +34,13 @@ def test_roundtrip_random_code(tmp_path):
     assert read_alist(path) == code.h
 
 
-def test_roundtrip_remaining_constructions(tmp_path, conic7, conic9):
-    for name, ic in (("c7", conic7), ("c9", conic9)):
+def test_roundtrip_remaining_constructions(tmp_path, conic7, conic9, hyp5):
+    for name, m in (("c7", conic7.matrix), ("c9", conic9.matrix), ("h5", hyp5.matrix),
+                    ("c27", build_conic_structure(Field(3, 3)).matrix),
+                    ("c49", build_conic_structure(Field(7, 2)).matrix)):
         path = tmp_path / f"{name}.alist"
-        write_alist(ic.matrix, path)
-        assert read_alist(path) == ic.matrix
+        write_alist(m, path)
+        assert read_alist(path) == m
 
 
 def test_header_layout(tmp_path):

@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import geomcode.cli
 import geomcode.gf2
 import geomcode.sim
 from geomcode import constructions
@@ -265,7 +264,8 @@ def test_analyze_conic_q5_not_simulable(tmp_path):
 
 
 def _counted_rank2(monkeypatch) -> list:
-    """The rows of each elimination: every call of rank2 from cli, sim and gf2."""
+    """The rows of each elimination: every call of rank2 from constructions,
+    sim and gf2."""
     calls = []
 
     def counted(packed):
@@ -273,7 +273,7 @@ def _counted_rank2(monkeypatch) -> list:
         calls.append(sum(map(len, chunks)))
         return rank2(chunks)
 
-    for module in (geomcode.cli, geomcode.sim, geomcode.gf2):
+    for module in (constructions, geomcode.sim, geomcode.gf2):
         monkeypatch.setattr(module, "rank2", counted)
     return calls
 
@@ -282,13 +282,13 @@ def _counted_rank2(monkeypatch) -> list:
     ("conic", "5", 16, 16, {1}), ("conic", "5^2", 576, 576, {3}),
     ("hyperbolic", "3", 81, 48, set())],
     ids=["conic-5-16-16-1", "conic-5^2-576-576-1", "hyperbolic-3-81-48-0"])
-def test_analyze_takes_rank_from_a_full_rank_gram(tmp_path, monkeypatch, family, field,
-                                                  rank_m, rank_gram, rows):
-    # rank_2(M M^T) = min(v, n) settles rank_2(M), so the conics eliminate
-    # only the m x m circulants of the Gram parity's characters, q - 1 = 2^a m
-    # (1 x 1 at q=5, 3 x 3 at GF(25)); hyperbolic q=3 is a translation
-    # structure, whose two ranks come from a character count with no
-    # elimination (its dense path eliminates both:
+def test_analyze_takes_both_ranks_from_the_certified_group(tmp_path, monkeypatch, family,
+                                                          field, rank_m, rank_gram, rows):
+    # every case certifies a group, which gives (rank_2 M, rank_2 M M^T): the
+    # conics eliminate only the m x m circulants of the Gram parity's
+    # characters, q - 1 = 2^a m (1 x 1 at q=5, 3 x 3 at GF(25)); hyperbolic
+    # q=3 is a translation structure, whose two ranks come from a character
+    # count with no elimination (its dense path eliminates both:
     # test_report.test_translation_report_matches_dense)
     calls = _counted_rank2(monkeypatch)
     out = tmp_path / "r.json"

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import geomcode.cli
 import geomcode.constructions
 import geomcode.gf2
 import geomcode.sim
@@ -126,18 +125,16 @@ def test_moved_incidence_report_matches_oracle(request, source, axiom):
     assert rep["axioms"]["violated"] == axiom
 
 
-@pytest.mark.parametrize("read_back", [False, True], ids=["build", "alist"])
-@pytest.mark.parametrize("fixture", ["hyp3", "hyp5"])
-def test_translation_report_matches_dense(request, tmp_path, monkeypatch, fixture, read_back):
+# the certificates read neither family nor field, so a build and its alist
+# take one path: these run on the build, and the alist round trips of
+# tests/test_alist.py and the read-back tests of tests/test_cli.py cover the file
+@pytest.mark.parametrize("fixture", ["hyp3", "hyp5"], ids=lambda name: f"{name}-build")
+def test_translation_report_matches_dense(request, monkeypatch, fixture):
     # the dense path is the oracle: with points 1 and 2 swapped the structure
     # is refused certification, and its report must be byte-identical
     built = request.getfixturevalue(fixture)
-    family, field, m = built.family, built.field, built.matrix
-    if read_back:
-        write_alist(m, tmp_path / "h.alist")
-        family, field, m = "file", None, read_alist(tmp_path / "h.alist")
-    ic = IncidenceStructure(family, field, m)
-    swapped = IncidenceStructure(family, field, oracles.swapped(m))
+    ic = IncidenceStructure(built.family, built.field, built.matrix)
+    swapped = IncidenceStructure(built.family, built.field, oracles.swapped(built.matrix))
     assert ic.translation is not None and swapped.translation is None
     calls = []
 
@@ -145,7 +142,7 @@ def test_translation_report_matches_dense(request, tmp_path, monkeypatch, fixtur
         calls.append(packed)
         return rank2(packed)
 
-    monkeypatch.setattr(geomcode.cli, "rank2", counted)
+    monkeypatch.setattr(geomcode.constructions, "rank2", counted)
     monkeypatch.setattr(geomcode.sim, "rank2", counted)
     rep = build_analysis_report(ic)
     assert "adjacency" not in ic.__dict__ and not calls  # no v x v array, no elimination
@@ -250,23 +247,19 @@ CONICS = {"conic5": (5, 1), "conic7": (7, 1), "conic9": (3, 2), "conic25": (5, 2
           "conic27": (3, 3)}
 
 
-@pytest.mark.parametrize("read_back", [False, True], ids=["build", "alist"])
-@pytest.mark.parametrize("name", CONICS)
-def test_scaling_report_matches_dense(tmp_path, monkeypatch, name, read_back):
+@pytest.mark.parametrize("name", CONICS, ids=lambda name: f"{name}-build")
+def test_scaling_report_matches_dense(monkeypatch, name):
     # the dense path is the oracle: with points 1 and 2 swapped the scalings
     # no longer map blocks to blocks, and the report must be byte-identical
     built = build_conic_structure(Field(*CONICS[name]))
     family, field, m = built.family, built.field, built.matrix
-    if read_back:  # certified over the field that its blocks name
-        write_alist(m, tmp_path / "c.alist")
-        family, field, m = "file", None, read_alist(tmp_path / "c.alist")
     calls = []
 
     def counted(packed):
         calls.append(packed)
         return rank2(packed)
 
-    for module in (geomcode.cli, geomcode.sim, geomcode.gf2):
+    for module in (geomcode.constructions, geomcode.sim, geomcode.gf2):
         monkeypatch.setattr(module, "rank2", counted)
     ic = IncidenceStructure(family, field, m)
     swapped = IncidenceStructure(family, field, oracles.swapped(m))
@@ -340,38 +333,29 @@ def test_report_refuses_the_dense_analysis_before_the_point_graph(monkeypatch):
 FOLDED = {**CONICS, "conic49": (7, 2)}
 
 
-@pytest.mark.parametrize("read_back", [False, True], ids=["build", "alist"])
-@pytest.mark.parametrize("name", FOLDED)
-def test_gram_fold_matches_dense_elimination(tmp_path, name, read_back):
+@pytest.mark.parametrize("name", FOLDED, ids=lambda name: f"{name}-build")
+def test_gram_fold_matches_dense_elimination(name):
     built = build_conic_structure(Field(*FOLDED[name]))
-    family, field, m = built.family, built.field, built.matrix
-    if read_back:
-        write_alist(m, tmp_path / "c.alist")
-        family, field, m = "file", None, read_alist(tmp_path / "c.alist")
+    m = built.matrix
     # invertible, as on every conic tried, so every conic certifies
-    assert IncidenceStructure(family, field, m).base_point.ranks == (m.nrows, m.nrows)
+    assert built.base_point.ranks == (m.nrows, m.nrows)
     assert rank2(np.packbits(oracles.gram_counts(m) % 2, axis=1)) == m.nrows
 
 
-def test_scaling_certifies_without_memory_for_the_fold(tmp_path, monkeypatch):
+def test_scaling_certifies_without_memory_for_the_fold(monkeypatch):
     # 2 KiB of physical memory, below the (13^2)^2 / 8 = 3,570 bytes of pivots
     # that eliminating GF(27)'s fold onto (Z_13)^2 whole would need: its
     # characters, in 13 x 13 circulants, are charged nothing
     built = build_conic_structure(Field(3, 3))
-    write_alist(built.matrix, tmp_path / "c.alist")
-    structures = (IncidenceStructure("conic", built.field, built.matrix),
-                  IncidenceStructure("file", None, read_alist(tmp_path / "c.alist")))
     monkeypatch.setattr(geomcode.constructions.os, "sysconf",
                         lambda name: 1 if name == "SC_PHYS_PAGES" else 2048)
-    for ic in structures:
-        assert ic.scaling is not None and ic.scaling.ranks == (676, 676)
+    assert built.scaling is not None and built.scaling.ranks == (676, 676)
 
 
 @pytest.mark.parametrize("name", ["conic7", "conic27"])
 def test_scaling_refused_with_one_incidence_moved(name):
     built = build_conic_structure(Field(*CONICS[name]))
-    for family, field in ((built.family, built.field), ("file", None)):
-        assert IncidenceStructure(family, field, _moved(built.matrix)).base_point is None
+    assert IncidenceStructure(built.family, built.field, _moved(built.matrix)).base_point is None
 
 
 def test_conic_over_another_modulus_read_back_matches_oracle(tmp_path):

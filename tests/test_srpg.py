@@ -11,7 +11,7 @@ from geomcode.constructions import (
     build_hyperbolic_structure,
 )
 from geomcode.fields import Field
-from geomcode.gf2 import BinaryMatrix
+from geomcode.gf2 import BinaryMatrix, rank2
 from geomcode.srpg import (
     AxiomViolation,
     DegenerateStructure,
@@ -27,6 +27,7 @@ from oracles import (
     dense,
     gram_counts,
     matrix,
+    rooks_graph,
     swapped,
 )
 
@@ -234,6 +235,45 @@ def test_gram_identity(conic5, hyp3):
         np.fill_diagonal(off, False)
         assert a.dtype == bool and np.array_equal(a, off)
 
+
+
+def _point_graph(m: BinaryMatrix) -> np.ndarray:
+    """The oracle's A: the off-diagonal support of M M^T."""
+    a = gram_counts(m) > 0
+    np.fill_diagonal(a, False)
+    return a
+
+
+@pytest.mark.parametrize("fixture", ["hyp3", "conic25"])
+def test_gram_rank_matches_the_gram_parity(request, fixture):
+    # row weight 24 (hyperbolic q=3: no diagonal bit) and 23 (conic 5^2): the
+    # build's certificate answers with no A; with points 1 and 2 swapped, A does
+    built = request.getfixturevalue(fixture)
+    for m, certified in ((built.matrix, True), (swapped(built.matrix), False)):
+        ic = IncidenceStructure(built.family, built.field, m)
+        assert ic.gram_rank == rank2(np.packbits(gram_counts(m) % 2, axis=1))
+        assert (ic.base_point is not None) == certified == ("adjacency" not in ic.__dict__)
+
+
+def test_gram_rank_of_a_singular_fold_is_eliminated():
+    # the scalings permute the rook's graph's blocks, but its fold is singular
+    m = rooks_graph(11)
+    ic = IncidenceStructure("file", None, m)
+    assert ic.gram_rank == rank2(np.packbits(gram_counts(m) % 2, axis=1)) == 18
+    assert ic.base_point is None and "adjacency" in ic.__dict__
+
+
+@pytest.mark.parametrize("fixture", ["hyp3", "conic25"])
+def test_point_rows_match_the_dense_point_graph(request, fixture):
+    # certified: point 0's rows of A and A^2; swapped, so not: all of them
+    built = request.getfixturevalue(fixture)
+    for m, rows in ((built.matrix, slice(0, 1)), (swapped(built.matrix), slice(None))):
+        ic = IncidenceStructure(built.family, built.field, m)
+        a = _point_graph(m)
+        got, got2 = ic.point_rows()
+        assert got.dtype == bool and np.array_equal(got, a[rows])
+        assert np.array_equal(got2, (a.astype(np.int64) @ a)[rows])
+        assert ("adjacency" not in ic.__dict__) == (rows.stop == 1)
 
 def test_spectrum_hyperbolic_q3():
     spec = spectrum(81, 48, 27, 30, 2, 23)
