@@ -122,7 +122,8 @@ class IncidenceStructure:
         the float32 A and A^2, two masks)."""
         v, m = self.v, self.matrix
         refuse_peak(11 * v * v, f"the analysis of {v:,} points")
-        pts, cols = m.by_column()  # the points of block 0, then of block 1, ...; ascending in each
+        # the points of block 0, then of block 1, ...; ascending in each
+        pts, cols = m.by_column(), np.repeat(np.arange(self.n), m.column_weights())
         adj = np.zeros((v, v), dtype=bool)
         for d in range(1, int(m.column_weights().max())):
             same = cols[d:] == cols[:-d]
@@ -145,7 +146,7 @@ class IncidenceStructure:
         if excess.size == 0:
             return None
         p = int(excess[0])
-        pts, cols = m.by_column()
+        pts, cols = m.by_column(), np.repeat(np.arange(self.n), m.column_weights())
         shared = np.bincount(pts[np.isin(cols, on[rows == p])], minlength=self.v)
         shared[p] = 0
         q = int(np.argmax(shared > 1))
@@ -170,9 +171,10 @@ class IncidenceStructure:
         path).  Not cached, so A^2 is freed once it has been read."""
         if (bp := self.base_point) is not None:
             # the |B ∩ N(0)| of the r blocks B on y sum to A^2[0, y], plus r if
-            # y itself is in N(0)
-            r, a = len(bp.through), bp.joined[None]
-            return a, bp.base_counts[self.matrix.nonzero()[1]].reshape(self.v, r).sum(axis=1) - r * a
+            # y itself is in N(0); gathered in the narrowest dtype holding w
+            (r, w), a = bp.through.shape, bp.joined[None]
+            counts = bp.base_counts.astype(np.min_scalar_type(w))[self.matrix.nonzero()[1]]
+            return a, counts.reshape(self.v, r).sum(axis=1, dtype=np.int64) - r * a
         a = self.adjacency.astype(np.float32)
         return self.adjacency, a @ a
 
@@ -185,13 +187,16 @@ class IncidenceStructure:
     @cached_property
     def _base(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
         """(blocks, then BasePoint's through, joined and base_counts) if the
-        blocks all have one size w >= 2 and those through point 0 meet only
-        in 0, else None; blocks[b] holds block b's points, ascending."""
+        blocks all have one size w >= 2, no two start with the same two
+        points, and those through point 0 meet only in 0, else None;
+        blocks[b] holds block b's points, ascending."""
         m, (rows, cols) = self.matrix, self.matrix.nonzero()
         w = int(m.column_weights()[0])
         if w < 2 or (m.column_weights() != w).any():
             return None
-        blocks = m.by_column()[0].reshape(self.n, w)
+        blocks = m.by_column().reshape(self.n, w)
+        if not np.diff(np.sort(blocks[:, 0] * self.v + blocks[:, 1])).all():
+            return None
         through = blocks[cols[:np.searchsorted(rows, 1)]]
         if not len(through) or np.bincount(through[:, 1:].ravel()).max() > 1:
             return None
@@ -208,8 +213,9 @@ class IncidenceStructure:
         exact, in O(n w), streamed over chunks of blocks: the blocks through
         point 0, the W_i, meet only in 0 and are closed under subtraction;
         every block P, ascending, has P - P[0] in the W_i holding P[1] - P[0];
-        the pairs (i, P[0]) are distinct and number n = r v / w.  Both ranks
-        are then a character count (`gf2.character_ranks`)."""
+        the blocks number n = r v / w, and no two start with the same two
+        points (`_base`), so each coset is listed once.  Both ranks are then a
+        character count (`gf2.character_ranks`)."""
         v, (p, e) = self.v, prime_power(self.v)
         if p == 2 or e < 2 or self._base is None:
             return None
@@ -223,16 +229,12 @@ class IncidenceStructure:
         for d in range(1, w):  # x - y for every ordered pair of distinct points of each W_i
             if (owner[sub(subgroups, np.roll(subgroups, d, axis=1))] != cls).any():
                 return None
-        first, step = [], max(1, _CERTIFY_CELLS // w)
+        step = max(1, _CERTIFY_CELLS // w)
         for lo in range(0, self.n, step):  # the int64 temporaries a chunk at a time
             chunk = blocks[lo:lo + step]
             cls = owner[sub(chunk[:, 1:], chunk[:, :1])]
             if ((cls != cls[:, :1]) | (cls < 0)).any():
                 return None
-            first.append(cls[:, 0])
-        keys = np.sort(np.concatenate(first) * v + blocks[:, 0])
-        if (keys[1:] == keys[:-1]).any():
-            return None
         return BasePoint(character_ranks(p, e, subgroups), *self._base[1:])
 
     @cached_property
@@ -243,20 +245,19 @@ class IncidenceStructure:
         read off the blocks: on codes, x -> Xx is x // p - x_(k-1) mu for the
         monic modulus mu, and the first mu (mu_0 != 0, lex order) whose (x, y)
         -> (Xx, y) maps the first block through point 0 to a block is taken, if
-        irreducible.  Then, exactly: the blocks have one size w >= 2; no two
-        start with the same two points, which so name each block; (x, y) -> (gx,
-        y) and (x, y) -> (x, gy), g of order q - 1, map each block, sorted, to
-        the block its first two points name; the blocks through point 0 meet
-        only in 0.  So the scalings act regularly; the Gram parity A + rI, a
-        group matrix, must be a unit (`gf2.folds_to_unit`); both ranks are v."""
+        irreducible (for prime q, mu_0 = p - 1 gives x -> x: always kept).  Then,
+        exactly: `_base` holds, so the first two points of a block name it;
+        (x, y) -> (gx, y) and (x, y) -> (x, gy), g of order q - 1, map each
+        block, sorted, to the block its first two points name.  So the
+        scalings act regularly; the Gram parity A + rI, a group matrix, must
+        be a unit (`gf2.folds_to_unit`); both ranks are v."""
         v, q1 = self.v, math.isqrt(self.v)
         p, k = prime_power(q1 + 1)  # q = p^k, p odd, in `fields.check_field`'s range
         if q1 * q1 != v or p == 2 or not k or q1 >= MAX_Q or self._base is None:
             return None
         blocks, through, joined = self._base[:3]
-        keys, order = np.unique(blocks[:, 0] * v + blocks[:, 1], return_index=True)
-        if len(keys) < self.n:
-            return None
+        order = np.argsort(keys := blocks[:, 0] * v + blocks[:, 1])
+        keys = keys[order]
         def named(image: np.ndarray) -> np.ndarray:  # per sorted image (last axis): a block?
             at = np.minimum(np.searchsorted(keys, image[..., 0] * v + image[..., 1]), len(keys) - 1)
             return (blocks[order[at]] == image).all(axis=-1)
@@ -303,7 +304,7 @@ class IncidenceStructure:
             hist = self.v * np.bincount(bp.base_counts, minlength=w + 1)
         else:
             hist = np.zeros(w + 1, dtype=np.intp)
-            blocks = self.matrix.by_column()[0].reshape(self.n, w)
+            blocks = self.matrix.by_column().reshape(self.n, w)
             a = self.adjacency.view(np.uint8)
             step = max(1, _CENSUS_CELLS // self.v)
             for lo in range(0, self.n, step):

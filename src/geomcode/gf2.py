@@ -26,8 +26,9 @@ class BinaryMatrix:
     in row-major order (rows ascending, columns ascending within a row):
     :meth:`nonzero` returns them and every other view derives from them.
     Indices given strictly ascending in that order are kept as they are, made
-    read-only, with no sort.  :meth:`by_column` gives the same ones in
-    column-major order, sorted once and cached, as are the weights.
+    read-only, with no sort.  Both weights are counted here, while the indices
+    are writable (``np.bincount`` copies a read-only input).  :meth:`by_column`
+    gives the row of each one in column-major order, sorted once and cached.
     """
 
     __slots__ = ("nrows", "cols", "_ones", "_by_column", "_weights")
@@ -42,46 +43,43 @@ class BinaryMatrix:
         if rows.size and (rows.min() < 0 or rows.max() >= nrows
                           or cols.min() < 0 or cols.max() >= ncols):
             raise ValueError(f"index outside the {nrows} x {ncols} matrix")
-        linear = rows * ncols + cols
+        linear = rows * ncols
+        linear += cols  # in place: one temporary the size of the ones
         if (linear[1:] > linear[:-1]).all():  # row-major already, no repeat
             self._ones = rows, cols
         else:
             linear.sort()
             linear = linear[np.diff(linear, prepend=-1) != 0]  # drop repeats
             self._ones = np.divmod(linear, ncols)
-        for a in self._ones:
+        self._weights = tuple(np.bincount(a, minlength=size)
+                              for a, size in zip(self._ones, shape))
+        for a in (*self._ones, *self._weights):
             a.flags.writeable = False
         self.nrows, self.cols = nrows, ncols
         self._by_column = None
-        self._weights = [None, None]
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column indices of the ones, in row-major order."""
         return self._ones
 
-    def by_column(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column indices of the ones, in column-major order."""
+    def by_column(self) -> np.ndarray:
+        """The row of each one in column-major order, ascending within a column:
+        column j's are the next ``column_weights()[j]``.  Read-only int64, cached."""
         if self._by_column is None:
-            rows, cols = self._ones
-            # one sort of distinct keys, several times faster than a stable argsort
-            self._by_column = np.divmod(np.sort(cols * self.nrows + rows), self.nrows)[::-1]
-            for a in self._by_column:
-                a.flags.writeable = False
+            self._by_column = keys = self._ones[1] * self.nrows
+            keys += self._ones[0]
+            keys.sort()  # in place, distinct keys: several times faster than a stable argsort
+            keys %= self.nrows
+            keys.flags.writeable = False
         return self._by_column
 
     def row_weights(self) -> np.ndarray:
-        """The number of ones in each row: a read-only int64 array, cached."""
-        return self._weight(0, self.nrows)
+        """The number of ones in each row: a read-only int64 array."""
+        return self._weights[0]
 
     def column_weights(self) -> np.ndarray:
-        """The number of ones in each column: a read-only int64 array, cached."""
-        return self._weight(1, self.cols)
-
-    def _weight(self, axis: int, size: int) -> np.ndarray:
-        if self._weights[axis] is None:
-            self._weights[axis] = np.bincount(self._ones[axis], minlength=size)
-            self._weights[axis].flags.writeable = False
-        return self._weights[axis]
+        """The number of ones in each column: a read-only int64 array."""
+        return self._weights[1]
 
     def packed_chunks(self):
         """Yield the rows packed into uint8 bytes (bit j % 8 of byte j // 8 is

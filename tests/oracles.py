@@ -493,7 +493,8 @@ def gram_counts(m: BinaryMatrix) -> np.ndarray:
     the ones; the counts are mirrored, with the row weights on the diagonal.
     """
     v = m.nrows
-    pts, cols = m.by_column()  # the rows of column 0, then of column 1, ...; ascending in each
+    pts = m.by_column()  # the rows of column 0, then of column 1, ...; ascending in each
+    cols = np.repeat(np.arange(m.cols), m.column_weights())
     out = np.zeros(v * v, dtype=np.int64)
     for d in range(1, max(m.column_weights())):
         same = cols[d:] == cols[:-d]
@@ -711,7 +712,7 @@ def write_alist(h: BinaryMatrix, path: str | Path) -> None:
         " ".join(map(str, col_w)),
         " ".join(map(str, row_w)),
     ]
-    lines += _index_lines(h.by_column()[0], col_w)
+    lines += _index_lines(h.by_column(), col_w)
     lines += _index_lines(cols, row_w)
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 

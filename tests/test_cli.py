@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import geomcode.gf2
+import geomcode.metrics
 import geomcode.sim
 from geomcode import constructions
 from geomcode.alist import read_alist, write_alist
@@ -95,6 +97,7 @@ def test_construct_names_bad_field_and_modulus(tmp_path, capsys):
     for args, err in [
         (["--field", "3^x"], "error: bad field '3^x'; expected p or p^k\n"),
         (["--field", "x"], "error: bad field 'x'; expected p or p^k\n"),
+        (["--field", "3^0"], "error: extension degree k = 0 must be a positive integer\n"),
         (["--field", "3^2", "--modulus", "1,,1"],
          "error: bad modulus '1,,1'; expected comma-separated integers\n"),
     ]:
@@ -253,6 +256,34 @@ def test_analyze_hyperbolic_q3(tmp_path):
     assert rep["dimension"] == 567 and rep["rate"] == 0.875
     assert rep["distance_bounds"]["parity_oriented"] == "6/5"
     assert rep["checks_passed"]
+
+
+def _six_cycles_off_by_one(*args):
+    cyc = geomcode.metrics.six_cycles(*args)
+    return dataclasses.replace(cyc, six_cycle_enumerated=cyc.six_cycle_enumerated + 1)
+
+
+def _prediction_off_by_one(spec):
+    pred = geomcode.gf2.brouwer_predict(spec)
+    return dataclasses.replace(pred, value=pred.value + 1)
+
+
+@pytest.mark.parametrize("name,fake,failure", [
+    ("six_cycles", _six_cycles_off_by_one, "six-cycle formula disagrees with enumeration"),
+    ("brouwer_predict", _prediction_off_by_one, "rank prediction 49 != eliminated rank 48")],
+    ids=["six-cycles", "rank-prediction"])
+def test_analyze_files_a_failed_claim_and_the_later_sections(tmp_path, monkeypatch, capsys,
+                                                            name, fake, failure):
+    # a disagreement with the paper's claims fails the analysis, exit 1, and
+    # the sections after it are still filed
+    monkeypatch.setattr(f"geomcode.cli.{name}", fake)
+    out = tmp_path / "r.json"
+    assert run(["analyze", "--family", "hyperbolic", "--field", "3", "--out", out]) == 1
+    rep = json.loads(out.read_text())
+    assert not rep["checks_passed"] and rep["failures"] == [failure]
+    assert capsys.readouterr().err == json.dumps([failure]) + "\n"
+    assert {"feasibility", "spectrum", "distance_bounds"} <= set(rep)
+    assert all(c["pass"] for c in rep["feasibility"])
 
 
 def test_analyze_conic_q5_not_simulable(tmp_path):

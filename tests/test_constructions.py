@@ -1,9 +1,11 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import geomcode.gf2
 from geomcode import constructions
 from geomcode.constructions import (
     ConicLabel,
@@ -283,6 +285,41 @@ def test_hyperbolic_build_matches_per_pair_gathers(p, k, modulus):
     # per (N, B) pair; GF(9) both over the built-in modulus and over x^2+x+2
     f = Field(p, k, modulus)
     assert build_hyperbolic_structure(f).matrix == hyperbolic_by_gathers(f)
+
+
+def _traced(fn):
+    """fn()'s value, and tracemalloc's peak in bytes over the call."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certified_indices_kept_once(monkeypatch, f7):
+    # hyperbolic q=7: 2,401 points, 115,248 blocks of w = 7, 806,736 ones.  The
+    # matrix, both weights and the column-major rows peak at 9.2 bytes per one
+    # above the row-major input; a second ones-long array (the columns kept in
+    # column-major order, or a copy of the read-only columns) would pass 12
+    rows, cols = (np.array(a) for a in build_hyperbolic_structure(f7).matrix.nonzero())
+    v, n = 7 ** 4, 7 * 48 * 7 ** 3
+
+    def index():
+        m = BinaryMatrix(rows, cols, (v, n))
+        m.row_weights(), m.column_weights(), m.by_column()
+        return m
+
+    m, peak = _traced(index)
+    assert peak < 12 * rows.size
+    # in small chunks (each certification chunk and character block a few
+    # KiB), the translations hold nothing per block: 5.2 bytes per block here,
+    # against the (w - 1) 8 = 48 that a class array kept per chunk would hold
+    monkeypatch.setattr(constructions, "_CERTIFY_CELLS", 1 << 14)
+    monkeypatch.setattr(geomcode.gf2, "PACK_CHUNK_BYTES", 1 << 16)
+    ic = IncidenceStructure("file", None, m)
+    assert ic._base is not None
+    certified, peak = _traced(lambda: ic.translation)
+    assert certified is not None and peak < 16 * n
 
 
 def test_construction_determinism():

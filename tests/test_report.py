@@ -162,6 +162,28 @@ def test_translation_refused(request, name):
     assert IncidenceStructure("file", None, m).translation is None
 
 
+def _repeated_block(m: BinaryMatrix) -> BinaryMatrix:
+    """m with its second block that avoids point 0 overwritten by a copy of
+    its first such block: the blocks through point 0 are untouched."""
+    w = int(m.column_weights()[0])
+    blocks = m.by_column().reshape(m.cols, w).copy()
+    first, second = np.flatnonzero(blocks[:, 0] != 0)[:2]
+    blocks[second] = blocks[first]
+    return BinaryMatrix(blocks.ravel(), np.repeat(np.arange(m.cols), w), (m.nrows, m.cols))
+
+
+@pytest.mark.parametrize("fixture", ["hyp3", "conic7"])
+def test_repeated_block_refused_by_both_certificates(request, fixture):
+    # two blocks start with the same two points: `_base` refuses them once, for
+    # the translations and the scalings alike, and the dense report is the oracle's
+    m = _repeated_block(request.getfixturevalue(fixture).matrix)
+    ic = IncidenceStructure("file", None, m)
+    assert ic._base is None and ic.base_point is None
+    rep = build_analysis_report(ic)
+    _assert_same(rep, oracles.report(m))
+    assert not rep["axioms"]["pass"] and rep["axioms"]["violated"] == "i"
+
+
 def test_translation_lambda_failure_matches_oracle(hyp3):
     # without the 27 cosets of its first subgroup, hyperbolic q=3 is still a
     # translation structure, but lambda is not constant: point 0's row files
@@ -356,6 +378,24 @@ def test_scaling_certifies_without_memory_for_the_fold(monkeypatch):
 def test_scaling_refused_with_one_incidence_moved(name):
     built = build_conic_structure(Field(*CONICS[name]))
     assert IncidenceStructure(built.family, built.field, _moved(built.matrix)).base_point is None
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (7, 1)], ids=["conic9", "conic25", "conic7"])
+def test_scaling_refused_with_the_points_relabelled(monkeypatch, p, k):
+    # a permutation fixing point 0 keeps `_base`, but over GF(9) and GF(25) no
+    # candidate modulus maps the first block through point 0 to a block, so
+    # no field is formed; over GF(7) the candidate x -> x is always kept
+    built = build_conic_structure(Field(p, k)).matrix
+    rows, cols = built.nonzero()
+    perm = np.r_[0, 1 + np.random.default_rng(0).permutation(built.nrows - 1)]
+    m = BinaryMatrix(perm[rows], cols, (built.nrows, built.cols))
+    fields = []
+    monkeypatch.setattr(geomcode.constructions, "Field",
+                        lambda *args: fields.append(args) or Field(*args))
+    ic = IncidenceStructure("file", None, m)
+    assert ic._base is not None and ic.base_point is None
+    assert len(fields) == (k == 1)
+    _assert_same(build_analysis_report(ic), oracles.report(m))
 
 
 def test_conic_over_another_modulus_read_back_matches_oracle(tmp_path):

@@ -121,6 +121,12 @@ def test_noise_sigma_refuses_points_without_finite_noise(ebn0, rate):
     assert 0.0 < noise_sigma(3000.0, 0.875) < noise_sigma(-3000.0, 0.875) < math.inf
 
 
+@pytest.mark.parametrize("rate", [0, -0.5])
+def test_noise_sigma_refuses_rates_that_are_not_positive(rate):
+    with pytest.raises(ValueError, match="^rate must be positive$"):
+        noise_sigma(3, rate)
+
+
 def test_noise_sigma_refuses_points_whose_llr_scale_overflows():
     # sigma = 8.5e-155 is finite and positive, but 2/sigma^2 overflows; the
     # points accepted just below give finite LLRs, with no overflow warning

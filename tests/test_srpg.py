@@ -202,6 +202,12 @@ def _graph(edges, v):
     return _structure([[1 if i in e else 0 for e in edges] for i in range(v)])
 
 
+def test_irregular_point_graph_witness():
+    # the path 0-1-2: the first point whose degree differs from point 0's
+    with pytest.raises(ValueError, match=r"^point graph is not regular: deg\(0\)=1, deg\(1\)=2$"):
+        check_strongly_regular(_graph([(0, 1), (1, 2)], 3))
+
+
 def test_non_srg_witness():
     # 6-cycle point graph: mu is not constant (opposite vs distance-2 pairs)
     ic = _graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)], 6)
@@ -310,6 +316,12 @@ def test_spectrum_conference_case_rejected():
     # pentagon: delta = 5 is not a perfect square
     with pytest.raises(ValueError, match="perfect square"):
         spectrum(5, 2, 0, 1, 1, 1)
+
+
+def test_spectrum_multiplicities_not_integral():
+    # delta = 4, but (v - 1 + ((v - 1)(mu - lambda) - 2k) / 2) / 2 = 1/2
+    with pytest.raises(ValueError, match="^multiplicities are not integral for these parameters$"):
+        spectrum(4, 2, 1, 1, 1, 1)
 
 
 def test_spectrum_mu_zero_rejected():
